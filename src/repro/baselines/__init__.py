@@ -5,7 +5,7 @@ from .centralized import CentralizedMetaScheduler
 from .gossip import GossipAgent, GossipConfig
 from .multirequest import MultiRequestScheduler
 from .randomassign import RandomAssignScheduler
-from .runner import BASELINE_NAMES, BaselineRunResult, run_baseline
+from .runner import BASELINE_NAMES, BaselineRunResult
 
 __all__ = [
     "BASELINE_NAMES",
@@ -16,6 +16,5 @@ __all__ = [
     "GossipConfig",
     "MultiRequestScheduler",
     "RandomAssignScheduler",
-    "run_baseline",
     "wire_node_metrics",
 ]

@@ -8,25 +8,19 @@ distributed protocol, so baseline and ARiA numbers are directly comparable
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import List
 
 from ..errors import ConfigurationError
-from ..grid.node import GridNode
 from ..grid.performance import AccuracyModel
-from ..grid.resources import random_node_profile, random_performance_index
 from ..metrics.collector import GridMetrics
 from ..net.traffic import TrafficReport
-from ..scheduling.registry import make_scheduler
 from ..sim import Simulator
-from ..workload.generator import JobGenerator
-from ..workload.submission import SubmissionProcess, SubmissionSchedule
+from ..workload.submission import SubmissionProcess
 from .centralized import CentralizedMetaScheduler
 from .multirequest import MultiRequestScheduler
 from .randomassign import RandomAssignScheduler
 
-__all__ = ["BaselineRunResult", "run_baseline", "BASELINE_NAMES"]
+__all__ = ["BaselineRunResult", "BASELINE_NAMES"]
 
 BASELINE_NAMES = ("centralized", "multirequest", "random", "gossip")
 
@@ -68,30 +62,6 @@ class BaselineRunResult:
         )
 
 
-def run_baseline(
-    baseline: str,
-    scale=None,
-    seed: int = 0,
-    policies=("FCFS", "SJF"),
-    submission_interval: float = 10.0,
-    multirequest_k: int = 3,
-) -> BaselineRunResult:
-    """Simulate one baseline run mirroring the Mixed workload setup.
-
-    .. deprecated:: 1.1
-        Use :func:`repro.experiments.run` with the baseline name as spec:
-        ``run("centralized", scale, seed=...)``.
-
-    .. versionchanged:: 1.2
-        Calling this wrapper is now an error.
-    """
-    raise DeprecationWarning(
-        'run_baseline() was removed; use repro.experiments.run('
-        '"centralized" | "multirequest" | "random" | "gossip", scale, '
-        "seed=...) instead"
-    )
-
-
 def _run_baseline(
     baseline: str,
     scale=None,
@@ -100,58 +70,70 @@ def _run_baseline(
     submission_interval: float = 10.0,
     multirequest_k: int = 3,
 ) -> BaselineRunResult:
-    """Simulate one baseline run (internal, non-deprecated impl)."""
+    """Simulate one baseline run mirroring the Mixed workload setup."""
+    from ..experiments import assembly
     from ..experiments.scale import ScenarioScale
+    from ..experiments.scenario import Scenario
 
     scale = scale if scale is not None else ScenarioScale.paper()
     if baseline not in BASELINE_NAMES:
         raise ConfigurationError(
             f"unknown baseline {baseline!r}; known: {BASELINE_NAMES}"
         )
+    # Every field left at its default is the Mixed scenario's value, so
+    # the shared assembly draws the node pool and workload an ARiA run
+    # with the same seed gets.
+    scenario = Scenario(
+        name=baseline,
+        description="baseline",
+        policies=tuple(policies),
+        submission_interval=submission_interval,
+    )
     sim = Simulator(seed=seed)
     metrics = GridMetrics()
-    profile_rng = sim.streams.get("profiles")
-    policy_rng = sim.streams.get("policies")
-    accuracy = AccuracyModel(epsilon=0.1)
-    nodes: List[GridNode] = [
-        GridNode(
-            node_id=node_id,
-            sim=sim,
-            profile=random_node_profile(profile_rng),
-            performance_index=random_performance_index(profile_rng),
-            scheduler=make_scheduler(policy_rng.choice(policies)),
-            accuracy=accuracy,
-        )
+    accuracy = AccuracyModel(epsilon=scenario.epsilon)
+    nodes = [
+        assembly.make_node(node_id, sim, scenario.policies, accuracy)
         for node_id in range(scale.nodes)
     ]
 
     if baseline == "gossip":
-        return _run_gossip(
-            scale, seed, sim, metrics, nodes, submission_interval
-        )
-    if baseline == "centralized":
-        scheduler = CentralizedMetaScheduler(nodes, metrics)
-    elif baseline == "multirequest":
-        scheduler = MultiRequestScheduler(nodes, metrics, k=multirequest_k)
-    else:
-        scheduler = RandomAssignScheduler(
-            nodes, metrics, rng=sim.streams.get("baseline.random")
-        )
+        # The gossip baseline is itself decentralized: one agent per
+        # node, random initiators, a real overlay and transport
+        # underneath.
+        from ..net.transport import SimTransport
+        from .gossip import GossipAgent, GossipConfig
 
-    profiles = [node.profile for node in nodes]
-    generator = JobGenerator(
-        sim.streams.get("workload"),
-        requirements_ok=lambda req: any(p.satisfies(req) for p in profiles),
-    )
-    schedule = SubmissionSchedule(
-        job_count=scale.jobs,
-        interval=submission_interval * scale.interval_factor,
-    )
+        transport = SimTransport(sim)
+        graph = assembly.build_overlay("blatant", scale.nodes, seed)
+        config = GossipConfig()
+        targets = [
+            GossipAgent(node, transport, graph, config, metrics)
+            for node in nodes
+        ]
+        for agent in targets:
+            agent.start()
+        scheduler, monitor = None, transport.monitor
+    else:
+        if baseline == "centralized":
+            scheduler = CentralizedMetaScheduler(nodes, metrics)
+        elif baseline == "multirequest":
+            scheduler = MultiRequestScheduler(nodes, metrics, k=multirequest_k)
+        else:
+            scheduler = RandomAssignScheduler(
+                nodes, metrics, rng=sim.streams.get("baseline.random")
+            )
+        targets, monitor = [scheduler], scheduler.monitor
+
     SubmissionProcess(
         sim,
-        agents=lambda: [scheduler],
-        generator=generator,
-        schedule=schedule,
+        agents=lambda: targets,
+        generator=assembly.workload_generator(
+            scenario,
+            sim.streams.get("workload"),
+            [node.profile for node in nodes],
+        ),
+        schedule=assembly.submission_schedule(scenario, scale),
         rng=sim.streams.get("submission"),
     )
     sim.run_until(scale.duration)
@@ -159,59 +141,10 @@ def _run_baseline(
         baseline=baseline,
         seed=seed,
         metrics=metrics,
-        traffic=scheduler.monitor.report(
+        traffic=monitor.report(
             node_count=scale.nodes, duration=scale.duration
         ),
         revoked_copies=getattr(scheduler, "revoked_copies", 0),
-        scale=scale,
-        executed_events=sim.executed_events,
-    )
-
-
-def _run_gossip(
-    scale, seed, sim, metrics, nodes, submission_interval
-) -> BaselineRunResult:
-    """The gossip baseline is itself decentralized: one agent per node,
-    random initiators, a real overlay and transport underneath."""
-    from ..experiments.runner import _converged_overlay
-    from ..net.transport import SimTransport
-    from .gossip import GossipAgent, GossipConfig
-
-    transport = SimTransport(sim)
-    graph = _converged_overlay(scale.nodes, seed)
-    config = GossipConfig()
-    agents = [
-        GossipAgent(node, transport, graph, config, metrics)
-        for node in nodes
-    ]
-    for agent in agents:
-        agent.start()
-
-    profiles = [node.profile for node in nodes]
-    generator = JobGenerator(
-        sim.streams.get("workload"),
-        requirements_ok=lambda req: any(p.satisfies(req) for p in profiles),
-    )
-    schedule = SubmissionSchedule(
-        job_count=scale.jobs,
-        interval=submission_interval * scale.interval_factor,
-    )
-    SubmissionProcess(
-        sim,
-        agents=lambda: agents,
-        generator=generator,
-        schedule=schedule,
-        rng=sim.streams.get("submission"),
-    )
-    sim.run_until(scale.duration)
-    return BaselineRunResult(
-        baseline="gossip",
-        seed=seed,
-        metrics=metrics,
-        traffic=transport.monitor.report(
-            node_count=scale.nodes, duration=scale.duration
-        ),
-        revoked_copies=0,
         scale=scale,
         executed_events=sim.executed_events,
     )

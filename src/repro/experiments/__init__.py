@@ -13,26 +13,15 @@ crash-restart / fail-slow node failures), a :class:`ChurnPlan`, or a
 from ..obs.trace import TraceConfig
 from .aggregate import ScenarioSummary, average_series, summarize_runs
 from .catalog import SCENARIOS, get_scenario, scenario_names, with_rescheduling
-from .churn import ChurnPlan, run_churn_experiment
+from .churn import ChurnPlan
 from .engine import BatchResult, ResultCache, run, run_batch
-from .failures import (
-    CrashPlan,
-    FailureModel,
-    run_crash_experiment,
-    run_failure_experiment,
-)
-from .faults import FaultPlan, apply_fault_plan, run_fault_experiment
+from .failures import CrashPlan, FailureModel
+from .faults import FaultPlan, apply_fault_plan
 from .invariants import check_invariants
 from .invariants_online import OnlineInvariantChecker
 from .options import RunOptions
 from .report import fmt_hours, fmt_opt, render_series, render_table
-from .runner import (
-    GridSetup,
-    RunResult,
-    build_grid,
-    run_scenario,
-    run_scenario_batch,
-)
+from .runner import GridSetup, RunResult, build_grid
 from .scale import ScenarioScale, bench_scale_from_env
 from .scenario import Scenario
 from .summary import RunSummary
@@ -55,10 +44,6 @@ __all__ = [
     "check_invariants",
     "run",
     "run_batch",
-    "run_churn_experiment",
-    "run_crash_experiment",
-    "run_failure_experiment",
-    "run_fault_experiment",
     "SCENARIOS",
     "Scenario",
     "ScenarioScale",
@@ -71,8 +56,6 @@ __all__ = [
     "get_scenario",
     "render_series",
     "render_table",
-    "run_scenario",
-    "run_scenario_batch",
     "scenario_names",
     "summarize_runs",
     "validate_run",

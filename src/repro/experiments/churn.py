@@ -21,7 +21,7 @@ from .catalog import get_scenario
 from .runner import RunResult, build_grid
 from .scale import ScenarioScale
 
-__all__ = ["ChurnPlan", "run_churn_experiment"]
+__all__ = ["ChurnPlan"]
 
 
 @dataclass(frozen=True)
@@ -54,29 +54,6 @@ class ChurnPlan:
             raise ConfigurationError("min_fraction must be in (0, 1]")
 
 
-def run_churn_experiment(
-    scale: Optional[ScenarioScale] = None,
-    seed: int = 0,
-    plan: Optional[ChurnPlan] = None,
-    scenario_name: str = "iMixed",
-    failsafe: bool = False,
-) -> RunResult:
-    """One run of ``scenario_name`` under sustained node churn.
-
-    .. deprecated:: 1.1
-        Use :func:`repro.experiments.run` with a :class:`ChurnPlan` spec:
-        ``run(ChurnPlan(), scale, seed=..., failsafe=True)``.
-
-    .. versionchanged:: 1.2
-        Calling this wrapper is now an error.
-    """
-    raise DeprecationWarning(
-        "run_churn_experiment() was removed; use repro.experiments."
-        "run(ChurnPlan(...), scale, seed=..., "
-        "options=RunOptions(failsafe=...)) instead"
-    )
-
-
 def _run_churn_experiment(
     scale: Optional[ScenarioScale] = None,
     seed: int = 0,
@@ -85,7 +62,7 @@ def _run_churn_experiment(
     failsafe: bool = False,
     obs=None,
 ) -> RunResult:
-    """One churn run (internal, non-deprecated impl)."""
+    """One run of ``scenario_name`` under sustained node churn."""
     plan = plan if plan is not None else ChurnPlan()
     base = get_scenario(scenario_name)
     scenario = dataclasses.replace(base, name=f"{base.name}+churn")

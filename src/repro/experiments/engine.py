@@ -38,7 +38,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import warnings
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
@@ -53,7 +52,7 @@ from .failures import (
 )
 from .faults import FaultPlan, _run_fault_experiment
 from .options import RunOptions
-from .runner import _run_scenario
+from .runner import build_grid
 from .scale import ScenarioScale
 from .scenario import Scenario
 from .summary import RunSummary
@@ -351,13 +350,13 @@ def _run_payload(payload: Dict[str, Any]):
         else None
     )
     if kind == "scenario":
-        return _run_scenario(
+        return build_grid(
             Scenario.from_dict(payload["scenario"]),
             scale,
             seed,
             config_overrides=payload.get("config_overrides"),
             obs=obs,
-        )
+        ).run()
     if kind == "baseline":
         from ..baselines.runner import _run_baseline
 
@@ -494,32 +493,6 @@ def _resolve_cache(cache) -> Optional[ResultCache]:
 # ----------------------------------------------------------------------
 # Public entry points
 # ----------------------------------------------------------------------
-def _resolve_options(
-    options: Optional[RunOptions], legacy: Dict[str, Any], what: str
-) -> RunOptions:
-    """Fold legacy loose keyword options into one :class:`RunOptions`.
-
-    Loose spec kwargs (``run(spec, failsafe=True)``) still work but are
-    deprecated; they are validated and merged over ``options`` so a
-    half-migrated call keeps its meaning.
-    """
-    if legacy:
-        RunOptions.from_legacy(legacy)  # validate names before warning
-        warnings.warn(
-            f"passing experiment options to {what} as loose keyword "
-            "arguments is deprecated; pass options=RunOptions(...) "
-            "instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        options = (
-            RunOptions(**legacy)
-            if options is None
-            else options.merged(**legacy)
-        )
-    return options if options is not None else RunOptions()
-
-
 def run(
     spec: ExperimentSpec,
     scale: Optional[ScenarioScale] = None,
@@ -529,7 +502,6 @@ def run(
     profile: bool = False,
     profile_out: Optional[str] = None,
     trace: Optional[TraceConfig] = None,
-    **legacy_options,
 ):
     """One run of any experiment spec; returns the live result object.
 
@@ -541,9 +513,7 @@ def run(
     (baseline); ``failsafe`` / ``scenario_name`` / ``probe_interval``
     (crash); ``failsafe`` / ``scenario_name`` (churn); ``reliability`` /
     ``failsafe`` / ``scenario_name`` / ``probe_interval`` (faults) — the
-    engine rejects options that do not apply to the spec's kind.  Loose
-    keyword options are deprecated (they merge over ``options`` with a
-    :class:`DeprecationWarning`).
+    engine rejects options that do not apply to the spec's kind.
 
     With ``profile=True`` the run executes under :mod:`cProfile` and the
     top 20 functions by cumulative time are printed to stderr afterwards
@@ -562,7 +532,7 @@ def run(
     crash, churn) or :class:`~repro.baselines.runner.BaselineRunResult`
     (baseline); call ``.summary()`` on either for the picklable hand-off.
     """
-    opts = _resolve_options(options, legacy_options, "run()")
+    opts = options if options is not None else RunOptions()
     trace = trace if trace is not None else opts.trace
     profile = profile or opts.profile
     profile_out = profile_out if profile_out is not None else opts.profile_out
@@ -655,7 +625,6 @@ def run_batch(
     trace: Optional[TraceConfig] = None,
     progress=None,
     seed_timeout: Optional[float] = None,
-    **legacy_options,
 ) -> BatchResult:
     """Run ``spec`` once per seed; returns a :class:`BatchResult` of
     :class:`RunSummary` objects.
@@ -692,12 +661,12 @@ def run_batch(
     served from the cache.
 
     Like :func:`run`, spec options come via ``options`` (a
-    :class:`RunOptions`; loose keyword options are deprecated).  The
+    :class:`RunOptions`).  The
     batch mechanics (``parallel`` / ``cache`` / ``progress`` /
     ``seed_timeout`` / ``trace``) may come either as direct arguments or
     via ``options``; direct arguments win.
     """
-    opts = _resolve_options(options, legacy_options, "run_batch()")
+    opts = options if options is not None else RunOptions()
     trace = trace if trace is not None else opts.trace
     parallel = parallel if parallel is not None else opts.parallel
     cache = cache if cache is not None else opts.cache

@@ -55,8 +55,6 @@ from .scale import ScenarioScale
 __all__ = [
     "CrashPlan",
     "FailureModel",
-    "run_crash_experiment",
-    "run_failure_experiment",
 ]
 
 
@@ -169,30 +167,6 @@ class FailureModel:
         )
 
 
-def run_crash_experiment(
-    failsafe: bool,
-    scale: Optional[ScenarioScale] = None,
-    seed: int = 0,
-    plan: Optional[CrashPlan] = None,
-    scenario_name: str = "iMixed",
-    probe_interval: float = 10 * MINUTE,
-) -> RunResult:
-    """One crash-injected run of the given Table II scenario.
-
-    .. deprecated:: 1.1
-        Use :func:`repro.experiments.run` with a :class:`CrashPlan` spec:
-        ``run(CrashPlan(), scale, seed=..., failsafe=True)``.
-
-    .. versionchanged:: 1.2
-        Calling this wrapper is now an error.
-    """
-    raise DeprecationWarning(
-        "run_crash_experiment() was removed; use repro.experiments."
-        "run(CrashPlan(...), scale, seed=..., "
-        "options=RunOptions(failsafe=...)) instead"
-    )
-
-
 def _run_crash_experiment(
     failsafe: bool,
     scale: Optional[ScenarioScale] = None,
@@ -224,35 +198,6 @@ def _run_crash_experiment(
         scenario_suffix=f"+crash{'+failsafe' if failsafe else ''}",
         check=False,
         obs=obs,
-    )
-
-
-def run_failure_experiment(
-    model: FailureModel,
-    scale: Optional[ScenarioScale] = None,
-    seed: int = 0,
-    scenario_name: str = "iMixed",
-    failsafe: bool = True,
-    adoption: bool = True,
-    reliability: bool = True,
-    fault_plan: Optional[FaultPlan] = None,
-    probe_interval: float = 10 * MINUTE,
-    deadline_slack: float = 3.0,
-) -> RunResult:
-    """One failure-injected run of ``scenario_name``.
-
-    Prefer :func:`repro.experiments.run` with a :class:`FailureModel`
-    spec: ``run(FailureModel(...), scale, seed=..., adoption=True)``.
-    """
-    return _run_failure_experiment(
-        model, scale, seed,
-        scenario_name=scenario_name,
-        failsafe=failsafe,
-        adoption=adoption,
-        reliability=reliability,
-        fault_plan=fault_plan,
-        probe_interval=probe_interval,
-        deadline_slack=deadline_slack,
     )
 
 

@@ -44,7 +44,7 @@ from .invariants import check_invariants
 from .runner import RunResult, build_grid
 from .scale import ScenarioScale
 
-__all__ = ["FaultPlan", "apply_fault_plan", "run_fault_experiment"]
+__all__ = ["FaultPlan", "apply_fault_plan"]
 
 
 @dataclass(frozen=True)
@@ -151,26 +151,6 @@ def apply_fault_plan(transport: Transport, plan: FaultPlan) -> FaultInjector:
             base, plan.delay_spike, plan.delay_spike_mean
         )
     return injector
-
-
-def run_fault_experiment(
-    scale: Optional[ScenarioScale] = None,
-    seed: int = 0,
-    plan: Optional[FaultPlan] = None,
-    scenario_name: str = "iMixed",
-    reliability: bool = True,
-    failsafe: bool = True,
-    probe_interval: float = 10 * MINUTE,
-) -> RunResult:
-    """One fault-injected run of ``scenario_name``.
-
-    Prefer :func:`repro.experiments.run` with a :class:`FaultPlan` spec:
-    ``run(FaultPlan(...), scale, seed=..., reliability=True)``.
-    """
-    return _run_fault_experiment(
-        scale, seed, plan, scenario_name, reliability, failsafe,
-        probe_interval,
-    )
 
 
 def _run_fault_experiment(

@@ -1,10 +1,7 @@
 """One frozen spec for everything a ``run`` / ``run_batch`` call can vary.
 
-Historically each experiment kind grew its own keyword arguments on the
-engine entry points (``config_overrides`` here, ``failsafe`` /
-``reliability`` / ``probe_interval`` there, batch mechanics like
-``parallel`` and ``cache`` next to them).  :class:`RunOptions`
-consolidates the sprawl into one frozen, validated object:
+Everything an engine call can vary travels in one frozen, validated
+:class:`RunOptions`:
 
 * **Spec options** — the per-kind knobs that join the experiment payload
   and therefore the on-disk **cache key**.  Every field defaults to
@@ -20,18 +17,13 @@ consolidates the sprawl into one frozen, validated object:
 The engine still validates spec options *per kind* (``failsafe`` on a
 plain scenario is still an error): :class:`RunOptions` guards the field
 *names*, the engine guards their applicability.
-
-Legacy keyword arguments on ``run`` / ``run_batch`` still work through
-:meth:`from_legacy` but emit a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from ..errors import ConfigurationError
 from ..obs.trace import TraceConfig
 
 __all__ = ["RunOptions"]
@@ -112,33 +104,3 @@ class RunOptions:
             for name in _SPEC_FIELDS
             if getattr(self, name) is not None
         }
-
-    def merged(self, **changes: Any) -> "RunOptions":
-        """A copy with ``changes`` applied (validated field names)."""
-        try:
-            return dataclasses.replace(self, **changes)
-        except TypeError:
-            unknown = sorted(
-                key
-                for key in changes
-                if key not in {f.name for f in dataclasses.fields(self)}
-            )
-            raise ConfigurationError(
-                f"unknown run option(s) {unknown}; "
-                f"known: {sorted(f.name for f in dataclasses.fields(self))}"
-            )
-
-    @classmethod
-    def from_legacy(cls, options: Dict[str, Any]) -> "RunOptions":
-        """Build from a legacy ``**options`` keyword dict.
-
-        Only *spec* option names are accepted — mechanics were never
-        legal as loose engine kwargs — and unknown names raise, like the
-        engine always did.
-        """
-        unknown = sorted(set(options) - set(_SPEC_FIELDS))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown option(s) {unknown}; allowed: {sorted(_SPEC_FIELDS)}"
-            )
-        return cls(**options)

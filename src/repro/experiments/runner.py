@@ -1,320 +1,28 @@
-"""Scenario runner: builds a complete grid and simulates one run.
+"""Scenario runner: the simulator's driver over the shared grid assembly.
 
 A run assembles every substrate exactly as the paper's evaluation does
-(§IV): a converged BLATANT overlay, heterogeneous node profiles and
-performance indices, randomly assigned local schedulers, ARiA agents on a
-latency-realistic transport, the §IV-D workload, and the time-series
-samplers behind Figures 1/3/5/6.  Ten-run experiments use seeds
-``base .. base+9``, matching the paper's replication count.
+(§IV) — that recipe lives in :mod:`repro.experiments.assembly`; this
+module supplies the :class:`~repro.sim.Simulator`, a latency-realistic
+:class:`~repro.net.SimTransport` and the Expanding scenarios' scheduled
+joins.  Ten-run experiments use seeds ``base .. base+9``, matching the
+paper's replication count.
 """
 
 from __future__ import annotations
 
-import gc
-import random
-from collections import OrderedDict
-from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
-from ..core.config import AriaConfig
-from ..core.protocol import AriaAgent
-from ..grid.node import GridNode
-from ..grid.performance import AccuracyModel
-from ..grid.state import GridState
-from ..grid.resources import random_node_profile, random_performance_index
-from ..metrics.collector import GridMetrics
-from ..net.traffic import TrafficReport
-from ..net.transport import SimTransport, Transport
-from ..obs.metrics import MetricsRegistry
+from ..net.transport import SimTransport
 from ..obs.trace import TraceConfig, Tracer
 from ..overlay.blatant import BlatantConfig, BlatantMaintainer
 from ..overlay.graph import OverlayGraph
-from ..scheduling.registry import make_scheduler
-from ..sim import PeriodicSampler, Simulator, TimeSeries, derive_seed
+from ..sim import Simulator
 from ..types import NodeId
-from ..workload.generator import JobGenerator
-from ..workload.submission import SubmissionProcess, SubmissionSchedule
+from .assembly import GridSetup, RunResult, assemble, build_overlay
 from .scale import ScenarioScale
 from .scenario import Scenario
-from .summary import RunSummary
 
-__all__ = ["GridSetup", "RunResult", "build_grid", "run_scenario", "run_scenario_batch"]
-
-#: Reused converged overlays, keyed by (size, overlay seed).  Building the
-#: paper's 500-node bounded-APL overlay takes seconds; all scenarios of an
-#: experiment share the same starting topology per seed, exactly like the
-#: paper's fixed evaluation overlay.  Bounded LRU: sweeps over grid size
-#: would otherwise accumulate one converged overlay per (size, seed)
-#: forever.  Each worker process of the batch engine holds its own copy
-#: (module state is never shared across the spawn boundary).
-_OVERLAY_CACHE: "OrderedDict[Tuple[int, int], OverlayGraph]" = OrderedDict()
-_OVERLAY_CACHE_SIZE = 8
-
-#: Above this many nodes the grid switches to its large-scale build: the
-#: BLATANT ant walk is replaced by a degree-equivalent chordal ring
-#: (convergence is O(nodes^2) — 67 s at 2 000 nodes and growing — while
-#: the ring builds in O(nodes) with the same average degree and a
-#: logarithmic diameter), and per-agent dedup caches are trimmed so
-#: aggregate memory stays proportional to the grid, not to the paper-scale
-#: defaults times 10^5 nodes.  Every stock preset up to ``paper`` (500
-#: nodes) sits below the threshold, so their seeded runs are unchanged.
-_LARGE_GRID_NODES = 2_000
-
-#: SeenCache capacity used for grids above ``_LARGE_GRID_NODES`` (unless
-#: explicitly overridden).  Floods reach a few thousand nodes, so each
-#: agent sees a small slice of all broadcasts; 512 remembered broadcast
-#: keys per cache keeps duplicate suppression effective while bounding
-#: the worst case at ~10^3 entries per node instead of ~10^4.
-_LARGE_GRID_SEEN_CAPACITY = 512
-
-#: REQUEST flood hop bound for grids above ``_LARGE_GRID_NODES``.  The
-#: paper's ≤9 hops / fanout 4 (§IV-E) floods the *entire* 500-node
-#: evaluation grid; applied unchanged to a 10k-node overlay the same
-#: policy costs ~22 000 messages per REQUEST (measured on a degree-4
-#: chordal ring) — per-job discovery overhead 40x the paper's, with no
-#: added scheduling value.  Six hops bounds a flood at ~1 500 messages
-#: reaching ~1 400 candidate nodes regardless of grid size — nearly 3x
-#: the paper's whole grid — so discovery quality per job matches the
-#: evaluation while total traffic stays proportional to jobs, not to
-#: jobs x nodes.  Explicit ``config_overrides`` still win.
-_LARGE_GRID_REQUEST_HOPS = 6
-
-
-def _converged_overlay(size: int, seed: int) -> OverlayGraph:
-    key = (size, seed)
-    cached = _OVERLAY_CACHE.get(key)
-    if cached is None:
-        from ..overlay.blatant import build_blatant_overlay
-
-        rng = random.Random(derive_seed(seed, "overlay.build"))
-        cached = build_blatant_overlay(size, rng)
-        _OVERLAY_CACHE[key] = cached
-        while len(_OVERLAY_CACHE) > _OVERLAY_CACHE_SIZE:
-            _OVERLAY_CACHE.popitem(last=False)
-    else:
-        _OVERLAY_CACHE.move_to_end(key)
-    return cached.copy()
-
-
-def _build_overlay(kind: str, size: int, seed: int) -> OverlayGraph:
-    """The scenario's overlay: BLATANT (default) or a static topology.
-
-    Above :data:`_LARGE_GRID_NODES` the "converged BLATANT" starting
-    point is stood in for by a chordal ring with the same average degree
-    (~4) and bounded path lengths — the properties BLATANT-S converges
-    to — because running the ant walk to convergence is quadratic in the
-    grid size.
-    """
-    if kind == "blatant":
-        if size > _LARGE_GRID_NODES:
-            from ..overlay.topologies import chordal_ring
-
-            return chordal_ring(
-                size, random.Random(derive_seed(seed, "overlay.build"))
-            )
-        return _converged_overlay(size, seed)
-    from ..overlay.topologies import TOPOLOGY_BUILDERS
-
-    builder = TOPOLOGY_BUILDERS.get(kind)
-    if builder is None:
-        from ..errors import ConfigurationError
-
-        raise ConfigurationError(
-            f"unknown overlay {kind!r}; known: "
-            f"['blatant'] + {sorted(TOPOLOGY_BUILDERS)}"
-        )
-    return builder(size, random.Random(derive_seed(seed, "overlay.build")))
-
-
-@dataclass
-class RunResult:
-    """Everything one simulated run produced."""
-
-    scenario: Scenario
-    scale: ScenarioScale
-    seed: int
-    metrics: GridMetrics
-    traffic: TrafficReport
-    #: Sampled ``(time, completed jobs)`` series (Figure 1).
-    completed_series: TimeSeries
-    #: Sampled ``(time, idle node count)`` series (Figures 3, 5, 6).
-    idle_series: TimeSeries
-    #: Sampled ``(time, connected node count)`` series (Expanding).
-    node_count_series: TimeSeries
-    #: Submission window (first and last submission times).
-    submission_window: Tuple[float, float]
-    final_node_count: int
-    executed_events: int
-    #: Transport / reliability / fault counters captured at the horizon
-    #: (see ``Transport.network_counters``).  All-zero in nominal runs.
-    network: Dict[str, int] = dataclass_field(default_factory=dict)
-    #: Invariant-checker findings (fault experiments); folded into
-    #: ``RunSummary.violations`` next to the ``validate_run`` verdict.
-    extra_violations: List[str] = dataclass_field(default_factory=list)
-    #: Metrics-registry snapshot (only when the run carried a
-    #: ``TraceConfig`` with ``telemetry=True``; empty otherwise).
-    telemetry: Dict[str, float] = dataclass_field(default_factory=dict)
-    #: The recorded trace events when the run traced into a memory sink
-    #: (``TraceConfig(sink="memory")``); empty for file sinks — load
-    #: those with :func:`repro.obs.load_trace`.
-    trace_events: List[Dict[str, object]] = dataclass_field(
-        default_factory=list
-    )
-    #: Merged fleet time series from the live telemetry collector
-    #: (``{name: [(t, value), ...]}``); empty for simulated runs.
-    fleet_series: Dict[str, List[Tuple[float, float]]] = dataclass_field(
-        default_factory=dict
-    )
-    #: Whether a live run was cut short by SIGINT/SIGTERM (the soak
-    #: graceful-shutdown path); always ``False`` for simulated runs.
-    interrupted: bool = False
-
-    def summary(self, validate: bool = True) -> RunSummary:
-        """Condense this run into a picklable :class:`RunSummary`.
-
-        This is the documented hand-off point between a live run (agents,
-        simulator, per-job records) and everything downstream — figures,
-        sweeps, comparisons, the batch engine and its on-disk cache all
-        consume summaries.  With ``validate=True`` (the default) the
-        :func:`~repro.experiments.validation.validate_run` verdict is
-        captured in :attr:`RunSummary.violations` (plus any
-        :attr:`extra_violations` from the invariant checker).
-
-        Nonzero network counters surface as ``net_``-prefixed
-        :attr:`RunSummary.extras` entries; zero counters are omitted so
-        nominal summaries stay byte-identical to earlier versions.
-        """
-        import dataclasses
-
-        from .validation import validate_run
-
-        violations = list(validate_run(self)) if validate else []
-        violations.extend(self.extra_violations)
-        extras = {
-            f"net_{key}": float(value)
-            for key, value in self.network.items()
-            if value
-        }
-        return RunSummary.from_metrics(
-            kind="scenario",
-            name=self.scenario.name,
-            seed=self.seed,
-            scale=dataclasses.asdict(self.scale),
-            metrics=self.metrics,
-            traffic=self.traffic,
-            completed_series=self.completed_series,
-            idle_series=self.idle_series,
-            node_count_series=self.node_count_series,
-            submission_window=self.submission_window,
-            final_node_count=self.final_node_count,
-            executed_events=self.executed_events,
-            violations=violations,
-            extras=extras,
-            telemetry=self.telemetry,
-            fleet=self.fleet_series,
-        )
-
-
-@dataclass
-class GridSetup:
-    """A fully wired grid, ready to simulate.
-
-    :func:`build_grid` returns one of these; callers may inject extra
-    events (e.g. node crashes, custom probes) before calling :meth:`run`.
-    """
-
-    scenario: Scenario
-    scale: ScenarioScale
-    seed: int
-    sim: Simulator
-    metrics: GridMetrics
-    transport: Transport
-    graph: OverlayGraph
-    nodes: List[GridNode]
-    agents: List[AriaAgent]
-    schedule: SubmissionSchedule
-    idle_sampler: PeriodicSampler
-    completed_sampler: PeriodicSampler
-    node_count_sampler: PeriodicSampler
-    #: Adds a fresh node+agent under the given id (used by expansion and
-    #: churn experiments); the caller wires it into the overlay.
-    add_node: Callable[[NodeId], None]
-    #: Shared per-run metrics registry (always present; snapshotted into
-    #: ``RunResult.telemetry`` when observability was requested).
-    registry: Optional[MetricsRegistry] = None
-    #: Slab-backed aggregate node state (always present for grids built
-    #: here); the samplers and the submission process read it.
-    grid_state: Optional[GridState] = None
-    #: The run's :class:`~repro.obs.Tracer`; ``None`` unless a
-    #: ``TraceConfig`` with an active level was passed to ``build_grid``.
-    tracer: Optional[Tracer] = None
-    #: The :class:`~repro.obs.TraceConfig` the grid was built with.
-    obs: Optional[TraceConfig] = None
-
-    def live_agents(self):
-        """Agents still part of the grid (not crashed, not departed)."""
-        return [
-            agent
-            for agent in self.agents
-            if not agent.failed and not agent.departed
-        ]
-
-    def live_node_count(self) -> int:
-        """Nodes currently part of the grid."""
-        return len(self.live_agents())
-
-    def run(self) -> RunResult:
-        """Simulate to the configured horizon and collect the results.
-
-        Closes the tracer (flushing its sink) even when the simulation
-        fails, so a partial trace is still readable for post-mortems.
-
-        Large grids are frozen out of the cyclic collector for the
-        duration of the run: the built grid is millions of long-lived
-        objects the collector re-scans on every full pass without ever
-        finding a collectable cycle (per-event garbage is acyclic and
-        dies by refcount).  ``gc.freeze`` moves the built graph to the
-        permanent generation so those passes stay cheap; ``unfreeze``
-        in the ``finally`` restores normal collection so a long-lived
-        process reclaims the grid afterwards.  GC never changes
-        simulated outcomes — it only reclaims unreachable objects — and
-        the gate keeps golden-scale runs entirely untouched.
-        """
-        freeze = self.scale.nodes > _LARGE_GRID_NODES
-        if freeze:
-            gc.collect()
-            gc.freeze()
-        try:
-            self.sim.run_until(self.scale.duration)
-        finally:
-            if freeze:
-                gc.unfreeze()
-            if self.tracer is not None:
-                self.tracer.close()
-        telemetry: Dict[str, float] = {}
-        if self.obs is not None and self.obs.telemetry:
-            telemetry = self.registry.snapshot()
-        trace_events: List[Dict[str, object]] = []
-        if self.tracer is not None and self.obs.sink == "memory":
-            trace_events = self.tracer.events
-        return RunResult(
-            scenario=self.scenario,
-            scale=self.scale,
-            seed=self.seed,
-            metrics=self.metrics,
-            traffic=self.transport.monitor.report(
-                node_count=len(self.nodes), duration=self.scale.duration
-            ),
-            completed_series=list(self.completed_sampler.samples),
-            idle_series=list(self.idle_sampler.samples),
-            node_count_series=list(self.node_count_sampler.samples),
-            submission_window=(self.schedule.times()[0], self.schedule.end),
-            final_node_count=len(self.nodes),
-            executed_events=self.sim.executed_events,
-            network=self.transport.network_counters(),
-            telemetry=telemetry,
-            trace_events=trace_events,
-        )
+__all__ = ["GridSetup", "RunResult", "build_grid"]
 
 
 def build_grid(
@@ -324,224 +32,45 @@ def build_grid(
     config_overrides: Optional[Dict[str, object]] = None,
     obs: Optional[TraceConfig] = None,
 ) -> GridSetup:
-    """Assemble (but do not run) one complete scenario grid.
+    """Assemble (but do not run) one complete simulated scenario grid.
 
-    ``config_overrides`` patches the derived :class:`AriaConfig` (e.g.
-    ``{"failsafe": True}``) for *every* agent, including nodes that join
-    later through :attr:`GridSetup.add_node` — a grid must never mix
-    protocol configurations.
-
-    ``obs`` enables observability: a :class:`~repro.obs.Tracer` built
-    from the config is attached to exactly the components its level
-    covers (agents at ``protocol``, + transport/reliability at
-    ``transport``, + the kernel dispatch loop at ``kernel``), and the
-    run's metrics-registry snapshot is surfaced as
-    ``RunResult.telemetry`` when ``obs.telemetry`` is true.  Without
-    ``obs`` every instrumentation point stays a single ``is None`` check.
+    ``config_overrides`` and ``obs`` are those of
+    :func:`~repro.experiments.assembly.assemble`; the tracer built from
+    ``obs`` additionally covers the kernel dispatch loop at level
+    ``kernel``.
     """
     scale = scale if scale is not None else ScenarioScale.paper()
     sim = Simulator(seed=seed)
-    registry = MetricsRegistry()
-    metrics = GridMetrics(registry)
-    transport = SimTransport(
-        sim, loss_probability=scenario.message_loss, registry=registry
-    )
+    transport = SimTransport(sim, loss_probability=scenario.message_loss)
     tracer: Optional[Tracer] = None
-    agent_tracer: Optional[Tracer] = None
     if obs is not None and obs.level != "off":
         tracer = Tracer(obs)
-        if tracer.wants_level("protocol"):
-            agent_tracer = tracer
-        if tracer.wants_level("transport"):
-            transport._trace = tracer
         if tracer.wants_level("kernel"):
             sim._trace = tracer
-    graph = _build_overlay(scenario.overlay, scale.nodes, seed)
-
-    config = AriaConfig(
-        rescheduling=scenario.rescheduling,
-        inform_count=scenario.inform_count,
-        improvement_threshold=scenario.improvement_threshold,
+    setup = assemble(
+        scenario,
+        scale,
+        sim,
+        transport,
+        build_overlay(scenario.overlay, scale.nodes, seed),
+        config_overrides,
+        obs,
+        tracer,
     )
-    if scale.nodes > _LARGE_GRID_NODES:
-        import dataclasses
-
-        from ..overlay.flooding import FloodPolicy
-
-        config = dataclasses.replace(
-            config,
-            seen_cache_capacity=_LARGE_GRID_SEEN_CAPACITY,
-            request_flood=FloodPolicy(
-                max_hops=_LARGE_GRID_REQUEST_HOPS,
-                fanout=config.request_flood.fanout,
-            ),
-        )
-    if config_overrides:
-        import dataclasses
-
-        config = dataclasses.replace(config, **config_overrides)
-    accuracy = AccuracyModel(
-        epsilon=scenario.epsilon, optimistic_only=scenario.optimistic_only
-    )
-
-    profile_rng = sim.streams.get("profiles")
-    policy_rng = sim.streams.get("policies")
-    nodes: List[GridNode] = []
-    agents: List[AriaAgent] = []
-    state = GridState()
-
-    def add_node(node_id: NodeId) -> None:
-        node = GridNode(
-            node_id=node_id,
-            sim=sim,
-            profile=random_node_profile(profile_rng),
-            performance_index=random_performance_index(profile_rng),
-            scheduler=make_scheduler(policy_rng.choice(scenario.policies)),
-            accuracy=accuracy,
-        )
-        agent = AriaAgent(
-            node, transport, graph, config, metrics, tracer=agent_tracer
-        )
-        state.register(node_id)
-        node.bind_state(state)
-        agent.grid_state = state
-        agent.start()
-        nodes.append(node)
-        agents.append(agent)
-
-    for node_id in graph.nodes():
-        add_node(node_id)
-
+    # Joins are scheduled before the workload: events at one instant run
+    # in scheduling order, so a submission falling on a join instant can
+    # pick the new node — the order golden summaries were recorded with.
     if scenario.expanding:
-        _schedule_expansion(sim, graph, scale, add_node)
-
-    # ------------------------------------------------------------------
-    # Workload
-    # ------------------------------------------------------------------
-    schedule = SubmissionSchedule(
-        job_count=scale.jobs,
-        interval=scenario.submission_interval * scale.interval_factor,
-        start=SubmissionSchedule().start,
-    )
-    initial_profiles = [node.profile for node in nodes]
-    generator = JobGenerator(
-        sim.streams.get("workload"),
-        deadline_slack_mean=scenario.deadline_slack_mean,
-        requirements_ok=lambda req: any(
-            profile.satisfies(req) for profile in initial_profiles
-        ),
-        priority_levels=scenario.priority_levels,
-        reservation_probability=scenario.reservation_probability,
-        reservation_delay_mean=scenario.reservation_delay_mean,
-    )
-    # The live-agent pool only changes on membership events (join, crash,
-    # restart, departure) — tracked by ``GridState.membership_version`` —
-    # so the submission process reuses one cached list instead of
-    # filtering all agents on every submission (O(nodes * jobs) at scale).
-    live_cache: List[AriaAgent] = []
-    live_cache_version = [-1]
-
-    def live_agents() -> List[AriaAgent]:
-        version = state.membership_version
-        if version != live_cache_version[0]:
-            live_cache[:] = [
-                agent
-                for agent in agents
-                if not agent.failed and not agent.departed
-            ]
-            live_cache_version[0] = version
-        return live_cache
-
-    SubmissionProcess(
-        sim,
-        agents=live_agents,
-        generator=generator,
-        schedule=schedule,
-        rng=sim.streams.get("submission"),
-    )
-
-    # ------------------------------------------------------------------
-    # Probes — idle counts only consider live (non-crashed) nodes.  Both
-    # counters are maintained incrementally by the GridState slab, so a
-    # sampler tick is O(1) instead of a walk over every agent.
-    # ------------------------------------------------------------------
-    idle = PeriodicSampler(
-        sim,
-        lambda: state.idle_live_count,
-        interval=scale.sample_interval,
-        start=0.0,
-    )
-    completed = PeriodicSampler(
-        sim,
-        lambda: metrics.completed_jobs,
-        interval=scale.sample_interval,
-        start=0.0,
-    )
-    node_count = PeriodicSampler(
-        sim,
-        lambda: state.live_count,
-        interval=scale.sample_interval,
-        start=0.0,
-    )
-
-    return GridSetup(
-        scenario=scenario,
-        scale=scale,
-        seed=seed,
-        sim=sim,
-        metrics=metrics,
-        transport=transport,
-        graph=graph,
-        nodes=nodes,
-        agents=agents,
-        schedule=schedule,
-        idle_sampler=idle,
-        completed_sampler=completed,
-        node_count_sampler=node_count,
-        add_node=add_node,
-        registry=registry,
-        grid_state=state,
-        tracer=tracer,
-        obs=obs,
-    )
-
-
-def _run_scenario(
-    scenario: Scenario,
-    scale: Optional[ScenarioScale] = None,
-    seed: int = 0,
-    config_overrides: Optional[Dict[str, object]] = None,
-    obs: Optional[TraceConfig] = None,
-) -> RunResult:
-    """Simulate one run of ``scenario`` (internal, non-deprecated impl)."""
-    return build_grid(scenario, scale, seed, config_overrides, obs=obs).run()
-
-
-def run_scenario(
-    scenario: Scenario,
-    scale: Optional[ScenarioScale] = None,
-    seed: int = 0,
-) -> RunResult:
-    """Simulate one run of ``scenario`` at ``scale`` with ``seed``.
-
-    .. deprecated:: 1.1
-        Use :func:`repro.experiments.run` — the unified entry point for
-        scenarios, baselines, crash and churn experiments.
-
-    .. versionchanged:: 1.2
-        Calling this wrapper is now an error.
-    """
-    raise DeprecationWarning(
-        "run_scenario() was removed; use repro.experiments.run(scenario, "
-        "scale, seed=...) instead"
-    )
+        _schedule_expansion(sim, setup.graph, scale, setup.add_node)
+    setup.start_workload()
+    return setup
 
 
 def _schedule_expansion(
     sim: Simulator,
     graph: OverlayGraph,
     scale: ScenarioScale,
-    add_node: Callable[[NodeId], None],
+    add_node: Callable[[NodeId], object],
 ) -> None:
     """Grow the overlay during the run (the Expanding scenarios, §IV-E).
 
@@ -571,25 +100,4 @@ def _schedule_expansion(
     stop = maintainer.start(sim)
     sim.call_at(
         min(scale.expanding_end + 0.2 * scale.duration, scale.duration), stop
-    )
-
-
-def run_scenario_batch(
-    scenario: Scenario,
-    scale: Optional[ScenarioScale] = None,
-    seeds: Tuple[int, ...] = (0,),
-) -> List[RunResult]:
-    """Run a scenario once per seed (the paper repeats each 10 times).
-
-    .. deprecated:: 1.1
-        Use :func:`repro.experiments.run_batch`, which adds process-pool
-        parallelism and an on-disk result cache and returns picklable
-        :class:`RunSummary` objects.
-
-    .. versionchanged:: 1.2
-        Calling this wrapper is now an error.
-    """
-    raise DeprecationWarning(
-        "run_scenario_batch() was removed; use repro.experiments."
-        "run_batch(scenario, scale, seeds=...) instead"
     )

@@ -48,7 +48,6 @@ to announce.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import glob
 import json
 import multiprocessing
@@ -59,33 +58,27 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..core.config import AriaConfig
 from ..core.journal import DurableJournal
-from ..core.protocol import AriaAgent
 from ..errors import ConfigurationError, ProtocolError
-from ..grid.node import GridNode
-from ..grid.performance import AccuracyModel
-from ..grid.resources import random_node_profile, random_performance_index
-from ..metrics.collector import GridMetrics
 from ..net.reliability import ReliabilityLayer
-from ..obs.collector import TelemetryCollector, render_dashboard
 from ..obs.exposition import render_prometheus
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TraceConfig, Tracer, rotated_trace_paths
-from ..scheduling.registry import make_scheduler
 from ..sim.rng import RandomStreams
 from ..types import NodeId
-from ..workload.generator import ERT_DISTRIBUTION, JobGenerator
-from ..workload.submission import SubmissionSchedule
+from ..experiments.assembly import (
+    assemble,
+    build_overlay,
+    draw_node,
+    workload_generator,
+)
 from ..experiments.catalog import get_scenario
-from ..experiments.faults import FaultPlan, apply_fault_plan
 from ..experiments.invariants_online import OnlineInvariantChecker
-from ..experiments.runner import _build_overlay
 from .clock import WallClock
 from .codec import encode_job
+from .driver import WireRunConfig, start_collector, stop_on_signal, wait_out
 from .http import HttpServer, http_get_json, http_post_json
-from .serve import _reliability_config
-from .transport import HEALTH_PATH, SUBMIT_PATH, LiveTransport
+from .transport import HEALTH_PATH, SUBMIT_PATH
 
 __all__ = [
     "ProcRunConfig",
@@ -192,31 +185,13 @@ class WorkerSpec:
 
     index: int
     node_ids: Tuple[NodeId, ...]
-    total_nodes: int
-    scenario_name: str
-    seed: int
-    time_scale: float
-    duration: float
-    accept_wait: float
-    reliability: bool
-    failsafe: bool
-    host: str
-    #: Pinned listen ports, aligned with ``node_ids`` (0 = ephemeral).
-    ports: Tuple[int, ...]
+    #: The run this worker is a slice of.
+    config: "ProcRunConfig"
     run_dir: str
     #: The fleet's shared wall-clock origin (``time.time()`` at launch):
     #: a respawned worker computes its protocol-time offset from it so it
     #: resumes on the same timeline as peers that never died.
     run_epoch: float
-    trace_level: str = "transport"
-    rotate_bytes: int = 64 * 1024 * 1024
-    send_timeout: float = 2.0
-    ert_mean: float = 1_200.0
-    fault_plan: Optional[FaultPlan] = None
-    #: When set, forge one ``job.finished`` for this job id mid-run (the
-    #: cross-process checker self-test: two workers forging the same id
-    #: is a double execution spanning process boundaries).
-    forge_job: Optional[int] = None
 
 
 def _addr_dir(run_dir: str) -> str:
@@ -285,6 +260,7 @@ def worker_main(spec: WorkerSpec) -> None:
 
 
 async def _worker(spec: WorkerSpec) -> None:
+    config = spec.config
     loop = asyncio.get_running_loop()
     drain = asyncio.Event()
     for signum in (signal.SIGTERM, signal.SIGINT):
@@ -295,26 +271,16 @@ async def _worker(spec: WorkerSpec) -> None:
 
     # Resume on the fleet's shared timeline: a respawned worker's
     # protocol clock starts where the run is, not at zero.
-    start_at = max(0.0, (time.time() - spec.run_epoch) * spec.time_scale)
+    start_at = max(0.0, (time.time() - spec.run_epoch) * config.time_scale)
     clock = WallClock(
-        loop, seed=spec.seed, time_scale=spec.time_scale, start_at=start_at
+        loop, seed=config.seed, time_scale=config.time_scale, start_at=start_at
     )
-    registry = MetricsRegistry()
-    metrics = GridMetrics(registry)
-    scenario = get_scenario(spec.scenario_name)
+    scenario = get_scenario(config.scenario_name)
 
-    transport = LiveTransport(
-        clock,
-        loop=loop,
-        loss_probability=scenario.message_loss,
-        registry=registry,
-        send_timeout=spec.send_timeout,
-    )
+    transport = config.open_transport(clock)
     # Always armed: any worker can die and come back, so every message
     # must carry incarnation stamps from the first send.
     transport.enable_incarnations()
-    if spec.fault_plan is not None:
-        apply_fault_plan(transport, spec.fault_plan)
 
     # Journals first: the flock is the duplicate-incarnation guard, so a
     # racing predecessor still holding the lock fails this boot *before*
@@ -328,22 +294,45 @@ async def _worker(spec: WorkerSpec) -> None:
             boot = max(boot, journal.incarnation + 1)
 
     tracer: Optional[Tracer] = None
-    agent_tracer: Optional[Tracer] = None
-    if spec.trace_level != "off":
+    if config.trace_level != "off":
         obs = TraceConfig(
-            level=spec.trace_level,
+            level=config.trace_level,
             sink="jsonl",
             path=_trace_path(spec.run_dir, spec.index, boot),
-            rotate_bytes=spec.rotate_bytes,
+            rotate_bytes=config.rotate_bytes,
         )
         tracer = Tracer(obs, sink=obs.make_sink())
         tracer.wall_source = time.time
-        if tracer.wants_level("protocol"):
-            agent_tracer = tracer
-        if tracer.wants_level("transport"):
-            transport._trace = tracer
 
-    if spec.reliability:
+    graph = build_overlay(scenario.overlay, config.nodes, config.seed)
+    bound: Dict[NodeId, Tuple[str, int]] = {}
+    base = config.port_base
+    for position, node_id in enumerate(graph.nodes()):
+        if node_id in spec.node_ids:
+            # Pinned ports follow graph order (``None`` = ephemeral).
+            port = 0 if base is None else base + position
+            bound[node_id] = await transport.add_endpoint(
+                node_id, host=config.host, port=port
+            )
+    # Self-discovery seeds the directory with this worker's own nodes
+    # (siblings in one group talk over the wire too); peers arrive via
+    # the addr-file refresh loop below.
+    await transport.discover(sorted(set(bound.values())))
+
+    # Shared-nothing determinism: the whole grid, from the spec alone.
+    setup = assemble(
+        scenario,
+        config.scale(),
+        clock,
+        transport,
+        graph,
+        config.config_overrides(),
+        tracer=tracer,
+        own=set(spec.node_ids),
+        journals=journals,
+    )
+    metrics, agents = setup.metrics, setup.agents
+    if config.reliability:
         # Disjoint msg_id space per (worker, boot): every process runs
         # its own layer counting from 0, and a respawned incarnation
         # starts a fresh one — without the partition, two senders' ids
@@ -351,87 +340,17 @@ async def _worker(spec: WorkerSpec) -> None:
         # would be swallowed as duplicates.
         ReliabilityLayer(
             transport,
-            _reliability_config(spec.time_scale),
+            config.reliability_config(),
             msg_id_base=((spec.index << 16) | (boot & 0xFFFF)) << 32,
         )
-
-    # Shared-nothing determinism: rebuild the whole grid from the spec.
-    # Profiles and policies are drawn for *every* node in graph order
-    # from the shared seed streams — each worker keeps only its slice,
-    # and all workers agree on everyone's profile without a wire round.
-    graph = _build_overlay(scenario.overlay, spec.total_nodes, spec.seed)
-    overrides: Dict[str, object] = {"accept_wait": spec.accept_wait}
-    if spec.failsafe:
-        overrides.update(
-            failsafe=True,
-            probe_interval=600.0,
-            probe_timeout=120.0,
-            adoption=True,
-        )
-    aria_config = dataclasses.replace(
-        AriaConfig(
-            rescheduling=scenario.rescheduling,
-            inform_count=scenario.inform_count,
-            improvement_threshold=scenario.improvement_threshold,
-        ),
-        **overrides,
-    )
-    accuracy = AccuracyModel(
-        epsilon=scenario.epsilon, optimistic_only=scenario.optimistic_only
-    )
-    profile_rng = clock.streams.get("profiles")
-    policy_rng = clock.streams.get("policies")
-    own = set(spec.node_ids)
-    drawn: Dict[NodeId, Tuple[Any, Any, str]] = {}
-    for node_id in graph.nodes():
-        profile = random_node_profile(profile_rng)
-        perf = random_performance_index(profile_rng)
-        policy = policy_rng.choice(scenario.policies)
-        if node_id in own:
-            drawn[node_id] = (profile, perf, policy)
-
-    bound: Dict[NodeId, Tuple[str, int]] = {}
-    for node_id, port in zip(spec.node_ids, spec.ports):
-        bound[node_id] = await transport.add_endpoint(
-            node_id, host=spec.host, port=port
-        )
-    # Self-discovery seeds the directory with this worker's own nodes
-    # (siblings in one group talk over the wire too); peers arrive via
-    # the addr-file refresh loop below.
-    await transport.discover(sorted(set(bound.values())))
     transport.set_metrics_provider(
         lambda: {
             "jobs.missed_deadlines": float(metrics.missed_deadline_count())
         }
     )
-
-    agents: List[AriaAgent] = []
-    for node_id in spec.node_ids:
-        profile, perf, policy = drawn[node_id]
-        node = GridNode(
-            node_id=node_id,
-            sim=clock,
-            profile=profile,
-            performance_index=perf,
-            scheduler=make_scheduler(policy),
-            accuracy=accuracy,
-        )
-        agent = AriaAgent(
-            node,
-            transport,
-            graph,
-            aria_config,
-            metrics,
-            # Per-node RNG stream, so sibling workers' protocol phases
-            # decorrelate instead of replaying one shared "aria" stream.
-            rng=clock.streams.get(f"aria.{node_id}"),
-            tracer=agent_tracer,
-        )
-        agent.bind_journal(journals[node_id])
-        agent.start()
-        transport.set_health_provider(node_id, agent.health_snapshot)
-        transport.set_submit_handler(node_id, agent.submit)
-        agents.append(agent)
+    for agent in agents:
+        transport.set_health_provider(agent.node_id, agent.health_snapshot)
+        transport.set_submit_handler(agent.node_id, agent.submit)
 
     # Publish addresses: the tuple (host, port, pid, incarnation) is the
     # change-detection key peers re-discover on — a respawned worker on
@@ -490,22 +409,24 @@ async def _worker(spec: WorkerSpec) -> None:
     refresh_task = loop.create_task(_refresh_directory())
 
     tasks: List[asyncio.Task] = [refresh_task]
-    if spec.forge_job is not None and tracer is not None:
+    # The cross-process checker self-test: two workers forging the same
+    # completion is a double execution spanning process boundaries.
+    if config.seed_violation and spec.index < 2 and tracer is not None:
 
         async def _forge() -> None:
-            at = spec.run_epoch + 0.4 * spec.duration / spec.time_scale
+            at = spec.run_epoch + 0.4 * config.wall_duration()
             await asyncio.sleep(max(0.0, at - time.time()))
             tracer.emit(
                 "job.finished",
                 clock.now,
-                job=spec.forge_job,
+                job=FORGE_JOB_ID,
                 node=spec.node_ids[0],
             )
 
         tasks.append(loop.create_task(_forge()))
 
     try:
-        end_wall = spec.run_epoch + spec.duration / spec.time_scale
+        end_wall = spec.run_epoch + config.wall_duration()
         while not drain.is_set():
             remaining = end_wall - time.time()
             if remaining <= 0:
@@ -793,28 +714,23 @@ class Supervisor:
 # The coordinated run
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ProcRunConfig:
-    """One process-isolated overlay run."""
+class ProcRunConfig(WireRunConfig):
+    """One process-isolated overlay run.
 
-    scenario_name: str = "iMixed"
+    With ``port_base`` set, node i listens on ``port_base + i`` and the
+    coordinator's ``/metrics`` on ``port_base + nodes``; without it
+    everything is ephemeral (addresses flow through the addr files).
+    """
+
     nodes: int = 6
     jobs: int = 8
-    seed: int = 0
     time_scale: float = 600.0
     duration: float = 12_000.0
-    ert_mean: float = 1_200.0
-    submission_start: float = 60.0
-    submission_interval: float = 30.0
-    accept_wait: float = 60.0
-    reliability: bool = True
     #: Fail-safe tracking is on by default here: process chaos *is*
     #: crash-restart chaos, and §III-D is what recovers the jobs.
     failsafe: bool = True
-    host: str = "127.0.0.1"
-    #: Deterministic ports: node i listens on ``port_base + i`` and the
-    #: coordinator's ``/metrics`` on ``port_base + nodes``.  ``None`` =
-    #: everything ephemeral (addresses flow through the addr files).
-    port_base: Optional[int] = None
+    send_timeout: float = 2.0
+    early_exit_grace: float = 1.0
     #: Nodes per worker process (1 = full per-node isolation).
     group_size: int = 1
     #: Scratch directory (addr files, journals, traces); ``None`` makes
@@ -822,61 +738,23 @@ class ProcRunConfig:
     run_dir: Optional[str] = None
     trace_level: str = "transport"
     rotate_bytes: int = 64 * 1024 * 1024
-    send_timeout: float = 2.0
-    scrape_interval: float = 1.0
-    dashboard: bool = False
     #: Wall seconds SIGTERMed workers get to depart before SIGKILL.
     drain_grace: float = 5.0
     max_restarts: int = 5
     backoff_base: float = 0.5
-    #: Stop early once the fleet reports every job complete and stays
-    #: quiet this long (0 disables early exit).
-    early_exit_grace: float = 1.0
-    fault_plan: Optional[FaultPlan] = None
-    failure_schedule: Optional[ProcessFailureSchedule] = None
     #: Forge a cross-process duplicate completion (checker self-test).
     seed_violation: bool = False
     #: Where the merged fleet trace lands (default: ``run_dir``).
     merged_trace_path: Optional[str] = None
 
+    _schedule_type = ProcessFailureSchedule
+    _extra_ports = 1  # the coordinator
+
     def __post_init__(self) -> None:
-        if self.nodes < 2:
-            raise ConfigurationError(f"need >= 2 nodes, got {self.nodes}")
-        if self.jobs < 1:
-            raise ConfigurationError(f"need >= 1 job, got {self.jobs}")
-        if self.time_scale <= 0:
-            raise ConfigurationError(
-                f"time_scale {self.time_scale} must be > 0"
-            )
-        if self.duration <= self.submission_start:
-            raise ConfigurationError("duration must exceed submission_start")
-        window = self.accept_wait / self.time_scale
-        if window < 0.01:
-            raise ConfigurationError(
-                f"accept_wait {self.accept_wait}s at time_scale "
-                f"{self.time_scale} leaves a {window * 1000:.1f} ms wall "
-                "window — too tight for HTTP round-trips (need >= 10 ms)"
-            )
+        super().__post_init__()
         if self.group_size < 1:
             raise ConfigurationError(
                 f"group_size {self.group_size} must be >= 1"
-            )
-        if self.port_base is not None and not (
-            0 < self.port_base <= 65535 - self.nodes - 1
-        ):
-            raise ConfigurationError(
-                f"port_base {self.port_base} leaves no room for "
-                f"{self.nodes} node ports plus the coordinator"
-            )
-        if self.scrape_interval < 0:
-            raise ConfigurationError(
-                f"negative scrape_interval {self.scrape_interval}"
-            )
-        if self.failure_schedule is not None and not isinstance(
-            self.failure_schedule, ProcessFailureSchedule
-        ):
-            raise ConfigurationError(
-                "failure_schedule must be a ProcessFailureSchedule"
             )
         if self.seed_violation:
             if self.worker_count() < 2:
@@ -889,10 +767,6 @@ class ProcRunConfig:
                     "seed_violation needs tracing (the forged events "
                     "ride the trace stream)"
                 )
-
-    def wall_duration(self) -> float:
-        """The run's wall-clock horizon in seconds."""
-        return self.duration / self.time_scale
 
     def worker_count(self) -> int:
         """How many worker processes the fleet decomposes into."""
@@ -991,7 +865,7 @@ async def _run_procs(
         os.makedirs(sub, exist_ok=True)
 
     scenario = get_scenario(config.scenario_name)
-    graph = _build_overlay(scenario.overlay, config.nodes, config.seed)
+    graph = build_overlay(scenario.overlay, config.nodes, config.seed)
     node_order: List[NodeId] = list(graph.nodes())
     run_epoch = time.time()
 
@@ -1004,43 +878,16 @@ async def _run_procs(
         for index, group in enumerate(groups)
         for node_id in group
     }
-    global_index = {node_id: i for i, node_id in enumerate(node_order)}
-    specs: List[WorkerSpec] = []
-    for index, group in enumerate(groups):
-        ports = tuple(
-            0
-            if config.port_base is None
-            else config.port_base + global_index[node_id]
-            for node_id in group
+    specs = [
+        WorkerSpec(
+            index=index,
+            node_ids=tuple(group),
+            config=config,
+            run_dir=run_dir,
+            run_epoch=run_epoch,
         )
-        specs.append(
-            WorkerSpec(
-                index=index,
-                node_ids=tuple(group),
-                total_nodes=config.nodes,
-                scenario_name=config.scenario_name,
-                seed=config.seed,
-                time_scale=config.time_scale,
-                duration=config.duration,
-                accept_wait=config.accept_wait,
-                reliability=config.reliability,
-                failsafe=config.failsafe,
-                host=config.host,
-                ports=ports,
-                run_dir=run_dir,
-                run_epoch=run_epoch,
-                trace_level=config.trace_level,
-                rotate_bytes=config.rotate_bytes,
-                send_timeout=config.send_timeout,
-                ert_mean=config.ert_mean,
-                fault_plan=config.fault_plan,
-                forge_job=(
-                    FORGE_JOB_ID
-                    if config.seed_violation and index < 2
-                    else None
-                ),
-            )
-        )
+        for index, group in enumerate(groups)
+    ]
 
     registry = MetricsRegistry()
     supervisor = Supervisor(
@@ -1087,54 +934,25 @@ async def _run_procs(
         port=0 if config.port_base is None else config.port_base + config.nodes,
     )
 
-    collector: Optional[TelemetryCollector] = None
-    collector_task: Optional[asyncio.Task] = None
-    if config.scrape_interval > 0:
-        collector = TelemetryCollector(
-            registry,
-            targets=lambda: _read_directory(run_dir),
-            now=lambda: (time.time() - run_epoch) * config.time_scale,
-            group_of=node_to_worker.get,
-        )
-        on_round = None
-        if config.dashboard:
+    collector, collector_task = start_collector(
+        config,
+        registry,
+        targets=lambda: _read_directory(run_dir),
+        now=lambda: (time.time() - run_epoch) * config.time_scale,
+        group_of=node_to_worker.get,
+    )
 
-            def on_round(c: TelemetryCollector) -> None:
-                print(
-                    "\x1b[2J\x1b[H" + render_dashboard(c),
-                    end="",
-                    flush=True,
-                )
-
-        collector_task = loop.create_task(
-            collector.run(config.scrape_interval, on_round=on_round)
-        )
-
-    # Submission rides the wire: the coordinator redraws the fleet's
-    # profile stream exactly as the workers do, so requirements_ok
-    # matches what the distributed grid can actually host.
+    # Submission rides the wire: the coordinator redraws the fleet
+    # exactly as the workers do, so requirements_ok matches what the
+    # distributed grid can actually host.
     streams = RandomStreams(config.seed)
-    profile_rng = streams.get("profiles")
-    fleet_profiles = []
-    for _node_id in node_order:
-        fleet_profiles.append(random_node_profile(profile_rng))
-        random_performance_index(profile_rng)
-    generator = JobGenerator(
+    generator = workload_generator(
+        scenario,
         streams.get("workload"),
-        deadline_slack_mean=scenario.deadline_slack_mean,
-        ert_distribution=ERT_DISTRIBUTION.scaled_to_mean(config.ert_mean),
-        requirements_ok=lambda req: any(
-            profile.satisfies(req) for profile in fleet_profiles
-        ),
-        priority_levels=scenario.priority_levels,
-        reservation_probability=scenario.reservation_probability,
-        reservation_delay_mean=scenario.reservation_delay_mean,
+        [draw_node(streams, scenario.policies).profile for _ in node_order],
+        config.ert_mean,
     )
-    schedule = SubmissionSchedule(
-        job_count=config.jobs,
-        interval=config.submission_interval,
-        start=config.submission_start,
-    )
+    schedule = config.submission_schedule()
     submission_rng = streams.get("submission")
     submitted = 0
     submit_failures = 0
@@ -1200,56 +1018,20 @@ async def _run_procs(
         for at, duration, victim in config.failure_schedule.stalls:
             chaos_tasks.append(loop.create_task(_stall(at, duration, victim)))
 
-    interrupted = False
-    stop_event = asyncio.Event()
-
-    def _on_signal() -> None:
-        nonlocal interrupted
-        interrupted = True
-        stop_event.set()
-
-    installed_signals: List[int] = []
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, _on_signal)
-        except (NotImplementedError, RuntimeError, ValueError):
-            continue
-        installed_signals.append(signum)
+    def _fleet_settled() -> bool:
+        if collector is None:
+            return False
+        points = collector.series_points().get("fleet.completed_jobs", [])
+        return (
+            max((value for _t, value in points), default=0.0) >= config.jobs
+            and submit_task.done()
+            and all(task.done() for task in chaos_tasks)
+        )
 
     try:
-        deadline = loop.time() + config.wall_duration()
-        quiet_since: Optional[float] = None
-        while not stop_event.is_set():
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                break
-            try:
-                await asyncio.wait_for(
-                    stop_event.wait(), timeout=min(0.2, remaining)
-                )
-                break
-            except asyncio.TimeoutError:
-                pass
-            if not config.early_exit_grace or collector is None:
-                continue
-            points = collector.series_points().get("fleet.completed_jobs", [])
-            fleet_completed = max(
-                (value for _t, value in points), default=0.0
-            )
-            if (
-                fleet_completed >= config.jobs
-                and submit_task.done()
-                and not any(not task.done() for task in chaos_tasks)
-            ):
-                if quiet_since is None:
-                    quiet_since = loop.time()
-                elif loop.time() - quiet_since >= config.early_exit_grace:
-                    break
-            else:
-                quiet_since = None
+        with stop_on_signal() as stop_event:
+            await wait_out(config, stop_event, _fleet_settled)
     finally:
-        for signum in installed_signals:
-            loop.remove_signal_handler(signum)
         for task in [submit_task, *chaos_tasks]:
             task.cancel()
         await asyncio.gather(
@@ -1262,6 +1044,7 @@ async def _run_procs(
             collector_task.cancel()
             await asyncio.gather(collector_task, return_exceptions=True)
         await coordinator.close()
+    interrupted = stop_event.is_set()
 
     # ------------------------------------------------------------------
     # Evidence assembly: merge every boot's trace segments on the shared

@@ -1,13 +1,13 @@
 """Boot a live localhost overlay and run a paper scenario against it.
 
 :func:`run_live` is the live counterpart of
-:func:`repro.experiments.runner.build_grid` + ``GridSetup.run``: it wires
-the *same* agents, schedulers, cost model, workload generator, metrics,
-samplers and tracer — only the two seams differ (a
-:class:`~repro.runtime.WallClock` instead of the simulator, a
-:class:`~repro.runtime.LiveTransport` instead of the simulated one) —
-then lets real wall time pass and returns the same
-:class:`~repro.experiments.runner.RunResult`, so ``.summary()``,
+:func:`repro.experiments.runner.build_grid` + ``GridSetup.run``: a driver
+over the same :func:`~repro.experiments.assembly.assemble` — same
+agents, schedulers, cost model, workload generator, metrics, samplers
+and tracer — on the two live seams (a :class:`~repro.runtime.WallClock`
+instead of the simulator, a :class:`~repro.runtime.LiveTransport`
+instead of the simulated one).  It lets real wall time pass and returns
+the same :class:`~repro.experiments.runner.RunResult`, so ``.summary()``,
 validation, the invariant checker and every downstream consumer work
 unchanged.
 
@@ -30,15 +30,10 @@ Timing: everything protocol-side stays in protocol seconds; the
 :mod:`repro.runtime.clock`).  The defaults compress a ~2.5-hour protocol
 scenario into ~30 wall seconds while keeping every wall-clock window an
 HTTP round-trip must fit (the ACCEPT collection window, reliability ack
-timeouts) hundreds of times wider than a localhost round-trip.  The
-knobs that make that true:
-
-* ``accept_wait`` is raised from the paper's 5 s (which at scale 300
-  would be a 17 ms wall window) to 60 s protocol = 200 ms wall;
-* the reliability ack timeout is derived from ``time_scale`` so its
-  wall value starts at ~50 ms and backs off from there;
-* the workload's mean ERT is scaled down so a handful of jobs exercises
-  queueing and completion within the compressed horizon.
+timeouts) hundreds of times wider than a localhost round-trip; the
+knobs that make that true (``accept_wait``, the ack timeout derived from
+``time_scale``, ``ert_mean``) are explained on
+:class:`~repro.runtime.driver.WireRunConfig`.
 
 The :class:`LiveFailureSchedule` is deliberately expressed in *wall*
 seconds: it narrates what an operator does to real machines ("kill node
@@ -49,37 +44,21 @@ protocol-time compression in force.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
-import signal
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..core.config import AriaConfig
-from ..core.protocol import AriaAgent
 from ..errors import ConfigurationError
-from ..grid.node import GridNode
-from ..grid.performance import AccuracyModel
-from ..grid.resources import random_node_profile, random_performance_index
-from ..metrics.collector import GridMetrics
-from ..net.reliability import ReliabilityConfig, ReliabilityLayer
-from ..obs.collector import TelemetryCollector, render_dashboard
-from ..obs.metrics import MetricsRegistry
+from ..net.reliability import ReliabilityLayer
 from ..obs.trace import MemorySink, TraceConfig, Tracer
 from ..overlay.blatant import BlatantConfig, BlatantMaintainer
-from ..scheduling.registry import make_scheduler
-from ..sim import PeriodicSampler
 from ..types import NodeId
-from ..workload.generator import ERT_DISTRIBUTION, JobGenerator
-from ..workload.submission import SubmissionProcess, SubmissionSchedule
+from ..experiments.assembly import RunResult, assemble, build_overlay
 from ..experiments.catalog import get_scenario
-from ..experiments.faults import FaultPlan, apply_fault_plan
 from ..experiments.invariants import check_invariants
 from ..experiments.invariants_online import OnlineInvariantChecker
-from ..experiments.runner import RunResult, _build_overlay
-from ..experiments.scale import ScenarioScale
 from .clock import WallClock
-from .transport import LiveTransport
+from .driver import WireRunConfig, start_collector, stop_on_signal, wait_out
 
 __all__ = ["LiveFailureSchedule", "LiveRunConfig", "run_live"]
 
@@ -163,115 +142,15 @@ class LiveFailureSchedule:
 
 
 @dataclass(frozen=True)
-class LiveRunConfig:
-    """One live overlay run: scenario, size, time compression, chaos."""
+class LiveRunConfig(WireRunConfig):
+    """One live overlay run: scenario, size, time compression, chaos.
 
-    scenario_name: str = "iMixed"
-    nodes: int = 8
-    jobs: int = 10
-    seed: int = 0
-    #: Protocol seconds per wall second.
-    time_scale: float = 300.0
-    #: Protocol-time horizon (like ``ScenarioScale.duration``).
-    duration: float = 9_000.0
-    #: Mean ERT the workload distribution is rescaled to, so a few jobs
-    #: finish within the compressed horizon (paper mean: 2.5 h).
-    ert_mean: float = 1_200.0
-    submission_start: float = 60.0
-    submission_interval: float = 30.0
-    #: ACCEPT collection window override (see module docstring).
-    accept_wait: float = 60.0
-    #: Attach the reliability layer (real acks, timeouts, backoff).
-    reliability: bool = True
-    host: str = "127.0.0.1"
-    #: Deterministic endpoint ports: the i-th initial node listens on
-    #: ``port_base + i`` (``None`` = ephemeral ports).  Restarted and
-    #: mid-run-joined nodes always bind ephemeral ports — a crash-restart
-    #: landing on a new port is part of what re-discovery must handle.
-    port_base: Optional[int] = None
-    #: Wall seconds between telemetry-collector scrape rounds over the
-    #: fleet's ``/metrics`` pages (0 disables the collector).
-    scrape_interval: float = 1.0
-    #: Render the streaming fleet dashboard (``repro top`` view) to
-    #: stdout on every scrape round.
-    dashboard: bool = False
-    #: Wall seconds before an outbound POST counts as lost.
-    send_timeout: float = 5.0
-    #: Stop early once every job completed and the grid has been quiet
-    #: for this many wall seconds (0 disables early exit).
-    early_exit_grace: float = 0.5
-    #: Network faults shaping the live wire (``None`` = clean network).
-    fault_plan: Optional[FaultPlan] = None
-    #: Node-lifecycle chaos in wall seconds (``None`` = stable fleet).
-    failure_schedule: Optional[LiveFailureSchedule] = None
-    #: Arm §III-D fail-safe tracking/probing plus orphan adoption, with
-    #: probe timings that fit the compressed horizon (on by necessity
-    #: for crash-restart chaos; off keeps the non-chaos default).
-    failsafe: bool = False
-
-    def __post_init__(self) -> None:
-        if self.nodes < 2:
-            raise ConfigurationError(f"need >= 2 nodes, got {self.nodes}")
-        if self.jobs < 1:
-            raise ConfigurationError(f"need >= 1 job, got {self.jobs}")
-        if self.time_scale <= 0:
-            raise ConfigurationError(f"time_scale {self.time_scale} must be > 0")
-        if self.duration <= self.submission_start:
-            raise ConfigurationError("duration must exceed submission_start")
-        window = self.accept_wait / self.time_scale
-        if window < 0.01:
-            raise ConfigurationError(
-                f"accept_wait {self.accept_wait}s at time_scale "
-                f"{self.time_scale} leaves a {window * 1000:.1f} ms wall "
-                "window — too tight for HTTP round-trips (need >= 10 ms)"
-            )
-        if self.port_base is not None and not (
-            0 < self.port_base <= 65535 - self.nodes
-        ):
-            raise ConfigurationError(
-                f"port_base {self.port_base} leaves no room for "
-                f"{self.nodes} ports"
-            )
-        if self.scrape_interval < 0:
-            raise ConfigurationError(
-                f"negative scrape_interval {self.scrape_interval}"
-            )
-        if self.failure_schedule is not None and not isinstance(
-            self.failure_schedule, LiveFailureSchedule
-        ):
-            raise ConfigurationError(
-                "failure_schedule must be a LiveFailureSchedule"
-            )
-
-    def wall_duration(self) -> float:
-        """The run's wall-clock horizon in seconds."""
-        return self.duration / self.time_scale
-
-
-@dataclass
-class _LiveSetup:
-    """The slice of ``GridSetup`` the invariant checker consumes."""
-
-    metrics: GridMetrics
-    scale: ScenarioScale
-    agents: List[AriaAgent]
-
-
-def _reliability_config(time_scale: float) -> ReliabilityConfig:
-    """Ack/retry policy whose *wall* timings suit a localhost overlay.
-
-    The first ack timeout lands at ~50 wall milliseconds — roomy against
-    a sub-millisecond localhost round-trip, tight enough that a genuine
-    loss retries well within the accept window — and backs off to a cap
-    of ~2 wall seconds.
+    With ``port_base`` set, restarted and mid-run-joined nodes still bind
+    ephemeral ports — a crash-restart landing on a new port is part of
+    what re-discovery must handle.
     """
-    return ReliabilityConfig(
-        ack_timeout=0.05 * time_scale,
-        backoff=2.0,
-        max_timeout=2.0 * time_scale,
-        max_retries=5,
-        jitter=0.5,
-    )
+
+    _schedule_type = LiveFailureSchedule
 
 
 def run_live(
@@ -307,37 +186,19 @@ async def _run_live(
 ) -> RunResult:
     loop = asyncio.get_running_loop()
     clock = WallClock(loop, seed=config.seed, time_scale=config.time_scale)
-    registry = MetricsRegistry()
-    metrics = GridMetrics(registry)
     scenario = get_scenario(config.scenario_name)
-    scale = ScenarioScale(
-        nodes=config.nodes,
-        jobs=config.jobs,
-        duration=config.duration,
-        expanding_start=config.duration / 3,
-        expanding_end=config.duration * 2 / 3,
-        sample_interval=max(1.0, config.duration / 25),
-    )
     schedule_plan = config.failure_schedule
 
-    transport = LiveTransport(
-        clock,
-        loop=loop,
-        loss_probability=scenario.message_loss,
-        registry=registry,
-        send_timeout=config.send_timeout,
-    )
-    if config.fault_plan is not None:
-        apply_fault_plan(transport, config.fault_plan)
+    transport = config.open_transport(clock)
     if schedule_plan is not None and schedule_plan.crash_restarts:
         # Armed before any message flies, so in-flight traffic around the
         # first crash already carries incarnation stamps.
         transport.enable_incarnations()
 
     tracer: Optional[Tracer] = None
-    agent_tracer: Optional[Tracer] = None
+    recorder = None
     if obs is not None and obs.level != "off":
-        sink = obs.make_sink()
+        sink = recorder = obs.make_sink()
         if online_checker is not None:
             online_checker.sink = sink
             sink = online_checker
@@ -353,154 +214,48 @@ async def _run_live(
             TraceConfig(level="transport", sink="memory"),
             sink=online_checker,
         )
-    if tracer is not None:
-        if tracer.wants_level("protocol"):
-            agent_tracer = tracer
-        if tracer.wants_level("transport"):
-            transport._trace = tracer
-    if config.reliability:
-        ReliabilityLayer(transport, _reliability_config(config.time_scale))
-
-    graph = _build_overlay(scenario.overlay, config.nodes, config.seed)
-    overrides: Dict[str, object] = {"accept_wait": config.accept_wait}
-    if config.failsafe:
-        overrides.update(
-            failsafe=True,
-            probe_interval=600.0,
-            probe_timeout=120.0,
-            adoption=True,
-        )
-    aria_config = dataclasses.replace(
-        AriaConfig(
-            rescheduling=scenario.rescheduling,
-            inform_count=scenario.inform_count,
-            improvement_threshold=scenario.improvement_threshold,
-        ),
-        **overrides,
-    )
-    accuracy = AccuracyModel(
-        epsilon=scenario.epsilon, optimistic_only=scenario.optimistic_only
-    )
 
     # One HTTP endpoint per node, then card-driven discovery builds the
     # address directory over the wire before any agent exists.
+    graph = build_overlay(scenario.overlay, config.nodes, config.seed)
     for index, node_id in enumerate(graph.nodes()):
         port = 0 if config.port_base is None else config.port_base + index
         await transport.add_endpoint(node_id, host=config.host, port=port)
     await transport.discover()
+
+    setup = assemble(
+        scenario,
+        config.scale(),
+        clock,
+        transport,
+        graph,
+        config.config_overrides(),
+        obs,
+        tracer,
+    )
+    metrics, agents = setup.metrics, setup.agents
+    if config.reliability:
+        ReliabilityLayer(transport, config.reliability_config())
     transport.set_metrics_provider(
         lambda: {
             "jobs.missed_deadlines": float(metrics.missed_deadline_count())
         }
     )
+    for agent in agents:
+        transport.set_health_provider(agent.node_id, agent.health_snapshot)
+    setup.start_workload(config.submission_schedule(), config.ert_mean)
 
-    profile_rng = clock.streams.get("profiles")
-    policy_rng = clock.streams.get("policies")
-    nodes: List[GridNode] = []
-    agents: List[AriaAgent] = []
-    for node_id in graph.nodes():
-        node = GridNode(
-            node_id=node_id,
-            sim=clock,
-            profile=random_node_profile(profile_rng),
-            performance_index=random_performance_index(profile_rng),
-            scheduler=make_scheduler(policy_rng.choice(scenario.policies)),
-            accuracy=accuracy,
-        )
-        agent = AriaAgent(
-            node, transport, graph, aria_config, metrics, tracer=agent_tracer
-        )
-        agent.start()
-        transport.set_health_provider(node_id, agent.health_snapshot)
-        nodes.append(node)
-        agents.append(agent)
-
-    schedule = SubmissionSchedule(
-        job_count=config.jobs,
-        interval=config.submission_interval,
-        start=config.submission_start,
+    collector, collector_task = start_collector(
+        config,
+        setup.registry,
+        targets=lambda: dict(transport._directory),
+        now=lambda: clock.now,
     )
-    initial_profiles = [node.profile for node in nodes]
-    generator = JobGenerator(
-        clock.streams.get("workload"),
-        deadline_slack_mean=scenario.deadline_slack_mean,
-        ert_distribution=ERT_DISTRIBUTION.scaled_to_mean(config.ert_mean),
-        requirements_ok=lambda req: any(
-            profile.satisfies(req) for profile in initial_profiles
-        ),
-        priority_levels=scenario.priority_levels,
-        reservation_probability=scenario.reservation_probability,
-        reservation_delay_mean=scenario.reservation_delay_mean,
-    )
-    SubmissionProcess(
-        clock,
-        agents=lambda: [
-            agent
-            for agent in agents
-            if not agent.failed and not agent.departed
-        ],
-        generator=generator,
-        schedule=schedule,
-        rng=clock.streams.get("submission"),
-    )
-
-    idle = PeriodicSampler(
-        clock,
-        lambda: sum(
-            agent.node.is_idle
-            for agent in agents
-            if not agent.failed and not agent.departed
-        ),
-        interval=scale.sample_interval,
-        start=0.0,
-    )
-    completed = PeriodicSampler(
-        clock,
-        lambda: metrics.completed_jobs,
-        interval=scale.sample_interval,
-        start=0.0,
-    )
-    node_count = PeriodicSampler(
-        clock,
-        lambda: sum(
-            1 for agent in agents if not agent.failed and not agent.departed
-        ),
-        interval=scale.sample_interval,
-        start=0.0,
-    )
-
-    # ------------------------------------------------------------------
-    # Fleet telemetry: scrape every node's /metrics on an interval and
-    # merge the rounds into fleet.* series (the `repro top` feed).
-    # ------------------------------------------------------------------
-    collector: Optional[TelemetryCollector] = None
-    collector_task: Optional[asyncio.Task] = None
-    if config.scrape_interval > 0:
-        collector = TelemetryCollector(
-            registry,
-            targets=lambda: dict(transport._directory),
-            now=lambda: clock.now,
-        )
-        on_round = None
-        if config.dashboard:
-
-            def on_round(c: TelemetryCollector) -> None:
-                # Clear + home, then the whole frame in one write.
-                print(
-                    "\x1b[2J\x1b[H" + render_dashboard(c),
-                    end="",
-                    flush=True,
-                )
-
-        collector_task = loop.create_task(
-            collector.run(config.scrape_interval, on_round=on_round)
-        )
 
     # ------------------------------------------------------------------
     # Lifecycle chaos: crash-restart / join / leave over real sockets.
     # ------------------------------------------------------------------
     chaos_tasks: List[asyncio.Task] = []
-    maintainer: Optional[BlatantMaintainer] = None
     if schedule_plan is not None and schedule_plan:
         maintainer = BlatantMaintainer(
             graph, clock.streams.get("failures.overlay"), BlatantConfig()
@@ -537,29 +292,9 @@ async def _run_live(
                 node_id, host=config.host
             )
             maintainer.join(node_id)
-            node = GridNode(
-                node_id=node_id,
-                sim=clock,
-                profile=random_node_profile(profile_rng),
-                performance_index=random_performance_index(profile_rng),
-                scheduler=make_scheduler(
-                    policy_rng.choice(scenario.policies)
-                ),
-                accuracy=accuracy,
-            )
-            agent = AriaAgent(
-                node,
-                transport,
-                graph,
-                aria_config,
-                metrics,
-                tracer=agent_tracer,
-            )
             await transport.discover([(host, port)])
-            agent.start()
+            agent = setup.add_node(node_id)
             transport.set_health_provider(node_id, agent.health_snapshot)
-            nodes.append(node)
-            agents.append(agent)
 
         async def _leave(at: float, victim: int) -> None:
             await asyncio.sleep(at)
@@ -594,116 +329,51 @@ async def _run_live(
 
         chaos_tasks.append(loop.create_task(_forge_duplicate()))
 
-    # ------------------------------------------------------------------
-    # Let wall time pass.
-    # ------------------------------------------------------------------
-    # SIGINT/SIGTERM cut the run short *gracefully*: the wait loop exits,
-    # the normal teardown path flushes and closes the trace sink (every
-    # recorded segment stays parseable) and the final summary is still
-    # produced — an interrupted soak is a shorter soak, not a corrupt
-    # one.  Job-conservation checks are relaxed for interrupted runs
-    # (in-flight jobs never got their chance to finish).
-    interrupted = False
-    stop_event = asyncio.Event()
-
-    def _on_signal() -> None:
-        nonlocal interrupted
-        interrupted = True
-        stop_event.set()
-
-    installed_signals: List[int] = []
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, _on_signal)
-        except (NotImplementedError, RuntimeError, ValueError):
-            continue  # non-POSIX loop or nested handler: run uncovered
-        installed_signals.append(signum)
     try:
-        deadline = loop.time() + config.wall_duration()
-        quiet_since: Optional[float] = None
-        while not stop_event.is_set():
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                break
-            try:
-                await asyncio.wait_for(
-                    stop_event.wait(), timeout=min(0.1, remaining)
-                )
-                break
-            except asyncio.TimeoutError:
-                pass
-            if online_checker is not None and online_checker.violations:
-                break  # stop on the first confirmed violation
-            if not config.early_exit_grace:
-                continue
-            if (
-                metrics.completed_jobs >= config.jobs
-                and not transport._tasks
-                and not any(not task.done() for task in chaos_tasks)
-            ):
-                if quiet_since is None:
-                    quiet_since = loop.time()
-                elif loop.time() - quiet_since >= config.early_exit_grace:
-                    break
-            else:
-                quiet_since = None
-        clock.stop()
-        await transport.drain()
+        with stop_on_signal() as stop_event:
+            await wait_out(
+                config,
+                stop_event,
+                settled=lambda: (
+                    metrics.completed_jobs >= config.jobs
+                    and not transport._tasks
+                    and all(task.done() for task in chaos_tasks)
+                ),
+                # Stop on the first confirmed violation.
+                abort=lambda: bool(
+                    online_checker is not None and online_checker.violations
+                ),
+            )
+            clock.stop()
+            await transport.drain()
     finally:
-        for signum in installed_signals:
-            loop.remove_signal_handler(signum)
         if collector_task is not None:
             collector_task.cancel()
             await asyncio.gather(collector_task, return_exceptions=True)
         for task in chaos_tasks:
             task.cancel()
-        if chaos_tasks:
-            await asyncio.gather(*chaos_tasks, return_exceptions=True)
+        await asyncio.gather(*chaos_tasks, return_exceptions=True)
         await transport.close()
         if tracer is not None:
             tracer.close()
+    # Job-conservation checks are relaxed for interrupted runs (in-flight
+    # jobs never got their chance to finish).
+    interrupted = stop_event.is_set()
 
     allow_lost = bool(schedule_plan is not None and schedule_plan.crash_restarts)
     violations = check_invariants(
-        _LiveSetup(metrics=metrics, scale=scale, agents=agents),
-        # An interrupted run stopped mid-flight: jobs that never got to
-        # run are not conservation violations.
+        setup,
         expected_jobs=None if interrupted else config.jobs,
         allow_lost=allow_lost or interrupted,
     )
     if online_checker is not None:
         violations = list(online_checker.violations) + violations
-    telemetry: Dict[str, float] = {}
-    if obs is not None and obs.telemetry:
-        telemetry = registry.snapshot()
-    trace_events: List[Dict[str, object]] = []
-    if obs is not None and obs.sink == "memory" and tracer is not None:
-        inner = (
-            online_checker.sink if online_checker is not None else tracer.sink
-        )
-        if isinstance(inner, MemorySink):
-            trace_events = inner.events
-
-    return RunResult(
-        scenario=scenario,
-        scale=scale,
-        seed=config.seed,
-        metrics=metrics,
-        traffic=transport.monitor.report(
-            node_count=len(nodes), duration=config.duration
-        ),
-        completed_series=list(completed.samples),
-        idle_series=list(idle.samples),
-        node_count_series=list(node_count.samples),
-        submission_window=(schedule.times()[0], schedule.end),
-        final_node_count=sum(
-            1 for agent in agents if not agent.failed and not agent.departed
-        ),
-        executed_events=clock.executed_events,
-        network=transport.network_counters(),
+    return setup.result(
+        final_node_count=setup.grid_state.live_count,
         extra_violations=violations,
-        telemetry=telemetry,
-        trace_events=trace_events,
+        trace_events=(
+            recorder.events if isinstance(recorder, MemorySink) else []
+        ),
         fleet_series=(
             collector.series_points() if collector is not None else {}
         ),

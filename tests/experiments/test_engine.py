@@ -280,40 +280,35 @@ def test_result_summary_matches_validate_run():
 
 
 # ----------------------------------------------------------------------
-# Removed entry points raise with a migration hint
+# Removed entry points and the loose-kwarg path are gone
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "call",
+    "module, name",
     [
-        lambda: __import__("repro.experiments", fromlist=["run_scenario"])
-        .run_scenario(get_scenario("Mixed"), TINY, seed=0),
-        lambda: __import__("repro.experiments", fromlist=["x"])
-        .run_scenario_batch(get_scenario("Mixed"), TINY, seeds=(0,)),
-        lambda: __import__("repro.baselines", fromlist=["x"])
-        .run_baseline("random", TINY, seed=0),
-        lambda: __import__("repro.experiments", fromlist=["x"])
-        .run_crash_experiment(False, TINY, seed=0),
-        lambda: __import__("repro.experiments", fromlist=["x"])
-        .run_churn_experiment(TINY, 0, ChurnPlan()),
-    ],
-    ids=[
-        "run_scenario",
-        "run_scenario_batch",
-        "run_baseline",
-        "run_crash_experiment",
-        "run_churn_experiment",
+        ("repro.experiments.runner", "run_scenario"),
+        ("repro.experiments.runner", "run_scenario_batch"),
+        ("repro.baselines.runner", "run_baseline"),
+        ("repro.experiments.failures", "run_crash_experiment"),
+        ("repro.experiments.churn", "run_churn_experiment"),
     ],
 )
-def test_removed_wrappers_raise(call):
-    with pytest.raises(DeprecationWarning, match="use repro.experiments"):
-        call()
+def test_removed_entry_points_are_gone(module, name):
+    import importlib
+
+    package = module.rsplit(".", 1)[0]
+    for path in (module, package):
+        assert not hasattr(importlib.import_module(path), name)
+    # Spec options travel in RunOptions only: a loose one is a TypeError.
+    for entry in (run, run_batch):
+        with pytest.raises(TypeError):
+            entry(ChurnPlan(), TINY, failsafe=True)
 
 
 # ----------------------------------------------------------------------
 # Overlay cache bound (the old unbounded module-level dict)
 # ----------------------------------------------------------------------
 def test_overlay_cache_is_bounded():
-    from repro.experiments.runner import (
+    from repro.experiments.assembly import (
         _OVERLAY_CACHE,
         _OVERLAY_CACHE_SIZE,
         _converged_overlay,

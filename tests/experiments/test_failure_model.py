@@ -166,9 +166,14 @@ def test_run_batch_round_trips_the_model(tmp_path):
     assert again[0].to_dict() == direct
 
 
-def test_unknown_option_is_rejected():
+def test_inapplicable_option_is_rejected():
     with pytest.raises(ConfigurationError):
-        run(FailureModel(crash_fraction=0.1), TINY, seed=0, failsafes=True)
+        run(
+            FailureModel(crash_fraction=0.1),
+            TINY,
+            seed=0,
+            options=RunOptions(multirequest_k=2),
+        )
 
 
 def test_fault_plan_option_must_be_a_fault_plan():

@@ -7,9 +7,9 @@ JSON — as the pre-optimization code that generated the golden files in
 ``tests/experiments/golden/``.
 
 If one of these tests fails after an intentional semantic change to the
-simulation, regenerate the golden files (see the module docstring of
-``scripts/bench_hotpath.py`` and ``docs/PERFORMANCE.md``) and call the
-change out loudly in the PR — it alters every published number.
+simulation, regenerate the golden files (see ``docs/PERFORMANCE.md``;
+``bench/README.md`` has the benchmark that pins the same outcomes) and
+call the change out loudly in the PR — it alters every published number.
 """
 
 import json

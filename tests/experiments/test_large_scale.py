@@ -6,20 +6,19 @@ dedup caches, a bounded REQUEST flood, slab-backed aggregate state behind
 the samplers, and memory-bounded time series.  The fast tier exercises
 all of that with a scaled-down job count on a just-above-threshold grid;
 the full 10k-node ``large`` preset run is opt-in via ``ARIA_RUN_LARGE=1``
-(it takes minutes — the bench-scale CI job runs it via
-``scripts/bench_hotpath.py``).
+(it takes minutes; the benchmark's ``sim_large_smoke`` workload, see
+``bench/README.md``, measures this path at 2 500 nodes).
 """
 
 import os
 
 import pytest
 
-from repro.experiments import ScenarioScale, run
-from repro.experiments.runner import (
+from repro.experiments import ScenarioScale, build_grid, run
+from repro.experiments.assembly import (
     _LARGE_GRID_NODES,
     _LARGE_GRID_REQUEST_HOPS,
     _LARGE_GRID_SEEN_CAPACITY,
-    build_grid,
 )
 from repro.experiments.catalog import get_scenario
 from repro.sim.sampler import DEFAULT_MAX_SAMPLES

@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import (
-    ChurnPlan,
     RunOptions,
     ScenarioScale,
     get_scenario,
@@ -44,24 +43,6 @@ def test_policies_normalize_to_tuple():
     assert RunOptions(policies=["FCFS"]).policies == ("FCFS",)
 
 
-def test_merged_applies_changes_and_validates_names():
-    base = RunOptions(failsafe=True)
-    merged = base.merged(probe_interval=120.0)
-    assert merged.failsafe is True
-    assert merged.probe_interval == 120.0
-    with pytest.raises(ConfigurationError):
-        base.merged(warp_drive=True)
-
-
-def test_from_legacy_accepts_spec_names_only():
-    options = RunOptions.from_legacy({"failsafe": True})
-    assert options.failsafe is True
-    with pytest.raises(ConfigurationError):
-        RunOptions.from_legacy({"parallel": 2})  # a mechanic, never legacy
-    with pytest.raises(ConfigurationError):
-        RunOptions.from_legacy({"nonsense": 1})
-
-
 def test_engine_rejects_inapplicable_options():
     # RunOptions guards names; the engine still guards applicability.
     with pytest.raises(ConfigurationError):
@@ -71,16 +52,3 @@ def test_engine_rejects_inapplicable_options():
             seed=0,
             options=RunOptions(failsafe=True),
         )
-
-
-def test_legacy_kwargs_warn_but_match_options():
-    plan = ChurnPlan(interval=300.0, start=1800.0, end=9000.0)
-    with pytest.warns(DeprecationWarning):
-        legacy = run(plan, TINY, seed=1, failsafe=True)
-    modern = run(plan, TINY, seed=1, options=RunOptions(failsafe=True))
-    assert legacy.summary().to_dict() == modern.summary().to_dict()
-
-
-def test_unknown_legacy_kwarg_raises():
-    with pytest.raises(ConfigurationError):
-        run(get_scenario("Mixed"), TINY, seed=0, warp_drive=True)

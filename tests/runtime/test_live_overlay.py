@@ -77,6 +77,18 @@ def test_config_rejects_impossible_wall_windows():
         LiveRunConfig(duration=10.0, submission_start=60.0)
 
 
+@pytest.mark.parametrize("procs", [False, True])
+def test_config_rejects_expanding_scenarios(procs):
+    # Nothing on the wire schedules the expansion's joins, so the run
+    # would silently stay static; --chaos joins are the live way to grow.
+    from repro.errors import ConfigurationError
+    from repro.runtime import ProcRunConfig
+
+    config = ProcRunConfig if procs else LiveRunConfig
+    with pytest.raises(ConfigurationError, match="--chaos joins"):
+        config(scenario_name="iExpanding")
+
+
 def test_agent_cards_drive_discovery():
     """Discovery learns ids from the cards on the wire, not from state."""
 

@@ -76,16 +76,7 @@ def _spec(run_dir, index=0):
     return WorkerSpec(
         index=index,
         node_ids=(index,),
-        total_nodes=2,
-        scenario_name="iMixed",
-        seed=0,
-        time_scale=600.0,
-        duration=6_000.0,
-        accept_wait=60.0,
-        reliability=False,
-        failsafe=False,
-        host="127.0.0.1",
-        ports=(0,),
+        config=ProcRunConfig(nodes=2, duration=6_000.0, reliability=False),
         run_dir=str(run_dir),
         run_epoch=0.0,
     )

@@ -59,3 +59,22 @@ def test_scenarios_in_design_match_catalog():
     for name in ("iMixed", "iDeadline", "iExpanding", "iInform1"):
         assert name in design
     assert len(SCENARIOS) == 26
+
+
+def test_the_grid_recipe_is_written_once():
+    """Sim, live and --procs run the same grid because they share one
+    assembler (``repro.experiments.assembly``), not because copies agree."""
+    sources = {
+        path.relative_to(ROOT / "src" / "repro").as_posix(): path.read_text()
+        for path in (ROOT / "src" / "repro").rglob("*.py")
+    }
+    for call in (
+        r"\bAriaAgent\(",
+        r"(?<!def )\brandom_node_profile\(",
+        r"\bRunResult\(",  # not BaselineRunResult( / ProcRunResult(
+    ):
+        sites = [
+            name for name, text in sources.items() if re.search(call, text)
+        ]
+        assert sites == ["experiments/assembly.py"], (call, sites)
+
