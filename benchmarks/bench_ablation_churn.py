@@ -8,7 +8,7 @@ fail-safe extension.
 
 import statistics
 
-from repro.experiments import ChurnPlan, render_table, run_batch
+from repro.experiments import ChurnPlan, RunOptions, render_table, run_batch
 
 
 def test_ablation_churn(benchmark, aria_scale, aria_seeds, report):
@@ -23,7 +23,10 @@ def test_ablation_churn(benchmark, aria_scale, aria_seeds, report):
         for label, plan in plans.items():
             failsafe = "failsafe" in label
             runs = run_batch(
-                plan, aria_scale, seeds=aria_seeds, failsafe=failsafe
+                plan,
+                aria_scale,
+                seeds=aria_seeds,
+                options=RunOptions(failsafe=failsafe),
             )
             for run in runs:
                 assert run.duplicate_executions == 0

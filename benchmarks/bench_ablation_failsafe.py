@@ -8,7 +8,7 @@ this benchmark does.
 
 import statistics
 
-from repro.experiments import CrashPlan, render_table, run_batch
+from repro.experiments import CrashPlan, RunOptions, render_table, run_batch
 
 
 def test_ablation_failsafe(benchmark, aria_scale, aria_seeds, report):
@@ -16,7 +16,10 @@ def test_ablation_failsafe(benchmark, aria_scale, aria_seeds, report):
         rows = []
         for failsafe in (False, True):
             runs = run_batch(
-                CrashPlan(), aria_scale, seeds=aria_seeds, failsafe=failsafe
+                CrashPlan(),
+                aria_scale,
+                seeds=aria_seeds,
+                options=RunOptions(failsafe=failsafe),
             )
             rows.append(
                 (

@@ -149,6 +149,87 @@ def _cmd_list(_args) -> int:
     return 0
 
 
+def _add_wire(parser, *, jobs, trace, trace_level) -> None:
+    """The flags ``serve`` and ``soak`` share; ``jobs`` / ``trace`` /
+    ``trace_level`` are the ``(default, help)`` pairs that differ."""
+    parser.add_argument(
+        "scenario", nargs="?", default="iMixed", choices=sorted(SCENARIOS)
+    )
+    parser.add_argument(
+        "--nodes", type=int, default=8, help="overlay size (default 8)"
+    )
+    parser.add_argument("--jobs", type=int, default=jobs[0], help=jobs[1])
+    parser.add_argument(
+        "--time-scale",
+        type=float,
+        default=300.0,
+        metavar="X",
+        help="protocol seconds per wall second (default 300)",
+    )
+    parser.add_argument("--seed-base", type=int, default=0)
+    parser.add_argument(
+        "--faults",
+        nargs="?",
+        const="default",
+        default=None,
+        metavar="PLAN",
+        help="inject network faults on the live wire (same plan syntax as "
+        "'run --faults'); arms the fail-safe extension so crashed "
+        "deliveries are recovered",
+    )
+    parser.add_argument(
+        "--chaos",
+        action="store_true",
+        help="drive the representative live lifecycle schedule: one "
+        "crash-restart, one mid-run join, one graceful leave",
+    )
+    parser.add_argument(
+        "--trace", default=trace[0], metavar="PATH", help=trace[1]
+    )
+    parser.add_argument(
+        "--trace-level",
+        choices=("protocol", "transport", "kernel"),
+        default=trace_level[0],
+        help=trace_level[1],
+    )
+    parser.add_argument(
+        "--port-base",
+        type=int,
+        default=None,
+        metavar="PORT",
+        help="bind node i's endpoint to PORT+i instead of ephemeral "
+        "ports, so 'repro top' and external scrapers can find the "
+        "fleet's /metrics pages",
+    )
+    parser.add_argument(
+        "--top",
+        action="store_true",
+        help="render the streaming fleet dashboard while the run is live",
+    )
+    parser.add_argument(
+        "--procs",
+        action="store_true",
+        help="run every node (group) as its own OS process under a "
+        "supervisor with crash recovery and durable journals; --chaos "
+        "then means real SIGKILL/SIGSTOP process chaos",
+    )
+    parser.add_argument(
+        "--group-size",
+        type=int,
+        default=1,
+        metavar="N",
+        help="with --procs: nodes per worker process (default 1, full "
+        "per-node isolation)",
+    )
+    parser.add_argument(
+        "--run-dir",
+        default=None,
+        metavar="DIR",
+        help="with --procs: scratch directory for address files, "
+        "journals and per-process traces (default: fresh temp dir)",
+    )
+
+
 def _parse_fault_plan(text: str, duration: float):
     """Build a :class:`FaultPlan` from the ``--faults`` argument value.
 
@@ -312,15 +393,15 @@ def _cmd_run(args) -> int:
     return exit_code
 
 
-def _cmd_procs(args, soak: bool) -> int:
-    """The ``--procs`` branch shared by ``serve`` and ``soak``: the
-    process-isolated overlay under the supervisor."""
-    from .experiments import OnlineInvariantChecker
-    from .runtime import ProcRunConfig, ProcessFailureSchedule, run_procs
-
+def _wire_fields(args, soak: bool, schedule_type) -> dict:
+    """The run-config fields ``serve`` and ``soak`` (in one process or
+    with ``--procs``) derive from their shared flags: ``serve`` fixes the
+    protocol horizon, ``soak`` the wall time."""
     if soak:
         wall = args.wall_seconds
         duration = wall * args.time_scale
+        # One job submitted roughly every wall second over the first ~70%
+        # of the run, unless an explicit count was given.
         jobs = args.jobs if args.jobs is not None else max(5, int(wall * 0.7))
         submission_interval = args.time_scale
     else:
@@ -328,17 +409,7 @@ def _cmd_procs(args, soak: bool) -> int:
         wall = duration / args.time_scale
         jobs = args.jobs
         submission_interval = 30.0
-    fault_plan = (
-        _parse_fault_plan(args.faults, duration)
-        if args.faults is not None
-        else None
-    )
-    schedule = (
-        ProcessFailureSchedule.chaos(wall)
-        if getattr(args, "chaos", False)
-        else None
-    )
-    config = ProcRunConfig(
+    return dict(
         scenario_name=args.scenario,
         nodes=args.nodes,
         jobs=jobs,
@@ -348,13 +419,28 @@ def _cmd_procs(args, soak: bool) -> int:
         submission_interval=submission_interval,
         reliability=not getattr(args, "no_reliability", False),
         port_base=args.port_base,
+        dashboard=args.top,
+        fault_plan=(
+            _parse_fault_plan(args.faults, duration)
+            if args.faults is not None
+            else None
+        ),
+        failure_schedule=schedule_type.chaos(wall) if args.chaos else None,
+    )
+
+
+def _cmd_procs(args, soak: bool) -> int:
+    """The ``--procs`` branch shared by ``serve`` and ``soak``: the
+    process-isolated overlay under the supervisor."""
+    from .experiments import OnlineInvariantChecker
+    from .runtime import ProcRunConfig, ProcessFailureSchedule, run_procs
+
+    config = ProcRunConfig(
+        **_wire_fields(args, soak, ProcessFailureSchedule),
         group_size=args.group_size,
         run_dir=args.run_dir,
         trace_level=args.trace_level or "transport",
         rotate_bytes=int(getattr(args, "rotate_mb", 64.0) * 1024 * 1024),
-        dashboard=args.top,
-        fault_plan=fault_plan,
-        failure_schedule=schedule,
         seed_violation=getattr(args, "seed_violation", False),
         merged_trace_path=args.trace,
     )
@@ -366,11 +452,15 @@ def _cmd_procs(args, soak: bool) -> int:
     print(
         f"process overlay: {config.nodes} nodes in "
         f"{config.worker_count()} OS processes on {config.host}, "
-        f"{jobs} jobs, scenario {config.scenario_name}, time scale "
+        f"{config.jobs} jobs, scenario {config.scenario_name}, time scale "
         f"{config.time_scale:.0f}x (~{config.wall_duration():.0f}s wall), "
         f"supervisor armed (max {config.max_restarts} restarts/worker)"
-        + (", faults on" if fault_plan is not None else "")
-        + (", process chaos on (SIGKILL/SIGSTOP)" if schedule else "")
+        + (", faults on" if config.fault_plan is not None else "")
+        + (
+            ", process chaos on (SIGKILL/SIGSTOP)"
+            if config.failure_schedule is not None
+            else ""
+        )
         + (
             ", SEEDED VIOLATION (self-test)"
             if config.seed_violation
@@ -405,37 +495,23 @@ def _cmd_procs(args, soak: bool) -> int:
     return 0
 
 
+def _live_config(args, soak: bool):
+    """The single-process :class:`LiveRunConfig` of ``serve`` / ``soak``."""
+    from .runtime import LiveFailureSchedule, LiveRunConfig
+
+    fields = _wire_fields(args, soak, LiveFailureSchedule)
+    return LiveRunConfig(
+        **fields, failsafe=args.chaos or fields["fault_plan"] is not None
+    )
+
+
 def _cmd_serve(args) -> int:
     from .obs import TraceConfig
-    from .runtime import LiveFailureSchedule, LiveRunConfig, run_live
+    from .runtime import run_live
 
     if args.procs:
         return _cmd_procs(args, soak=False)
-    fault_plan = (
-        _parse_fault_plan(args.faults, args.duration)
-        if args.faults is not None
-        else None
-    )
-    chaos = getattr(args, "chaos", False)
-    schedule = (
-        LiveFailureSchedule.chaos(args.duration / args.time_scale)
-        if chaos
-        else None
-    )
-    config = LiveRunConfig(
-        scenario_name=args.scenario,
-        nodes=args.nodes,
-        jobs=args.jobs,
-        seed=args.seed_base,
-        time_scale=args.time_scale,
-        duration=args.duration,
-        reliability=not args.no_reliability,
-        fault_plan=fault_plan,
-        failure_schedule=schedule,
-        failsafe=chaos or fault_plan is not None,
-        port_base=args.port_base,
-        dashboard=args.top,
-    )
+    config = _live_config(args, soak=False)
     trace = (
         TraceConfig(level=args.trace_level or "protocol",
                     sink="jsonl", path=args.trace)
@@ -447,8 +523,8 @@ def _cmd_serve(args) -> int:
         f"{config.jobs} jobs, scenario {config.scenario_name}, "
         f"time scale {config.time_scale:.0f}x "
         f"(~{config.wall_duration():.0f}s wall)"
-        + (", faults on" if fault_plan is not None else "")
-        + (", lifecycle chaos on" if schedule is not None else ""),
+        + (", faults on" if config.fault_plan is not None else "")
+        + (", lifecycle chaos on" if args.chaos else ""),
         file=sys.stderr,
     )
     result = run_live(config, obs=trace)
@@ -479,36 +555,11 @@ def _cmd_serve(args) -> int:
 def _cmd_soak(args) -> int:
     from .experiments import OnlineInvariantChecker
     from .obs import TraceConfig
-    from .runtime import LiveFailureSchedule, LiveRunConfig, run_live
+    from .runtime import run_live
 
     if args.procs:
         return _cmd_procs(args, soak=True)
-    wall = args.wall_seconds
-    duration = wall * args.time_scale
-    # One job submitted roughly every wall second over the first ~70% of
-    # the run, unless an explicit count was given.
-    jobs = args.jobs if args.jobs is not None else max(5, int(wall * 0.7))
-    fault_plan = (
-        _parse_fault_plan(args.faults, duration)
-        if args.faults is not None
-        else None
-    )
-    schedule = LiveFailureSchedule.chaos(wall) if args.chaos else None
-    config = LiveRunConfig(
-        scenario_name=args.scenario,
-        nodes=args.nodes,
-        jobs=jobs,
-        seed=args.seed_base,
-        time_scale=args.time_scale,
-        duration=duration,
-        submission_interval=args.time_scale,
-        reliability=True,
-        fault_plan=fault_plan,
-        failure_schedule=schedule,
-        failsafe=args.chaos or fault_plan is not None,
-        port_base=args.port_base,
-        dashboard=args.top,
-    )
+    config = _live_config(args, soak=True)
     trace = TraceConfig(
         level=args.trace_level,
         sink="jsonl",
@@ -521,12 +572,12 @@ def _cmd_soak(args) -> int:
         )
     )
     print(
-        f"soak: {config.nodes} HTTP nodes, {jobs} jobs over ~{wall:.0f}s "
-        f"wall, scenario {config.scenario_name}, time scale "
-        f"{config.time_scale:.0f}x, trace -> {args.trace} "
+        f"soak: {config.nodes} HTTP nodes, {config.jobs} jobs over "
+        f"~{args.wall_seconds:.0f}s wall, scenario {config.scenario_name}, "
+        f"time scale {config.time_scale:.0f}x, trace -> {args.trace} "
         f"(rotate at {args.rotate_mb} MB), online invariant checker armed"
-        + (", faults on" if fault_plan is not None else "")
-        + (", lifecycle chaos on" if schedule is not None else "")
+        + (", faults on" if config.fault_plan is not None else "")
+        + (", lifecycle chaos on" if args.chaos else "")
         + (", SEEDED VIOLATION (self-test)" if args.seed_violation else ""),
         file=sys.stderr,
     )
@@ -655,7 +706,8 @@ def _cmd_top(args) -> int:
     import asyncio
     import time
 
-    from .obs import MetricsRegistry, TelemetryCollector, render_dashboard
+    from .obs import MetricsRegistry
+    from .runtime import TelemetryCollector, render_dashboard
 
     if args.targets:
         addresses = {}
@@ -831,99 +883,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a scenario on a live localhost HTTP overlay "
         "(real sockets, wall-clock timers)",
     )
-    serve_parser.add_argument(
-        "scenario", nargs="?", default="iMixed", choices=sorted(SCENARIOS)
-    )
-    serve_parser.add_argument(
-        "--nodes", type=int, default=8, help="overlay size (default 8)"
-    )
-    serve_parser.add_argument(
-        "--jobs", type=int, default=10, help="workload size (default 10)"
-    )
-    serve_parser.add_argument(
-        "--time-scale",
-        type=float,
-        default=300.0,
-        metavar="X",
-        help="protocol seconds per wall second (default 300: a 2.5h "
-        "scenario runs in ~30s)",
+    _add_wire(
+        serve_parser,
+        jobs=(10, "workload size (default 10)"),
+        trace=(None, "write a JSONL protocol trace of the live run to PATH"),
+        trace_level=(None, "trace detail level (default protocol)"),
     )
     serve_parser.add_argument(
         "--duration",
         type=float,
         default=9000.0,
         metavar="SECONDS",
-        help="protocol-time horizon (default 9000)",
+        help="protocol-time horizon (default 9000; at the default time "
+        "scale a 2.5h scenario runs in ~30s)",
     )
-    serve_parser.add_argument("--seed-base", type=int, default=0)
     serve_parser.add_argument(
         "--no-reliability",
         action="store_true",
         help="detach the at-least-once reliability layer",
-    )
-    serve_parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="write a JSONL protocol trace of the live run to PATH",
-    )
-    serve_parser.add_argument(
-        "--trace-level",
-        choices=("protocol", "transport", "kernel"),
-        default=None,
-        help="trace detail level (default protocol)",
-    )
-    serve_parser.add_argument(
-        "--faults",
-        nargs="?",
-        const="default",
-        default=None,
-        metavar="PLAN",
-        help="inject network faults on the live wire (same plan syntax as "
-        "'run --faults'); arms the fail-safe extension so crashed "
-        "deliveries are recovered",
-    )
-    serve_parser.add_argument(
-        "--chaos",
-        action="store_true",
-        help="drive the representative live lifecycle schedule: one "
-        "crash-restart, one mid-run join, one graceful leave",
-    )
-    serve_parser.add_argument(
-        "--port-base",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="bind node i's endpoint to PORT+i instead of ephemeral "
-        "ports, so 'repro top' and external scrapers can find the "
-        "fleet's /metrics pages",
-    )
-    serve_parser.add_argument(
-        "--top",
-        action="store_true",
-        help="render the streaming fleet dashboard while the run is live",
-    )
-    serve_parser.add_argument(
-        "--procs",
-        action="store_true",
-        help="run every node (group) as its own OS process under a "
-        "supervisor with crash recovery and durable journals; --chaos "
-        "then means real SIGKILL/SIGSTOP process chaos",
-    )
-    serve_parser.add_argument(
-        "--group-size",
-        type=int,
-        default=1,
-        metavar="N",
-        help="with --procs: nodes per worker process (default 1, full "
-        "per-node isolation)",
-    )
-    serve_parser.add_argument(
-        "--run-dir",
-        default=None,
-        metavar="DIR",
-        help="with --procs: scratch directory for address files, "
-        "journals and per-process traces (default: fresh temp dir)",
     )
     serve_parser.set_defaults(func=_cmd_serve)
 
@@ -933,17 +910,19 @@ def build_parser() -> argparse.ArgumentParser:
         "endpoints and incremental invariant checking; exits nonzero "
         "on the first confirmed violation",
     )
-    soak_parser.add_argument(
-        "scenario", nargs="?", default="iMixed", choices=sorted(SCENARIOS)
-    )
-    soak_parser.add_argument(
-        "--nodes", type=int, default=8, help="overlay size (default 8)"
-    )
-    soak_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="workload size (default: ~0.7 jobs per wall second)",
+    _add_wire(
+        soak_parser,
+        jobs=(None, "workload size (default: ~0.7 jobs per wall second)"),
+        trace=(
+            "soak-trace.jsonl",
+            "JSONL trace stream (default soak-trace.jsonl; rotated, see "
+            "--rotate-mb)",
+        ),
+        trace_level=(
+            "transport",
+            "trace detail level (default transport, which the online "
+            "stale-delivery check needs)",
+        ),
     )
     soak_parser.add_argument(
         "--wall-seconds",
@@ -952,43 +931,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="how long the soak runs in wall time (default 60; set "
         "minutes-to-hours for a real soak)",
-    )
-    soak_parser.add_argument(
-        "--time-scale",
-        type=float,
-        default=300.0,
-        metavar="X",
-        help="protocol seconds per wall second (default 300)",
-    )
-    soak_parser.add_argument("--seed-base", type=int, default=0)
-    soak_parser.add_argument(
-        "--faults",
-        nargs="?",
-        const="default",
-        default=None,
-        metavar="PLAN",
-        help="inject network faults on the live wire (same plan syntax as "
-        "'run --faults')",
-    )
-    soak_parser.add_argument(
-        "--chaos",
-        action="store_true",
-        help="drive the representative live lifecycle schedule "
-        "(crash-restart + join + leave)",
-    )
-    soak_parser.add_argument(
-        "--trace",
-        default="soak-trace.jsonl",
-        metavar="PATH",
-        help="JSONL trace stream (default soak-trace.jsonl; rotated, see "
-        "--rotate-mb)",
-    )
-    soak_parser.add_argument(
-        "--trace-level",
-        choices=("protocol", "transport", "kernel"),
-        default="transport",
-        help="trace detail level (default transport, which the online "
-        "stale-delivery check needs)",
     )
     soak_parser.add_argument(
         "--rotate-mb",
@@ -1000,43 +942,9 @@ def build_parser() -> argparse.ArgumentParser:
     soak_parser.add_argument(
         "--seed-violation",
         action="store_true",
-        help="self-test: forge a duplicate job.finished mid-run and "
-        "verify the online checker flags it (the run exits nonzero)",
-    )
-    soak_parser.add_argument(
-        "--port-base",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="bind node i's endpoint to PORT+i instead of ephemeral "
-        "ports (lets 'repro top' and external scrapers attach)",
-    )
-    soak_parser.add_argument(
-        "--top",
-        action="store_true",
-        help="render the streaming fleet dashboard while the soak runs",
-    )
-    soak_parser.add_argument(
-        "--procs",
-        action="store_true",
-        help="soak the process-isolated overlay: per-node OS processes, "
-        "supervisor crash recovery, durable journals; --chaos then "
-        "means real SIGKILL/SIGSTOP process chaos and --seed-violation "
-        "forges a cross-process duplicate",
-    )
-    soak_parser.add_argument(
-        "--group-size",
-        type=int,
-        default=1,
-        metavar="N",
-        help="with --procs: nodes per worker process (default 1)",
-    )
-    soak_parser.add_argument(
-        "--run-dir",
-        default=None,
-        metavar="DIR",
-        help="with --procs: scratch directory for address files, "
-        "journals and per-process traces (default: fresh temp dir)",
+        help="self-test: forge a duplicate job.finished mid-run (with "
+        "--procs: from two worker processes) and verify the online "
+        "checker flags it (the run exits nonzero)",
     )
     soak_parser.set_defaults(func=_cmd_soak)
 

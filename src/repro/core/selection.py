@@ -22,7 +22,6 @@ from __future__ import annotations
 import heapq
 from typing import List
 
-from ..accel import slack_values
 from ..scheduling.base import DEADLINE, LocalScheduler, QueuedJob
 from ..scheduling.costs import completion_times
 
@@ -42,10 +41,9 @@ def select_inform_candidates(
     if scheduler.kind == DEADLINE:
         order = scheduler.ordered_queue()
         etcs = completion_times(order, now, running_remaining)
-        slacks = slack_values([entry.job.deadline for entry in order], etcs)
         slack = {
-            entry.job.job_id: value
-            for entry, value in zip(order, slacks)
+            entry.job.job_id: entry.job.deadline - etc
+            for entry, etc in zip(order, etcs)
         }
         return heapq.nsmallest(
             count, waiting, key=lambda e: (slack[e.job.job_id], e.enqueue_time)

@@ -10,16 +10,15 @@ gracefully* (handing their queues off), and optionally *crashing*
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING
 
 from ..errors import ConfigurationError
 from ..overlay.blatant import BlatantConfig, BlatantMaintainer
 from ..types import MINUTE, NodeId
-from .catalog import get_scenario
-from .runner import RunResult, build_grid
-from .scale import ScenarioScale
+
+if TYPE_CHECKING:
+    from .assembly import GridSetup
 
 __all__ = ["ChurnPlan"]
 
@@ -53,57 +52,38 @@ class ChurnPlan:
         if not 0 < self.min_fraction <= 1:
             raise ConfigurationError("min_fraction must be in (0, 1]")
 
+    def schedule(self, setup: "GridSetup") -> None:
+        """Schedule this plan's join / leave / crash events on a built
+        (not yet run) simulated grid."""
+        rng = setup.sim.streams.get("churn")
+        maintainer = BlatantMaintainer(
+            setup.graph, setup.sim.streams.get("churn.overlay"), BlatantConfig()
+        )
+        maintainer.start(setup.sim)
+        state = {"next_id": max(n.node_id for n in setup.nodes) + 1}
+        min_nodes = max(2, int(self.min_fraction * len(setup.nodes)))
+        kinds = ["join", "leave", "crash"]
+        weights = [self.join_weight, self.leave_weight, self.crash_weight]
 
-def _run_churn_experiment(
-    scale: Optional[ScenarioScale] = None,
-    seed: int = 0,
-    plan: Optional[ChurnPlan] = None,
-    scenario_name: str = "iMixed",
-    failsafe: bool = False,
-    obs=None,
-) -> RunResult:
-    """One run of ``scenario_name`` under sustained node churn."""
-    plan = plan if plan is not None else ChurnPlan()
-    base = get_scenario(scenario_name)
-    scenario = dataclasses.replace(base, name=f"{base.name}+churn")
-    setup = build_grid(
-        scenario,
-        scale,
-        seed,
-        config_overrides={"failsafe": True} if failsafe else None,
-        obs=obs,
-    )
+        def churn_event() -> None:
+            kind = rng.choices(kinds, weights=weights)[0]
+            live = setup.live_agents()
+            if kind == "join":
+                node_id = NodeId(state["next_id"])
+                state["next_id"] += 1
+                maintainer.join(node_id)
+                setup.add_node(node_id)
+                return
+            # leave / crash need a victim and a grid that stays large enough.
+            victims = [a for a in live if not a.leaving]
+            if len(victims) <= min_nodes:
+                return
+            victim = rng.choice(victims)
+            if kind == "leave":
+                victim.leave()
+            else:
+                victim.fail()
 
-    rng = setup.sim.streams.get("churn")
-    maintainer = BlatantMaintainer(
-        setup.graph, setup.sim.streams.get("churn.overlay"), BlatantConfig()
-    )
-    maintainer.start(setup.sim)
-    state = {"next_id": max(n.node_id for n in setup.nodes) + 1}
-    min_nodes = max(2, int(plan.min_fraction * len(setup.nodes)))
-    kinds = ["join", "leave", "crash"]
-    weights = [plan.join_weight, plan.leave_weight, plan.crash_weight]
-
-    def churn_event() -> None:
-        kind = rng.choices(kinds, weights=weights)[0]
-        live = setup.live_agents()
-        if kind == "join":
-            node_id = NodeId(state["next_id"])
-            state["next_id"] += 1
-            maintainer.join(node_id)
-            setup.add_node(node_id)
-            return
-        # leave / crash need a victim and a grid that stays large enough.
-        victims = [a for a in live if not a.leaving]
-        if len(victims) <= min_nodes:
-            return
-        victim = rng.choice(victims)
-        if kind == "leave":
-            victim.leave()
-        else:
-            victim.fail()
-
-    setup.sim.every(
-        plan.interval, churn_event, start=plan.start, until=plan.end
-    )
-    return setup.run()
+        setup.sim.every(
+            self.interval, churn_event, start=self.start, until=self.end
+        )

@@ -43,16 +43,12 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..errors import ConfigurationError
 from ..obs.trace import TraceConfig
-from .churn import ChurnPlan, _run_churn_experiment
-from .failures import (
-    CrashPlan,
-    FailureModel,
-    _run_crash_experiment,
-    _run_failure_experiment,
-)
-from .faults import FaultPlan, _run_fault_experiment
+from .catalog import SCENARIOS, get_scenario
+from .churn import ChurnPlan
+from .failures import CrashPlan, FailureModel
+from .faults import FaultPlan
 from .options import RunOptions
-from .runner import build_grid
+from .runner import run_grid
 from .scale import ScenarioScale
 from .scenario import Scenario
 from .summary import RunSummary
@@ -94,6 +90,41 @@ _ALLOWED_OPTIONS = {
         "fault_plan",
     },
 }
+
+#: What differs per grid spec kind — everything else is the one path of
+#: :func:`~repro.experiments.runner.run_grid`.  ``failsafe`` / ``adoption``
+#: / ``reliability`` / ``deadline_slack`` are the values in force when the
+#: option is unset (or not accepted, see :data:`_ALLOWED_OPTIONS`);
+#: ``suffix`` labels the scenario, extended by ``flag[1]`` when option
+#: ``flag[0]`` resolves true; ``check`` runs the post-run invariant sweep.
+_GRID_KINDS = {
+    "scenario": dict(
+        type=Scenario, failsafe=False, adoption=False, reliability=False,
+        deadline_slack=0.0, suffix="", flag=None, check=False,
+    ),
+    "crash": dict(
+        type=CrashPlan, failsafe=False, adoption=False, reliability=False,
+        deadline_slack=0.0, suffix="+crash", flag=("failsafe", "+failsafe"),
+        check=False,
+    ),
+    "churn": dict(
+        type=ChurnPlan, failsafe=False, adoption=False, reliability=False,
+        deadline_slack=0.0, suffix="+churn", flag=None, check=False,
+    ),
+    "faults": dict(
+        type=FaultPlan, failsafe=True, adoption=False, reliability=True,
+        deadline_slack=0.0, suffix="+faults", flag=("reliability", "+reliable"),
+        check=True,
+    ),
+    "failures": dict(
+        type=FailureModel, failsafe=True, adoption=True, reliability=True,
+        deadline_slack=3.0, suffix="+failures", flag=("failsafe", "+failsafe"),
+        check=True,
+    ),
+}
+
+#: ``run_grid`` keyword of each plan a grid payload may carry → its type.
+_PLAN_TYPES = {"failures": FailureModel, "churn": ChurnPlan, "faults": FaultPlan}
 
 _code_version_cache: Optional[str] = None
 
@@ -221,18 +252,16 @@ def _spec_payload(spec: ExperimentSpec, options: Dict[str, Any]) -> Dict[str, An
 
     The payload is both the pickle-free unit shipped to worker processes
     and the content hashed for the cache key, so it must round-trip the
-    spec exactly.
+    spec exactly.  There are two shapes: a baseline, and a grid run with
+    every :data:`_GRID_KINDS` default already resolved.
     """
     if isinstance(spec, str):
         from ..baselines.runner import BASELINE_NAMES
 
-        from .catalog import SCENARIOS
-
         if spec in SCENARIOS:
             spec = SCENARIOS[spec]
         elif spec in BASELINE_NAMES:
-            allowed = _ALLOWED_OPTIONS["baseline"]
-            _check_options("baseline", options, allowed)
+            _check_options("baseline", options, _ALLOWED_OPTIONS["baseline"])
             normalized = dict(options)
             if "policies" in normalized:
                 normalized["policies"] = list(normalized["policies"])
@@ -242,69 +271,55 @@ def _spec_payload(spec: ExperimentSpec, options: Dict[str, Any]) -> Dict[str, An
                 f"unknown experiment spec {spec!r}: not a Table II scenario "
                 f"or baseline name"
             )
-    if isinstance(spec, Scenario):
-        _check_options("scenario", options, _ALLOWED_OPTIONS["scenario"])
-        overrides = options.get("config_overrides")
-        return {
-            "kind": "scenario",
-            "scenario": spec.to_dict(),
-            "config_overrides": dict(overrides) if overrides else None,
-        }
-    if isinstance(spec, CrashPlan):
-        _check_options("crash", options, _ALLOWED_OPTIONS["crash"])
-        return {
-            "kind": "crash",
-            "plan": dataclasses.asdict(spec),
-            "failsafe": bool(options.get("failsafe", False)),
-            "scenario_name": options.get("scenario_name", "iMixed"),
-            "probe_interval": options.get("probe_interval"),
-        }
-    if isinstance(spec, ChurnPlan):
-        _check_options("churn", options, _ALLOWED_OPTIONS["churn"])
-        return {
-            "kind": "churn",
-            "plan": dataclasses.asdict(spec),
-            "failsafe": bool(options.get("failsafe", False)),
-            "scenario_name": options.get("scenario_name", "iMixed"),
-        }
-    if isinstance(spec, FaultPlan):
-        _check_options("faults", options, _ALLOWED_OPTIONS["faults"])
-        return {
-            "kind": "faults",
-            "plan": dataclasses.asdict(spec),
-            "reliability": bool(options.get("reliability", True)),
-            "failsafe": bool(options.get("failsafe", True)),
-            "scenario_name": options.get("scenario_name", "iMixed"),
-            "probe_interval": options.get("probe_interval"),
-        }
-    if isinstance(spec, FailureModel):
-        _check_options("failures", options, _ALLOWED_OPTIONS["failures"])
-        fault_plan = options.get("fault_plan")
-        if fault_plan is not None and not isinstance(fault_plan, FaultPlan):
-            raise ConfigurationError(
-                f"fault_plan must be a FaultPlan, got "
-                f"{type(fault_plan).__name__}"
-            )
-        return {
-            "kind": "failures",
-            "model": dataclasses.asdict(spec),
-            "failsafe": bool(options.get("failsafe", True)),
-            "adoption": bool(options.get("adoption", True)),
-            "reliability": bool(options.get("reliability", True)),
-            "scenario_name": options.get("scenario_name", "iMixed"),
-            "probe_interval": options.get("probe_interval"),
-            "deadline_slack": options.get("deadline_slack"),
-            "fault_plan": (
-                dataclasses.asdict(fault_plan)
-                if fault_plan is not None
-                else None
-            ),
-        }
-    raise ConfigurationError(
-        f"unsupported experiment spec type {type(spec).__name__}; expected "
-        f"Scenario, scenario/baseline name, CrashPlan, FailureModel, "
-        f"ChurnPlan or FaultPlan"
+    kind = next(
+        (k for k, row in _GRID_KINDS.items() if isinstance(spec, row["type"])),
+        None,
     )
+    if kind is None:
+        raise ConfigurationError(
+            f"unsupported experiment spec type {type(spec).__name__}; expected "
+            f"Scenario, scenario/baseline name, CrashPlan, FailureModel, "
+            f"ChurnPlan or FaultPlan"
+        )
+    _check_options(kind, options, _ALLOWED_OPTIONS[kind])
+    row = _GRID_KINDS[kind]
+    fault_plan = options.get("fault_plan")
+    if fault_plan is not None and not isinstance(fault_plan, FaultPlan):
+        raise ConfigurationError(
+            f"fault_plan must be a FaultPlan, got {type(fault_plan).__name__}"
+        )
+    if kind == "crash":
+        # A crash plan is the crash-stop-only failure model (same
+        # ``failures``-stream draws) under the crash row's defaults.
+        kind, spec = "failures", FailureModel.from_crash_plan(spec)
+    scenario = (
+        spec
+        if kind == "scenario"
+        else get_scenario(options.get("scenario_name", "iMixed"))
+    )
+    args = {
+        "config_overrides": dict(options.get("config_overrides") or {}) or None,
+        "deadline_slack": options.get("deadline_slack", row["deadline_slack"]),
+        "check": row["check"],
+    }
+    for name in ("failsafe", "adoption", "reliability"):
+        args[name] = bool(options.get(name, row[name]))
+    if "probe_interval" in options:
+        args["probe_interval"] = options["probe_interval"]
+    args["suffix"] = row["suffix"] + (
+        row["flag"][1] if row["flag"] and args[row["flag"][0]] else ""
+    )
+    plans = {}
+    if kind in _PLAN_TYPES:
+        plans[kind] = dataclasses.asdict(spec)
+    if fault_plan is not None:
+        plans["faults"] = dataclasses.asdict(fault_plan)
+    return {
+        "kind": "grid",
+        "scenario": scenario.to_dict(),
+        "plans": plans,
+        "args": args,
+    }
 
 
 def _check_options(kind: str, options: Dict[str, Any], allowed) -> None:
@@ -349,14 +364,6 @@ def _run_payload(payload: Dict[str, Any]):
         if payload.get("trace") is not None
         else None
     )
-    if kind == "scenario":
-        return build_grid(
-            Scenario.from_dict(payload["scenario"]),
-            scale,
-            seed,
-            config_overrides=payload.get("config_overrides"),
-            obs=obs,
-        ).run()
     if kind == "baseline":
         from ..baselines.runner import _run_baseline
 
@@ -364,60 +371,18 @@ def _run_payload(payload: Dict[str, Any]):
         if "policies" in options:
             options["policies"] = tuple(options["policies"])
         return _run_baseline(payload["baseline"], scale, seed, **options)
-    if kind == "crash":
-        kwargs = {}
-        if payload.get("probe_interval") is not None:
-            kwargs["probe_interval"] = payload["probe_interval"]
-        return _run_crash_experiment(
-            payload["failsafe"],
+    if kind == "grid":
+        plans = {
+            name: _PLAN_TYPES[name](**fields)
+            for name, fields in payload["plans"].items()
+        }
+        return run_grid(
+            Scenario.from_dict(payload["scenario"]),
             scale,
             seed,
-            plan=CrashPlan(**payload["plan"]),
-            scenario_name=payload["scenario_name"],
             obs=obs,
-            **kwargs,
-        )
-    if kind == "churn":
-        return _run_churn_experiment(
-            scale,
-            seed,
-            plan=ChurnPlan(**payload["plan"]),
-            scenario_name=payload["scenario_name"],
-            failsafe=payload["failsafe"],
-            obs=obs,
-        )
-    if kind == "faults":
-        kwargs = {}
-        if payload.get("probe_interval") is not None:
-            kwargs["probe_interval"] = payload["probe_interval"]
-        return _run_fault_experiment(
-            scale,
-            seed,
-            plan=FaultPlan(**payload["plan"]),
-            scenario_name=payload["scenario_name"],
-            reliability=payload["reliability"],
-            failsafe=payload["failsafe"],
-            obs=obs,
-            **kwargs,
-        )
-    if kind == "failures":
-        kwargs = {}
-        if payload.get("probe_interval") is not None:
-            kwargs["probe_interval"] = payload["probe_interval"]
-        if payload.get("deadline_slack") is not None:
-            kwargs["deadline_slack"] = payload["deadline_slack"]
-        if payload.get("fault_plan") is not None:
-            kwargs["fault_plan"] = FaultPlan(**payload["fault_plan"])
-        return _run_failure_experiment(
-            FailureModel(**payload["model"]),
-            scale,
-            seed,
-            scenario_name=payload["scenario_name"],
-            failsafe=payload["failsafe"],
-            adoption=payload["adoption"],
-            reliability=payload["reliability"],
-            obs=obs,
-            **kwargs,
+            **plans,
+            **payload["args"],
         )
     raise ConfigurationError(f"unknown work-unit kind {kind!r}")
 

@@ -38,19 +38,15 @@ CLI mode, alongside a network :class:`~repro.experiments.faults.FaultPlan`.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING
 
 from ..errors import ConfigurationError
-from ..net.reliability import ReliabilityLayer
 from ..overlay.blatant import BlatantConfig, BlatantMaintainer
 from ..types import MINUTE
-from .catalog import get_scenario
-from .faults import FaultPlan, apply_fault_plan
-from .invariants import check_invariants
-from .runner import RunResult, build_grid
-from .scale import ScenarioScale
+
+if TYPE_CHECKING:
+    from .assembly import GridSetup
 
 __all__ = [
     "CrashPlan",
@@ -166,169 +162,64 @@ class FailureModel:
             slow_factor=4.0,
         )
 
-
-def _run_crash_experiment(
-    failsafe: bool,
-    scale: Optional[ScenarioScale] = None,
-    seed: int = 0,
-    plan: Optional[CrashPlan] = None,
-    scenario_name: str = "iMixed",
-    probe_interval: float = 10 * MINUTE,
-    obs=None,
-) -> RunResult:
-    """One crash-stop run (internal, engine-dispatched impl).
-
-    Routed through the :class:`FailureModel` internals as a pure
-    crash-stop model with every extension off, which keeps its summaries
-    byte-identical to the historical crash path: same scenario naming,
-    same config overrides, same ``"failures"``-stream draws, no
-    reliability layer, no incarnations, no invariant sweep.
-    """
-    plan = plan if plan is not None else CrashPlan()
-    return _run_failure_experiment(
-        FailureModel.from_crash_plan(plan),
-        scale,
-        seed,
-        scenario_name=scenario_name,
-        failsafe=failsafe,
-        adoption=False,
-        reliability=False,
-        probe_interval=probe_interval,
-        deadline_slack=0.0,
-        scenario_suffix=f"+crash{'+failsafe' if failsafe else ''}",
-        check=False,
-        obs=obs,
-    )
-
-
-def _run_failure_experiment(
-    model: FailureModel,
-    scale: Optional[ScenarioScale] = None,
-    seed: int = 0,
-    *,
-    scenario_name: str = "iMixed",
-    failsafe: bool = True,
-    adoption: bool = True,
-    reliability: bool = True,
-    fault_plan: Optional[FaultPlan] = None,
-    probe_interval: float = 10 * MINUTE,
-    deadline_slack: float = 3.0,
-    scenario_suffix: Optional[str] = None,
-    check: bool = True,
-    obs=None,
-) -> RunResult:
-    """One failure-injected run (internal, engine-dispatched impl).
-
-    ``failsafe`` turns on §III-D tracking/probing (with ``probe_timeout``
-    raised to 120 s whenever the network can also misbehave, i.e. when a
-    reliability layer or fault plan is present); ``adoption`` adds the
-    initiator-crash orphan recovery; ``deadline_slack > 0`` arms the
-    straggler defense; ``fault_plan`` composes network faults on top.
-    With ``check=True`` the :mod:`~repro.experiments.invariants` sweep
-    runs post-horizon and lands in ``RunResult.extra_violations`` —
-    crash-lost records are tolerated (``allow_lost``) but stranding,
-    double-holds and cross-incarnation double executions are not.
-    """
-    base = get_scenario(scenario_name)
-    if scenario_suffix is None:
-        scenario_suffix = "+failures" + ("+failsafe" if failsafe else "")
-    scenario = dataclasses.replace(base, name=f"{base.name}{scenario_suffix}")
-    overrides = None
-    if failsafe:
-        overrides = {"failsafe": True, "probe_interval": probe_interval}
-        if reliability or fault_plan is not None:
-            overrides["probe_timeout"] = 120.0
-        if adoption:
-            overrides["adoption"] = True
-    if deadline_slack > 0.0:
-        overrides = dict(overrides or {})
-        overrides["exec_deadline_slack"] = deadline_slack
-    setup = build_grid(
-        scenario, scale, seed, config_overrides=overrides, obs=obs
-    )
-
-    rng = setup.sim.streams.get("failures")
-    crashed: list = []
-    if model.crash_fraction > 0.0:
-        # Exactly the legacy CrashPlan draws, so pure crash-stop models
-        # reproduce historical runs bit for bit.
-        crashed = rng.sample(
-            setup.agents,
-            max(1, round(model.crash_fraction * len(setup.agents))),
-        )
-        step = model.crash_spread / len(crashed)
-        for index, agent in enumerate(crashed):
-            setup.sim.call_at(model.crash_start + index * step, agent.fail)
-
-    taken = set(crashed)
-    if model.restart_fraction > 0.0:
-        pool = [a for a in setup.agents if a not in taken]
-        count = min(
-            max(1, round(model.restart_fraction * len(setup.agents))),
-            len(pool),
-        )
-        bouncing = rng.sample(pool, count)
-        taken.update(bouncing)
-        # Stamping must be on before the run starts so messages already
-        # in flight at the first crash carry a stamp and can be rejected
-        # by the reborn incarnation.
-        setup.transport.enable_incarnations()
-        # Restarted nodes rejoin through the same overlay-maintenance
-        # path as churn joins; the maintainer also keeps the overlay
-        # healthy around the holes the crashes tear into it.
-        maintainer = BlatantMaintainer(
-            setup.graph,
-            setup.sim.streams.get("failures.overlay"),
-            BlatantConfig(),
-        )
-        maintainer.start(setup.sim)
-        step = model.restart_spread / len(bouncing)
-
-        def _rejoin(agent) -> None:
-            maintainer.join(agent.node_id)
-            agent.restart()
-
-        for index, agent in enumerate(bouncing):
-            down_at = model.restart_start + index * step
-            setup.sim.call_at(down_at, agent.fail)
-            setup.sim.call_at(
-                down_at + model.restart_downtime, _rejoin, agent
+    def schedule(self, setup: "GridSetup") -> None:
+        """Schedule this model's crashes, restarts and slowdowns on a
+        built (not yet run) simulated grid."""
+        rng = setup.sim.streams.get("failures")
+        crashed: list = []
+        if self.crash_fraction > 0.0:
+            # Exactly the legacy CrashPlan draws, so pure crash-stop models
+            # reproduce historical runs bit for bit.
+            crashed = rng.sample(
+                setup.agents,
+                max(1, round(self.crash_fraction * len(setup.agents))),
             )
+            step = self.crash_spread / len(crashed)
+            for index, agent in enumerate(crashed):
+                setup.sim.call_at(self.crash_start + index * step, agent.fail)
 
-    if model.slow_fraction > 0.0:
-        pool = [a for a in setup.agents if a not in taken]
-        count = min(
-            max(1, round(model.slow_fraction * len(setup.agents))),
-            len(pool),
-        )
-        for agent in rng.sample(pool, count):
-            setup.sim.call_at(
-                model.slow_start, agent.node.apply_slowdown, model.slow_factor
+        taken = set(crashed)
+        if self.restart_fraction > 0.0:
+            pool = [a for a in setup.agents if a not in taken]
+            count = min(
+                max(1, round(self.restart_fraction * len(setup.agents))),
+                len(pool),
             )
+            bouncing = rng.sample(pool, count)
+            taken.update(bouncing)
+            # Stamping must be on before the run starts so messages already
+            # in flight at the first crash carry a stamp and can be rejected
+            # by the reborn incarnation.
+            setup.transport.enable_incarnations()
+            # Restarted nodes rejoin through the same overlay-maintenance
+            # path as churn joins; the maintainer also keeps the overlay
+            # healthy around the holes the crashes tear into it.
+            maintainer = BlatantMaintainer(
+                setup.graph,
+                setup.sim.streams.get("failures.overlay"),
+                BlatantConfig(),
+            )
+            maintainer.start(setup.sim)
+            step = self.restart_spread / len(bouncing)
 
-    if fault_plan is not None:
-        apply_fault_plan(setup.transport, fault_plan)
-    if reliability:
-        ReliabilityLayer(setup.transport)
+            def _rejoin(agent) -> None:
+                maintainer.join(agent.node_id)
+                agent.restart()
 
-    result = setup.run()
-    if check:
-        # Recovery machinery needs bounded time: resubmission takes two
-        # probe rounds, adoption waits ``adoption_windows`` more, plus
-        # the retransmission give-up horizon.
-        if failsafe:
-            windows = 2 + (setup.agents[0].config.adoption_windows
-                           if adoption else 0)
-            settle = windows * probe_interval + 600.0
-        else:
-            settle = 1800.0
-        allow_lost = (
-            model.crash_fraction > 0.0 or model.restart_fraction > 0.0
-        )
-        result.extra_violations = check_invariants(
-            setup,
-            expected_jobs=setup.scale.jobs,
-            allow_lost=allow_lost,
-            settle=settle,
-        )
-    return result
+            for index, agent in enumerate(bouncing):
+                down_at = self.restart_start + index * step
+                setup.sim.call_at(down_at, agent.fail)
+                setup.sim.call_at(
+                    down_at + self.restart_downtime, _rejoin, agent
+                )
+
+        if self.slow_fraction > 0.0:
+            pool = [a for a in setup.agents if a not in taken]
+            count = min(
+                max(1, round(self.slow_fraction * len(setup.agents))),
+                len(pool),
+            )
+            for agent in rng.sample(pool, count):
+                setup.sim.call_at(
+                    self.slow_start, agent.node.apply_slowdown, self.slow_factor
+                )

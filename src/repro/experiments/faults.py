@@ -29,20 +29,13 @@ threshold.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..errors import ConfigurationError
 from ..net.faults import FaultInjector
 from ..net.latency import SpikeLatency
-from ..net.reliability import ReliabilityLayer
 from ..net.transport import Transport
-from ..types import MINUTE
-from .catalog import get_scenario
-from .invariants import check_invariants
-from .runner import RunResult, build_grid
-from .scale import ScenarioScale
 
 __all__ = ["FaultPlan", "apply_fault_plan"]
 
@@ -151,53 +144,3 @@ def apply_fault_plan(transport: Transport, plan: FaultPlan) -> FaultInjector:
             base, plan.delay_spike, plan.delay_spike_mean
         )
     return injector
-
-
-def _run_fault_experiment(
-    scale: Optional[ScenarioScale] = None,
-    seed: int = 0,
-    plan: Optional[FaultPlan] = None,
-    scenario_name: str = "iMixed",
-    reliability: bool = True,
-    failsafe: bool = True,
-    probe_interval: float = 10 * MINUTE,
-    obs=None,
-) -> RunResult:
-    """One fault-injected run (internal, engine-dispatched impl).
-
-    With ``reliability=True`` a :class:`ReliabilityLayer` gives the
-    control plane at-least-once semantics; with ``failsafe=True`` the
-    §III-D tracking/probing extension runs on top (``probe_timeout`` is
-    raised to 120 s so a partition's retransmission backlog cannot fake a
-    probe miss — see ``docs/FAULTS.md``).  The
-    :func:`~repro.experiments.invariants.check_invariants` verdict is
-    stored on ``RunResult.extra_violations`` and flows into
-    ``RunSummary.violations``.
-    """
-    plan = plan if plan is not None else FaultPlan()
-    base = get_scenario(scenario_name)
-    suffix = "+faults" + ("+reliable" if reliability else "")
-    scenario = dataclasses.replace(base, name=f"{base.name}{suffix}")
-    overrides = (
-        {
-            "failsafe": True,
-            "probe_interval": probe_interval,
-            "probe_timeout": 120.0,
-        }
-        if failsafe
-        else None
-    )
-    setup = build_grid(
-        scenario, scale, seed, config_overrides=overrides, obs=obs
-    )
-    apply_fault_plan(setup.transport, plan)
-    if reliability:
-        ReliabilityLayer(setup.transport)
-    result = setup.run()
-    # Recovery machinery needs bounded time: two probe rounds plus the
-    # retransmission give-up horizon must fit in the settle window.
-    settle = 2.0 * probe_interval + 600.0 if failsafe else 1800.0
-    result.extra_violations = check_invariants(
-        setup, expected_jobs=setup.scale.jobs, settle=settle
-    )
-    return result

@@ -6,23 +6,35 @@ module supplies the :class:`~repro.sim.Simulator`, a latency-realistic
 :class:`~repro.net.SimTransport` and the Expanding scenarios' scheduled
 joins.  Ten-run experiments use seeds ``base .. base+9``, matching the
 paper's replication count.
+
+:func:`run_grid` is the one path every simulated run takes, plain or
+perturbed: a :class:`~repro.experiments.failures.FailureModel`, a
+:class:`~repro.experiments.churn.ChurnPlan` and a
+:class:`~repro.experiments.faults.FaultPlan` each schedule their own
+events on the built grid, in any combination.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Dict, Optional
 
+from ..net.reliability import ReliabilityLayer
 from ..net.transport import SimTransport
 from ..obs.trace import TraceConfig, Tracer
 from ..overlay.blatant import BlatantConfig, BlatantMaintainer
 from ..overlay.graph import OverlayGraph
 from ..sim import Simulator
-from ..types import NodeId
+from ..types import MINUTE, NodeId
 from .assembly import GridSetup, RunResult, assemble, build_overlay
+from .churn import ChurnPlan
+from .failures import FailureModel
+from .faults import FaultPlan, apply_fault_plan
+from .invariants import check_invariants
 from .scale import ScenarioScale
 from .scenario import Scenario
 
-__all__ = ["GridSetup", "RunResult", "build_grid"]
+__all__ = ["GridSetup", "RunResult", "build_grid", "run_grid"]
 
 
 def build_grid(
@@ -64,6 +76,82 @@ def build_grid(
         _schedule_expansion(sim, setup.graph, scale, setup.add_node)
     setup.start_workload()
     return setup
+
+
+def run_grid(
+    scenario: Scenario,
+    scale: Optional[ScenarioScale] = None,
+    seed: int = 0,
+    *,
+    suffix: str = "",
+    config_overrides: Optional[Dict[str, object]] = None,
+    failsafe: bool = False,
+    adoption: bool = False,
+    reliability: bool = False,
+    probe_interval: float = 10 * MINUTE,
+    deadline_slack: float = 0.0,
+    failures: Optional[FailureModel] = None,
+    churn: Optional[ChurnPlan] = None,
+    faults: Optional[FaultPlan] = None,
+    check: bool = False,
+    obs: Optional[TraceConfig] = None,
+) -> RunResult:
+    """One simulated run of ``scenario`` (renamed ``name + suffix``).
+
+    ``failsafe`` turns on §III-D tracking/probing (with ``probe_timeout``
+    raised to 120 s whenever the network can also misbehave, i.e. when a
+    reliability layer or fault plan is present, so a partition's
+    retransmission backlog cannot fake a probe miss — see
+    ``docs/FAULTS.md``); ``adoption`` adds the initiator-crash orphan
+    recovery; ``deadline_slack > 0`` arms the straggler defense;
+    ``reliability`` gives the control plane at-least-once delivery.  Each
+    plan that is present schedules its own events on the built grid.
+    With ``check=True`` the :mod:`~repro.experiments.invariants` sweep
+    runs post-horizon and lands in ``RunResult.extra_violations`` (and
+    from there in ``RunSummary.violations``) — crash-lost records are
+    tolerated when ``failures`` crashes nodes, but stranding, double-holds
+    and cross-incarnation double executions are not.
+    """
+    scenario = dataclasses.replace(scenario, name=f"{scenario.name}{suffix}")
+    overrides = dict(config_overrides or {})
+    if failsafe:
+        overrides.update(failsafe=True, probe_interval=probe_interval)
+        if reliability or faults is not None:
+            overrides["probe_timeout"] = 120.0
+        if adoption:
+            overrides["adoption"] = True
+    if deadline_slack > 0.0:
+        overrides["exec_deadline_slack"] = deadline_slack
+    setup = build_grid(scenario, scale, seed, overrides, obs)
+
+    if failures is not None:
+        failures.schedule(setup)
+    if churn is not None:
+        churn.schedule(setup)
+    if faults is not None:
+        apply_fault_plan(setup.transport, faults)
+    if reliability:
+        ReliabilityLayer(setup.transport)
+
+    result = setup.run()
+    if check:
+        # Recovery machinery needs bounded time: resubmission takes two
+        # probe rounds, adoption waits ``adoption_windows`` more, plus
+        # the retransmission give-up horizon.
+        if failsafe:
+            windows = 2 + (setup.agents[0].config.adoption_windows
+                           if adoption else 0)
+            settle = windows * probe_interval + 600.0
+        else:
+            settle = 1800.0
+        result.extra_violations = check_invariants(
+            setup,
+            expected_jobs=setup.scale.jobs,
+            allow_lost=failures is not None
+            and (failures.crash_fraction > 0.0 or failures.restart_fraction > 0.0),
+            settle=settle,
+        )
+    return result
 
 
 def _schedule_expansion(

@@ -15,14 +15,10 @@ could not provide (see ``docs/OBSERVABILITY.md``):
   trace (also the ``repro explain-job`` CLI);
 * :mod:`repro.obs.exposition` — Prometheus text-format rendering of a
   registry (the live ``GET /metrics`` pages) and its parser;
-* :mod:`repro.obs.collector` — :class:`TelemetryCollector`, the fleet
-  scraper merging per-node pages into ``fleet.*`` series, plus the
-  ``repro top`` dashboard renderer;
 * :mod:`repro.obs.validate` — the importable trace-schema validator
   behind ``scripts/validate_trace.py``.
 """
 
-from .collector import NodeSample, TelemetryCollector, render_dashboard
 from .exposition import CONTENT_TYPE, parse_prometheus, render_prometheus
 from .metrics import BoundedSeries, Counter, Gauge, Histogram, MetricsRegistry
 from .timeline import JobTimeline, explain_job
@@ -57,10 +53,8 @@ __all__ = [
     "LEVELS",
     "MemorySink",
     "MetricsRegistry",
-    "NodeSample",
     "PerfettoSink",
     "RotatingJsonlSink",
-    "TelemetryCollector",
     "TraceConfig",
     "Tracer",
     "explain_job",
@@ -70,7 +64,6 @@ __all__ = [
     "merge_perfetto_traces",
     "message_job_id",
     "parse_prometheus",
-    "render_dashboard",
     "render_prometheus",
     "rotated_trace_paths",
     "validate_event",

@@ -17,6 +17,10 @@ on localhost, runs a paper scenario against it in scaled wall time, and
 emits the same :class:`~repro.experiments.RunSummary`, trace-bus events
 and invariant verdicts as a simulated run.
 
+Both coordinators scrape their fleet's ``/metrics`` pages with the
+:class:`TelemetryCollector` of :mod:`repro.runtime.telemetry`, which also
+renders the ``repro top`` dashboard.
+
 One rung further, :mod:`repro.runtime.proc` (``repro serve --procs``)
 runs the overlay as *separate OS processes* under a supervisor with
 crash recovery and durable journals — real process deaths, real
@@ -42,6 +46,12 @@ from .proc import (
     worker_main,
 )
 from .serve import LiveFailureSchedule, LiveRunConfig, run_live
+from .telemetry import (
+    NodeSample,
+    TelemetryCollector,
+    render_dashboard,
+    sparkline,
+)
 from .transport import (
     HEALTH_PATH,
     METRICS_PATH,
@@ -56,10 +66,12 @@ __all__ = [
     "LiveFailureSchedule",
     "LiveRunConfig",
     "LiveTransport",
+    "NodeSample",
     "ProcRunConfig",
     "ProcRunResult",
     "ProcessFailureSchedule",
     "Supervisor",
+    "TelemetryCollector",
     "WallClock",
     "WorkerSpec",
     "decode_envelope",
@@ -68,7 +80,9 @@ __all__ = [
     "encode_envelope",
     "encode_job",
     "encode_message",
+    "render_dashboard",
     "run_live",
     "run_procs",
+    "sparkline",
     "worker_main",
 ]

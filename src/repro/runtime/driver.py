@@ -23,8 +23,8 @@ from ..experiments.catalog import get_scenario
 from ..experiments.faults import FaultPlan, apply_fault_plan
 from ..experiments.scale import ScenarioScale
 from ..net.reliability import ReliabilityConfig
-from ..obs.collector import TelemetryCollector, render_dashboard
 from ..workload.submission import SubmissionSchedule
+from .telemetry import TelemetryCollector, render_dashboard
 from .transport import LiveTransport
 
 __all__ = ["WireRunConfig", "start_collector", "stop_on_signal", "wait_out"]

@@ -40,9 +40,11 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..obs.exposition import parse_prometheus
+from ..obs.metrics import MetricsRegistry
 from ..types import NodeId
-from .exposition import parse_prometheus
-from .metrics import MetricsRegistry
+from .http import http_request
+from .transport import METRICS_PATH
 
 __all__ = ["NodeSample", "TelemetryCollector", "render_dashboard", "sparkline"]
 
@@ -185,11 +187,9 @@ class TelemetryCollector:
     async def _scrape_node(
         self, node_id: NodeId, host: str, port: int
     ) -> NodeSample:
-        from ..runtime.http import http_request  # avoid import cycle
-
         try:
             status, body = await http_request(
-                host, port, "GET", "/metrics", timeout=self._timeout
+                host, port, "GET", METRICS_PATH, timeout=self._timeout
             )
             if status != 200:
                 return NodeSample(node_id, False, error=f"HTTP {status}")

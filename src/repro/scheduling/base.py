@@ -25,7 +25,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import TYPE_CHECKING, Any, ClassVar, Dict, List, Optional, Tuple
 
-from ..accel import MIN_VECTOR_LEN, prefix_fold
 from ..errors import SchedulingError
 from ..types import JobId
 
@@ -232,22 +231,12 @@ class LocalScheduler:
             )
         key = (self._version, running_remaining)
         if self._fold_key != key:
-            ordered = self._ordered()
-            if len(ordered) >= MIN_VECTOR_LEN:
-                # Bit-identical vectorized accumulate (repro.accel).
-                fold = [running_remaining]
-                fold.extend(
-                    prefix_fold(
-                        [entry.ertp for entry in ordered], running_remaining
-                    )
-                )
-            else:
-                elapsed = running_remaining
-                fold = [elapsed]
-                append = fold.append
-                for entry in ordered:
-                    elapsed = elapsed + entry.ertp
-                    append(elapsed)
+            elapsed = running_remaining
+            fold = [elapsed]
+            append = fold.append
+            for entry in self._ordered():
+                elapsed = elapsed + entry.ertp
+                append(elapsed)
             self._fold = fold
             self._fold_key = key
         return self._fold

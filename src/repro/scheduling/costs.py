@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from ..accel import MIN_VECTOR_LEN, completion_etcs, slack_values
 from ..errors import SchedulingError
 from .base import QueuedJob
 
@@ -39,17 +38,9 @@ def completion_times(
 
     The machine runs one job at a time, so entry *k* completes after the
     running job's remaining time plus the ERTp of entries 0..k.
-
-    Long queues take the (bit-identical) vectorized prefix-sum path of
-    :mod:`repro.accel`; short ones — the overwhelmingly common case —
-    stay on the inline loop to avoid the delegation overhead.
     """
     if running_remaining < 0:
         raise SchedulingError(f"negative running_remaining {running_remaining!r}")
-    if len(order) >= MIN_VECTOR_LEN:
-        return completion_etcs(
-            [entry.ertp for entry in order], now, running_remaining
-        )
     etcs: List[float] = []
     elapsed = running_remaining
     for entry in order:
@@ -73,18 +64,14 @@ def ettc(
 
 def nal(order: Sequence[QueuedJob], now: float, running_remaining: float) -> float:
     """Negative Accumulated Lateness of the whole hypothetical queue."""
-    etcs = completion_times(order, now, running_remaining)
-    deadlines: List[float] = []
-    for entry in order:
+    gammas: List[float] = []
+    for entry, etc in zip(order, completion_times(order, now, running_remaining)):
         if entry.job.deadline is None:
             raise SchedulingError(
                 f"job {entry.job.job_id} has no deadline: NAL needs deadlines"
             )
-        deadlines.append(entry.job.deadline)
-    gammas = slack_values(deadlines, etcs)
+        gammas.append(entry.job.deadline - etc)
     any_late = any(g < 0 for g in gammas)
-    # The total stays a scalar left fold: numpy's reductions use pairwise
-    # summation, which rounds differently — see repro.accel.
     total = 0.0
     for gamma in gammas:
         if not any_late:

@@ -1,6 +1,7 @@
 """The batch engine: unified specs, determinism, caching, deprecations."""
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from repro.errors import ConfigurationError
 from repro.experiments import (
     ChurnPlan,
     CrashPlan,
+    FailureModel,
     FaultPlan,
     ResultCache,
     RunOptions,
@@ -280,6 +282,55 @@ def test_result_summary_matches_validate_run():
 
 
 # ----------------------------------------------------------------------
+# Every perturbed kind takes the one run_grid path, byte for byte
+# ----------------------------------------------------------------------
+#: SHA-256 of ``json.dumps(RunSummary.to_dict(), sort_keys=True)`` at tiny
+#: scale, seed 0, recorded at the last commit that had one runner per kind.
+_KIND_HASHES = [
+    (
+        CrashPlan(),
+        RunOptions(),
+        "iMixed+crash",
+        "11d7695ca2906f0d20ad96d7a30b488027499974593c4af15519575f9ab3a00e",
+    ),
+    (
+        CrashPlan(),
+        RunOptions(failsafe=True),
+        "iMixed+crash+failsafe",
+        "9f24175ef96e10c39dcf12b849e4eb92ad513b6dd077ee800c58c7cf25582e7b",
+    ),
+    (
+        ChurnPlan(crash_weight=0.5),
+        RunOptions(),
+        "iMixed+churn",
+        "36bb6299acf27fa67b3c047e7f4ce127d9a28ed64bad5d40ea035c179ef527f9",
+    ),
+    (
+        FaultPlan.chaos(TINY.duration),
+        RunOptions(),
+        "iMixed+faults+reliable",
+        "135094ab84be5aaa6be0f2555e8fcf4f61dc820883521a66f270d0abcb7c4f25",
+    ),
+    (
+        FailureModel.chaos(TINY.duration),
+        RunOptions(fault_plan=FaultPlan.chaos(TINY.duration)),
+        "iMixed+failures+failsafe",
+        "6dda1f28778bf40fb8f2b3e873b7106cb02f27cdaf2d94a77acb15cb2b4f8185",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,options,name,digest", _KIND_HASHES, ids=[k[2] for k in _KIND_HASHES]
+)
+def test_perturbed_kind_summary_is_pinned(spec, options, name, digest):
+    summary = run(spec, TINY, seed=0, options=options).summary().to_dict()
+    assert summary["name"] == name
+    canonical = json.dumps(summary, sort_keys=True)
+    assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+
+
+# ----------------------------------------------------------------------
 # Removed entry points and the loose-kwarg path are gone
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
@@ -289,7 +340,11 @@ def test_result_summary_matches_validate_run():
         ("repro.experiments.runner", "run_scenario_batch"),
         ("repro.baselines.runner", "run_baseline"),
         ("repro.experiments.failures", "run_crash_experiment"),
+        ("repro.experiments.failures", "_run_crash_experiment"),
+        ("repro.experiments.failures", "_run_failure_experiment"),
         ("repro.experiments.churn", "run_churn_experiment"),
+        ("repro.experiments.churn", "_run_churn_experiment"),
+        ("repro.experiments.faults", "_run_fault_experiment"),
     ],
 )
 def test_removed_entry_points_are_gone(module, name):

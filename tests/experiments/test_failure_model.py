@@ -18,14 +18,12 @@ from repro.experiments import (
     FaultPlan,
     RunOptions,
     ScenarioScale,
+    get_scenario,
     run,
     run_batch,
 )
-from repro.experiments.failures import (
-    CrashPlan,
-    _run_crash_experiment,
-    _run_failure_experiment,
-)
+from repro.experiments.failures import CrashPlan
+from repro.experiments.runner import run_grid
 
 TINY = ScenarioScale.tiny()
 CHAOS_SEEDS = list(range(10))
@@ -76,7 +74,7 @@ def test_crash_only_model_reproduces_the_crash_plan_path():
     # two specs simulate the same run (modulo the scenario label and the
     # invariant sweep the legacy path never ran).
     plan = CrashPlan(fraction=0.25, start=3600.0)
-    legacy = _run_crash_experiment(True, TINY, seed=3, plan=plan)
+    legacy = run(plan, TINY, seed=3, options=RunOptions(failsafe=True))
     modeled = run(
         FailureModel.from_crash_plan(plan),
         TINY,
@@ -155,7 +153,19 @@ def test_adoption_off_arm_surfaces_the_orphan_leak():
 # ----------------------------------------------------------------------
 def test_run_batch_round_trips_the_model(tmp_path):
     model = FailureModel(restart_fraction=0.2, restart_start=3600.0)
-    direct = _run_failure_experiment(model, TINY, 1).summary().to_dict()
+    # The per-kind table resolves a bare FailureModel to exactly this call.
+    direct = run_grid(
+        get_scenario("iMixed"),
+        TINY,
+        1,
+        suffix="+failures+failsafe",
+        failsafe=True,
+        adoption=True,
+        reliability=True,
+        deadline_slack=3.0,
+        failures=model,
+        check=True,
+    ).summary().to_dict()
     batch = run_batch(
         model, TINY, seeds=(1,), cache=tmp_path / "cache"
     )

@@ -1,12 +1,12 @@
 """TelemetryCollector merge rules, sparklines and the dashboard view."""
 
-from repro.obs import (
-    MetricsRegistry,
+from repro.obs import MetricsRegistry
+from repro.runtime import (
     NodeSample,
     TelemetryCollector,
     render_dashboard,
+    sparkline,
 )
-from repro.obs.collector import sparkline
 
 
 def _collector(registry=None):

@@ -1,9 +1,16 @@
 """Unit tests for the ETTC and NAL cost functions (paper §III-C)."""
 
+import random
+
 import pytest
 
 from repro.errors import SchedulingError
-from repro.scheduling import EDFScheduler, FCFSScheduler, SJFScheduler
+from repro.scheduling import (
+    EDFScheduler,
+    FCFSScheduler,
+    LJFScheduler,
+    SJFScheduler,
+)
 from repro.scheduling.base import QueuedJob
 from repro.scheduling.costs import completion_times, ettc, nal
 from repro.types import HOUR
@@ -125,3 +132,48 @@ def test_nal_uses_edf_order_for_etc():
     # ETC=3h (slack 0) while the probe finishes at 1h (slack 1.5h).
     cost = s.cost_of(probe, HOUR, now=0.0, running_remaining=0.0)
     assert cost == -(1.5 * HOUR + 0.0)
+
+
+@pytest.mark.parametrize("queue_length", [5, 200])
+@pytest.mark.parametrize(
+    "scheduler_type", [FCFSScheduler, SJFScheduler, LJFScheduler, EDFScheduler]
+)
+def test_cached_costs_equal_the_reference_exactly(scheduler_type, queue_length):
+    # The version-keyed caches (order, bisected probe position, prefix
+    # fold) must replay the reference float operations in the reference
+    # order: exact equality, also on queues far longer than any golden
+    # run folds.
+    rng = random.Random(queue_length)
+    scheduler = scheduler_type()
+    now, remaining = 12_345.678, 901.234
+    for job_id in range(queue_length):
+        # Mixed magnitudes provoke a rounding difference in any fold
+        # that reorders the summation.
+        ertp = rng.uniform(0.001, 3600.0) * 10 ** rng.randint(-3, 3)
+        deadline = now + rng.uniform(-HOUR, 400 * HOUR)
+        scheduler.enqueue(
+            make_job(job_id, ert=ertp, deadline=deadline),
+            ertp,
+            now=rng.uniform(0.0, now),
+        )
+    deadline_family = scheduler_type is EDFScheduler
+    for probe_id in range(queue_length, queue_length + 5):
+        ertp = rng.uniform(1.0, 3600.0)
+        probe = make_job(
+            probe_id, ert=ertp, deadline=now + rng.uniform(0.0, 400 * HOUR)
+        )
+        order = scheduler.hypothetical_order(probe, ertp)
+        expected = (
+            nal(order, now, remaining)
+            if deadline_family
+            else ettc(order, probe_id, now, remaining)
+        )
+        assert scheduler.cost_of(probe, ertp, now, remaining) == expected
+    for job_id in rng.sample(range(queue_length), 5):
+        order = scheduler.ordered_queue()
+        expected = (
+            nal(order, now, remaining)
+            if deadline_family
+            else ettc(order, job_id, now, remaining)
+        )
+        assert scheduler.queue_cost_of(job_id, now, remaining) == expected

@@ -1,8 +1,13 @@
 """Documentation consistency checks."""
 
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -78,3 +83,30 @@ def test_the_grid_recipe_is_written_once():
         ]
         assert sites == ["experiments/assembly.py"], (call, sites)
 
+
+
+@pytest.mark.parametrize(
+    "module,absent",
+    [
+        ("repro.experiments", ("numpy", "asyncio", "repro.runtime")),
+        ("repro.runtime", ("numpy",)),
+    ],
+)
+def test_import_graph_stays_lean(module, absent):
+    """A simulator process pays for no event loop and no live runtime,
+    and no process of this package imports numpy (a fresh interpreter:
+    this one has long since imported everything)."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    loaded = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            f"import {module}, sys; "
+            f"print([m for m in {absent!r} if m in sys.modules])",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert loaded.stdout.strip() == "[]"
