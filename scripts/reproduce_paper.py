@@ -7,7 +7,10 @@ roughly 15-20 minutes on a laptop.
 
 Usage::
 
-    python scripts/reproduce_paper.py [tiny|small|medium|paper] [seed_count]
+    python scripts/reproduce_paper.py [scale] [seed_count]
+
+``scale`` is any preset name in ``repro.experiments.scale.SCALES``
+(default ``paper``).
 """
 
 import sys
@@ -15,7 +18,7 @@ import time
 from pathlib import Path
 
 from repro.experiments import figures
-from repro.experiments.scale import ScenarioScale
+from repro.experiments.scale import SCALES
 
 FIGURES = [
     ("fig1_completed_jobs", figures.fig1_completed_jobs),
@@ -34,12 +37,7 @@ FIGURES = [
 def main() -> None:
     scale_name = sys.argv[1] if len(sys.argv) > 1 else "paper"
     seed_count = int(sys.argv[2]) if len(sys.argv) > 2 else 3
-    scale = {
-        "tiny": ScenarioScale.tiny,
-        "small": ScenarioScale.small,
-        "medium": ScenarioScale.medium,
-        "paper": ScenarioScale.paper,
-    }[scale_name]()
+    scale = SCALES[scale_name]()
     seeds = tuple(range(seed_count))
     out_dir = (
         Path(__file__).resolve().parent.parent

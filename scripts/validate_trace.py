@@ -5,8 +5,8 @@ so existing CI invocations and docs keep working::
 
     PYTHONPATH=src python scripts/validate_trace.py run.jsonl
     PYTHONPATH=src python scripts/validate_trace.py run.jsonl --max-problems 5
-    PYTHONPATH=src python scripts/validate_trace.py soak.jsonl --rotated
 
+A rotated soak trace validates as one stream (every segment is read).
 Exits nonzero if any event fails validation (or the file is empty).
 """
 

@@ -17,7 +17,8 @@ Everything the library does is reachable from the shell::
     python -m repro soak --top --chaos           # soak with live dashboard
     python -m repro top --port-base 18200        # watch a running overlay
 
-All commands accept ``--scale tiny|small|medium|paper`` and ``--seeds N``
+All commands accept ``--scale tiny|small|medium|paper|large|huge`` and
+``--seeds N``
 (N seeds starting at ``--seed-base``, default 0; the paper averages 10).
 Simulation commands also accept ``--parallel W`` (fan seeds out over W
 worker processes; 0 = all cores) and ``--no-cache`` (skip the on-disk
@@ -32,9 +33,11 @@ from typing import Optional, Sequence
 
 from .baselines import BASELINE_NAMES
 from .experiments import (
+    SCALES,
     SCENARIOS,
+    FailureModel,
+    FaultPlan,
     RunOptions,
-    ScenarioScale,
     get_scenario,
     render_table,
     run,
@@ -45,13 +48,6 @@ from .experiments import figures as figures_module
 from .experiments.report import fmt_hours, fmt_opt
 
 __all__ = ["main"]
-
-_SCALES = {
-    "tiny": ScenarioScale.tiny,
-    "small": ScenarioScale.small,
-    "medium": ScenarioScale.medium,
-    "paper": ScenarioScale.paper,
-}
 
 _FIGURES = {
     "fig1": figures_module.fig1_completed_jobs,
@@ -70,7 +66,7 @@ _FIGURES = {
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scale",
-        choices=sorted(_SCALES),
+        choices=sorted(SCALES),
         default="small",
         help="grid size (paper = 500 nodes / 1000 jobs)",
     )
@@ -95,7 +91,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _scale_and_seeds(args) -> tuple:
-    scale = _SCALES[args.scale]()
+    scale = SCALES[args.scale]()
     seeds = tuple(range(args.seed_base, args.seed_base + args.seeds))
     return scale, seeds
 
@@ -230,18 +226,17 @@ def _add_wire(parser, *, jobs, trace, trace_level) -> None:
     )
 
 
-def _parse_fault_plan(text: str, duration: float):
-    """Build a :class:`FaultPlan` from the ``--faults`` argument value.
+def _parse_plan(cls, text: str, duration: float):
+    """Build a ``cls`` plan (:class:`FaultPlan` for ``--faults``,
+    :class:`FailureModel` for ``--failure-model``) from the flag's value.
 
     ``"default"`` (the bare-flag value) is the representative
-    :meth:`FaultPlan.chaos` plan scaled to the run's protocol-time
-    ``duration``; an inline ``{...}`` string is parsed as JSON; anything
-    else is a path to a JSON file of ``FaultPlan`` fields.
+    ``cls.chaos`` plan scaled to the run's protocol-time ``duration``; an
+    inline ``{...}`` string is parsed as JSON; anything else is a path to
+    a JSON file of the plan's fields.
     """
-    from .experiments import FaultPlan
-
     if text == "default":
-        return FaultPlan.chaos(duration)
+        return cls.chaos(duration)
     import json
 
     if text.lstrip().startswith("{"):
@@ -250,30 +245,7 @@ def _parse_fault_plan(text: str, duration: float):
         from pathlib import Path
 
         data = json.loads(Path(text).read_text())
-    return FaultPlan(**data)
-
-
-def _parse_failure_model(text: str, scale: ScenarioScale):
-    """Build a :class:`FailureModel` from ``--failure-model``.
-
-    Same conventions as :func:`_parse_fault_plan`: ``"default"`` is the
-    representative :meth:`FailureModel.chaos` mix scaled to the run's
-    duration; otherwise inline JSON or a JSON file of ``FailureModel``
-    fields.
-    """
-    from .experiments import FailureModel
-
-    if text == "default":
-        return FailureModel.chaos(scale.duration)
-    import json
-
-    if text.lstrip().startswith("{"):
-        data = json.loads(text)
-    else:
-        from pathlib import Path
-
-        data = json.loads(Path(text).read_text())
-    return FailureModel(**data)
+    return cls(**data)
 
 
 def _cmd_run(args) -> int:
@@ -281,20 +253,20 @@ def _cmd_run(args) -> int:
     scenario = get_scenario(args.scenario)
     trace = _trace_config(args, seeds)
     if args.failure_model is not None:
-        spec = _parse_failure_model(args.failure_model, scale)
+        spec = _parse_plan(FailureModel, args.failure_model, scale.duration)
         options = RunOptions(
             scenario_name=args.scenario,
             reliability=not args.no_reliability,
             adoption=not args.no_adoption,
             # Compose node failures with network faults in one run.
             fault_plan=(
-                _parse_fault_plan(args.faults, scale.duration)
+                _parse_plan(FaultPlan, args.faults, scale.duration)
                 if args.faults is not None
                 else None
             ),
         )
     elif args.faults is not None:
-        spec = _parse_fault_plan(args.faults, scale.duration)
+        spec = _parse_plan(FaultPlan, args.faults, scale.duration)
         options = RunOptions(
             scenario_name=args.scenario,
             reliability=not args.no_reliability,
@@ -421,7 +393,7 @@ def _wire_fields(args, soak: bool, schedule_type) -> dict:
         port_base=args.port_base,
         dashboard=args.top,
         fault_plan=(
-            _parse_fault_plan(args.faults, duration)
+            _parse_plan(FaultPlan, args.faults, duration)
             if args.faults is not None
             else None
         ),
@@ -749,12 +721,10 @@ def _cmd_explain_job(args) -> int:
     import json
 
     from .errors import ConfigurationError
-    from .obs import explain_job, load_rotated_trace
+    from .obs import explain_job, load_trace
 
     try:
-        # Rotated soak traces stitch back together transparently; an
-        # unrotated trace is just its own single segment.
-        events = load_rotated_trace(args.trace)
+        events = load_trace(args.trace)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ from .messages import (
     Track,
 )
 from .protocol import AriaAgent
-from .selection import current_queue_cost, select_inform_candidates
+from .selection import select_inform_candidates
 
 __all__ = [
     "Accept",
@@ -27,6 +27,5 @@ __all__ = [
     "ProbeReply",
     "Request",
     "Track",
-    "current_queue_cost",
     "select_inform_candidates",
 ]

@@ -20,13 +20,19 @@ The log also survives crash-restart (the protocol layer carries it
 across :meth:`AriaAgent.restart`): it is the executor's durable journal,
 the analogue of the tiny write-ahead completion record any real
 scheduler persists, and it is what stops a restarted node from
-re-executing a job whose Done got lost with the crash.
+re-executing a job whose Done got lost with the crash.  Inside one
+process the Python heap is durable enough; across *real* process deaths
+the log takes a :class:`~repro.core.journal.DurableJournal` as its
+write-ahead backend — every completion reaches the disk before the log
+(and so anyone asking it) remembers it, and binding replays what the
+journal recovered at open.  The disk file is the only unbounded copy;
+memory stays capped either way.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..types import JobId
@@ -37,7 +43,7 @@ __all__ = ["CompletionLog"]
 class CompletionLog:
     """An insertion-ordered job-id set with size- and age-gated eviction."""
 
-    __slots__ = ("max_size", "min_age", "_entries")
+    __slots__ = ("max_size", "min_age", "_entries", "_journal")
 
     def __init__(self, max_size: int = 4096, min_age: float = 3600.0) -> None:
         if max_size < 1:
@@ -49,9 +55,26 @@ class CompletionLog:
         #: job id -> completion time, oldest first (completion times are
         #: monotonic, so insertion order is age order).
         self._entries: "OrderedDict[JobId, float]" = OrderedDict()
+        self._journal = None
 
-    def add(self, job_id: JobId, now: float) -> None:
-        """Record a completion and evict what is both old and over-cap."""
+    def bind(self, journal) -> List[Tuple[JobId, float, int]]:
+        """Take ``journal`` as the write-ahead backend and replay what it
+        recovered at open; returns those ``(job, finished_at,
+        incarnation)`` entries."""
+        self._journal = journal
+        recovered = journal.completions
+        for job_id, finished_at, _incarnation in recovered:
+            self._remember(job_id, finished_at)
+        return recovered
+
+    def add(self, job_id: JobId, now: float, incarnation: int = 0) -> None:
+        """Record a completion — on the journal first, when there is one —
+        and evict what is both old and over-cap."""
+        if self._journal is not None:
+            self._journal.record_completion(job_id, now, incarnation)
+        self._remember(job_id, now)
+
+    def _remember(self, job_id: JobId, now: float) -> None:
         entries = self._entries
         entries[job_id] = now
         if len(entries) <= self.max_size:

@@ -84,12 +84,6 @@ class AriaConfig:
     #: pass through it, and 100k nodes × two 4096-entry caches would cost
     #: tens of GB of RSS for dedup state that is > 99 % expired.
     seen_cache_capacity: int = 4096
-    #: Upper bound on the per-agent static host-match cache (job ids seen
-    #: by REQUEST/INFORM floods).  The cache is pure memoization — when it
-    #: fills up it is simply cleared and re-warms, so results never
-    #: change; the bound keeps per-agent memory independent of how many
-    #: jobs flood past over a run's lifetime.
-    match_cache_limit: int = 4096
     #: Straggler defense: when > 0, an assignee gives every accepted job
     #: an execution deadline of ``estimate × slack`` and, once overdue,
     #: advertises the job with a cost penalty that grows with the delay,
@@ -120,7 +114,5 @@ class AriaConfig:
             raise ConfigurationError("adoption_windows must be >= 1")
         if self.seen_cache_capacity < 1:
             raise ConfigurationError("seen_cache_capacity must be >= 1")
-        if self.match_cache_limit < 1:
-            raise ConfigurationError("match_cache_limit must be >= 1")
         if self.exec_deadline_slack < 0:
             raise ConfigurationError("exec_deadline_slack must be >= 0")

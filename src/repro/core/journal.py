@@ -1,10 +1,10 @@
 """Durable write-ahead journal: executor state that survives the process.
 
-The in-memory :class:`~repro.core.state.CompletionLog` is what
+The in-memory :class:`~repro.core.completion.CompletionLog` is what
 :meth:`AriaAgent.restart` calls "the executor's durable journal" — and
 inside one process that is honest, because a simulated crash never
 destroys the Python heap.  A *real* crash (SIGKILL, OOM, power) does.
-:class:`DurableJournal` is the on-disk backing that keeps the
+:class:`DurableJournal` is the log's on-disk backend that keeps the
 cross-incarnation no-double-execution invariant true across actual
 process deaths: every completion is fsync'd to an append-only JSONL file
 *before* it is announced to the grid, and every incarnation bump is
@@ -76,7 +76,9 @@ class DurableJournal:
         self.fsync = fsync
         #: Last recorded incarnation (``None`` for a fresh journal).
         self.incarnation: Optional[int] = None
-        #: Recovered ``(job_id, finished_at, incarnation)`` entries.
+        #: ``(job_id, finished_at, incarnation)`` entries recovered at
+        #: open.  Appends go to disk only — the bounded in-memory copy is
+        #: the :class:`~repro.core.completion.CompletionLog` in front.
         self.completions: List[Tuple[int, float, int]] = []
         #: Bytes of torn tail dropped on open (0 = clean shutdown).
         self.torn_bytes = 0
@@ -168,7 +170,6 @@ class DurableJournal:
                 "inc": int(incarnation),
             }
         )
-        self.completions.append((job_id, float(finished_at), int(incarnation)))
 
     def _append(self, record: dict) -> None:
         handle = self._handle

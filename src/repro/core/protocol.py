@@ -60,7 +60,7 @@ from .messages import (
     Request,
     Track,
 )
-from .selection import current_queue_cost, select_inform_candidates
+from .selection import select_inform_candidates
 
 __all__ = ["AriaAgent"]
 
@@ -69,22 +69,89 @@ __all__ = ["AriaAgent"]
 Offer = Tuple[float, NodeId]
 
 
+#: Bound of the per-agent static host-match cache (job ids seen by
+#: REQUEST/INFORM floods).  Pure memoization — a full cache is cleared and
+#: re-warms, so results never change; the bound keeps per-agent memory
+#: independent of how many jobs flood past over a run's lifetime.
+_MATCH_CACHE_LIMIT = 4096
+
+
 class _PendingRequest:
     """Discovery state of one job waiting for ACCEPT offers.
 
-    ``reschedule`` marks a *hand-off* discovery: the job is already
-    assigned to this (leaving) node and is being re-delegated, so the final
-    ASSIGN is a reschedule and the node itself is the fallback executor.
+    ``initiator`` marks a *hand-off* discovery: the job is already
+    assigned to this (leaving) node and is being re-delegated on behalf
+    of that original initiator, so the final ASSIGN is a reschedule and
+    the node itself is the fallback executor.  ``None`` is a discovery
+    this node runs as the job's own initiator.
     """
 
-    __slots__ = ("job", "offers", "retries", "timer", "reschedule")
+    __slots__ = ("job", "offers", "retries", "timer", "initiator")
 
-    def __init__(self, job: Job, reschedule: bool = False) -> None:
+    def __init__(self, job: Job, initiator: Optional[NodeId] = None) -> None:
         self.job = job
         self.offers: List[Offer] = []
         self.retries = 0
         self.timer: Optional[TimerHandle] = None
-        self.reschedule = reschedule
+        self.initiator = initiator
+
+    @property
+    def reschedule(self) -> bool:
+        return self.initiator is not None
+
+
+class _Tracked:
+    """Initiator role (§III-D fail-safe): a job this node delegated and
+    probes until its Done arrives.
+
+    ``misses`` counts consecutive unanswered probe rounds (two resubmit
+    the job); ``probe_timer`` is armed while a probe awaits its reply.
+    """
+
+    __slots__ = ("job", "assignee", "misses", "probe_timer")
+
+    def __init__(self, job: Job, assignee: NodeId) -> None:
+        self.job = job
+        self.assignee = assignee
+        self.misses = 0
+        self.probe_timer: Optional[TimerHandle] = None
+
+    def moved_to(self, assignee: NodeId) -> None:
+        """Fresh assignment news clears any suspicion built by stale
+        probes; a probe still in flight stays armed."""
+        self.assignee = assignee
+        self.misses = 0
+
+
+class _Held:
+    """Assignee role: a job waiting or running on this node.
+
+    ``initiator`` is where its Done goes.  ``last_probe`` feeds the
+    orphan detector: when this node last heard from the job's tracker
+    (``None`` = not watched — own job, or already declared orphaned);
+    ``adopted`` remembers that this node took over the initiator role,
+    so a probe from a resurfacing initiator can cede it back.
+    ``exec_deadline`` is the straggler defense's deadline while the job
+    waits (``None`` = none, or already running) and ``overdue`` whether
+    blowing it has been counted.
+    """
+
+    __slots__ = (
+        "job",
+        "initiator",
+        "last_probe",
+        "adopted",
+        "exec_deadline",
+        "overdue",
+    )
+
+    def __init__(self, job: Job, initiator: NodeId) -> None:
+        self.job = job
+        self.initiator = initiator
+        self.last_probe: Optional[float] = None
+        self.adopted = False
+        self.exec_deadline: Optional[float] = None
+        self.overdue = False
 
 
 class AriaAgent:
@@ -108,27 +175,20 @@ class AriaAgent:
         "_pending",
         "_seen_requests",
         "_seen_informs",
-        "_job_initiators",
         "_broadcast_seq",
         "_inform_stop",
         "_tracked",
-        "_probe_timeouts",
-        "_suspect",
+        "_held",
         "_failsafe_stop",
         "_completed",
         "_redelegated",
         "journal",
         "incarnation",
-        "_last_probe",
-        "_adopted",
-        "_exec_deadlines",
-        "_deadline_overdue",
         "failed",
         "leaving",
         "departed",
         "_depart_timer",
         "_match_cache",
-        "_match_cache_limit",
         "_dispatch",
         "grid_state",
     )
@@ -167,13 +227,14 @@ class AriaAgent:
         self._pending: Dict[JobId, _PendingRequest] = {}
         self._seen_requests = SeenCache(config.seen_cache_capacity)
         self._seen_informs = SeenCache(config.seen_cache_capacity)
-        self._job_initiators: Dict[JobId, NodeId] = {}
         self._broadcast_seq = 0
         self._inform_stop = None
-        # Fail-safe state (initiator side): job -> (descriptor, assignee).
-        self._tracked: Dict[JobId, Tuple[Job, NodeId]] = {}
-        self._probe_timeouts: Dict[JobId, TimerHandle] = {}
-        self._suspect: Dict[JobId, int] = {}
+        # One record per job per role (see docs/PROTOCOL.md): jobs this
+        # node tracks as initiator, probed in insertion order, and jobs it
+        # holds as assignee, scanned in ASSIGN-arrival order.  Both are
+        # volatile — a crash drops them.
+        self._tracked: Dict[JobId, _Tracked] = {}
+        self._held: Dict[JobId, _Held] = {}
         self._failsafe_stop = None
         # Probe-reconciliation memory (executor/assignee side): jobs this
         # node finished, and where it last re-delegated each job.  Both let
@@ -186,24 +247,11 @@ class AriaAgent:
         self._redelegated: Dict[JobId, NodeId] = {}
         #: Optional :class:`~repro.core.journal.DurableJournal` backing
         #: the completion log and incarnation counter on disk (attached
-        #: by :meth:`bind_journal` in the process-isolated runtime;
-        #: ``None`` costs one check per completion).
+        #: by :meth:`bind_journal` in the process-isolated runtime).
         self.journal = None
         #: Restart generation: bumped by :meth:`restart`, stamped into
         #: transport deliveries so the past cannot talk to the present.
         self.incarnation = 0
-        # Orphan-recovery state (assignee side): when this node last saw a
-        # fail-safe probe for each held job.  A held job whose remote
-        # initiator stays silent for ``adoption_windows`` probe intervals
-        # is orphaned (its tracker crashed) — adoption takes over the
-        # initiator role; ``_adopted`` remembers which jobs, so a probe
-        # from a resurfacing initiator can cede the role back.
-        self._last_probe: Dict[JobId, float] = {}
-        self._adopted: set = set()
-        # Straggler-defense state (assignee side): per-job execution
-        # deadlines and which jobs already blew them.
-        self._exec_deadlines: Dict[JobId, float] = {}
-        self._deadline_overdue: set = set()
         self.failed = False
         #: Graceful-departure state: a leaving node hands its queue off,
         #: finishes any running job, then departs the grid.
@@ -215,7 +263,6 @@ class AriaAgent:
         #: node's fixed profile/scheduler, so the verdict is computed once
         #: per job id; liveness (leaving/failed) stays outside the cache.
         self._match_cache: Dict[JobId, bool] = {}
-        self._match_cache_limit = config.match_cache_limit
         #: Optional :class:`~repro.grid.state.GridState` this agent mirrors
         #: its live bit into (assigned by the grid builder; ``None`` costs
         #: one check per membership transition).
@@ -300,15 +347,8 @@ class AriaAgent:
                     node=self.node_id,
                 )
         self._pending.clear()
-        self._last_probe.clear()
-        self._adopted.clear()
-        self._exec_deadlines.clear()
-        self._deadline_overdue.clear()
-        for timeout in self._probe_timeouts.values():
-            self.sim.cancel(timeout)
-        self._probe_timeouts.clear()
-        self._tracked.clear()
-        self._suspect.clear()
+        self._held.clear()
+        self._abandon_tracking()
         if self._depart_timer is not None:
             self.sim.cancel(self._depart_timer)
             self._depart_timer = None
@@ -331,11 +371,11 @@ class AriaAgent:
         """Rejoin the grid after a crash, under a fresh incarnation.
 
         Volatile state died with the crash and stays dead: flood dedup
-        windows, discovery state, the fail-safe tracking table, initiator
-        and suspicion bookkeeping, orphan/deadline state.  Two things
-        survive — the completion log and the re-delegation pointers — the
-        executor's durable journal (the analogue of the tiny write-ahead
-        completion record real schedulers persist).  The journal is a
+        windows, discovery state, and the tracked / held job records
+        (:meth:`fail` dropped them).  Two things survive — the completion
+        log and the re-delegation pointers — the executor's durable
+        journal (the analogue of the tiny write-ahead completion record
+        real schedulers persist).  The journal is a
         *safety* requirement, not a convenience: without it a tracker
         whose Done/Track notification died with the old incarnation would
         probe the reborn node, hear "never heard of that job", and
@@ -366,8 +406,6 @@ class AriaAgent:
         self.node.revive()
         self._seen_requests = SeenCache(self.config.seen_cache_capacity)
         self._seen_informs = SeenCache(self.config.seen_cache_capacity)
-        self._job_initiators.clear()
-        self._suspect.clear()
         self.transport.register(self.node_id, self._on_message)
         self.metrics.node_restarted(self.node_id, self.sim.now)
         if self._trace is not None:
@@ -387,22 +425,21 @@ class AriaAgent:
         deaths: the in-memory completion log that :meth:`restart`
         preserves dies with the OS process, so a journal-less reborn
         process would answer fail-safe probes with "never heard of that
-        job" and trigger cross-incarnation double execution.  Recovery
-        replays every journaled completion into the probe-reconciliation
-        memory, resumes the incarnation counter strictly past every one
-        that ever ran here (pinning it into the transport's slab so
-        stamping works from the first message), and narrates itself on
-        the trace bus: one ``journal.recovered`` summary plus a
-        ``journal.replayed`` entry per restored completion (capped),
-        which is the pre-/post-kill evidence the chaos gauntlet checks.
+        job" and trigger cross-incarnation double execution.  The
+        completion log takes the journal as its write-ahead backend
+        (replaying what it recovered); this method resumes the
+        incarnation counter strictly past every one that ever ran here
+        (pinning it into the transport's slab so stamping works from the
+        first message) and narrates the recovery on the trace bus: one
+        ``journal.recovered`` summary plus a ``journal.replayed`` entry
+        per restored completion (capped), which is the pre-/post-kill
+        evidence the chaos gauntlet checks.
 
         Call before :meth:`start`, on a freshly constructed agent.
         """
         self.journal = journal
         incarnation = journal.boot()
-        recovered = list(journal.completions)
-        for job_id, finished_at, _incarnation in recovered:
-            self._completed.add(job_id, finished_at)
+        recovered = self._completed.bind(journal)
         if incarnation:
             self.incarnation = incarnation
             self.transport.set_incarnation(self.node_id, incarnation)
@@ -449,8 +486,9 @@ class AriaAgent:
         for entry in self.node.scheduler.queued():
             removed = self.node.withdraw_job(entry.job.job_id)
             if removed is not None:
-                self._forget_execution_state(removed.job.job_id)
-                self._begin_discovery(removed.job, reschedule=True)
+                self._begin_discovery(
+                    removed.job, self._release(removed.job.job_id)
+                )
                 handed_off += 1
         self._maybe_depart()
         return handed_off
@@ -465,9 +503,12 @@ class AriaAgent:
         """
         now = self.sim.now
         running = self.node.running
-        last_probe_age = (
-            now - max(self._last_probe.values()) if self._last_probe else None
-        )
+        probes = [
+            held.last_probe
+            for held in self._held.values()
+            if held.last_probe is not None
+        ]
+        last_probe_age = now - max(probes) if probes else None
         return {
             "incarnation": self.incarnation,
             "failed": self.failed,
@@ -516,11 +557,7 @@ class AriaAgent:
         # same way a crashed one does: an outstanding probe timeout left
         # armed here would fire after the node left the overlay and try to
         # re-broadcast a REQUEST from a node the graph no longer knows.
-        for timeout in self._probe_timeouts.values():
-            self.sim.cancel(timeout)
-        self._probe_timeouts.clear()
-        self._tracked.clear()
-        self._suspect.clear()
+        self._abandon_tracking()
         self.transport.unregister(self.node_id)
         if self.graph.has_node(self.node_id):
             self.graph.remove_node(self.node_id)
@@ -543,8 +580,10 @@ class AriaAgent:
             )
         self._begin_discovery(job)
 
-    def _begin_discovery(self, job: Job, reschedule: bool = False) -> None:
-        pending = _PendingRequest(job, reschedule=reschedule)
+    def _begin_discovery(
+        self, job: Job, initiator: Optional[NodeId] = None
+    ) -> None:
+        pending = _PendingRequest(job, initiator)
         self._pending[job.job_id] = pending
         self._broadcast_request(job)
         pending.timer = self.sim.call_after(
@@ -621,6 +660,7 @@ class AriaAgent:
                             job=job_id,
                             node=self.node_id,
                         )
+                    self._held[job_id] = _Held(job, pending.initiator)
                     self.node.accept_job(job)
                     return
                 self._untrack(job_id)
@@ -653,12 +693,13 @@ class AriaAgent:
                 offers=len(pending.offers),
                 reschedule=pending.reschedule,
             )
-        if self.config.failsafe and not pending.reschedule:
-            self._tracked[job_id] = (job, winner)
-            self._suspect.pop(job_id, None)
-        self._send_assign(winner, job, reschedule=pending.reschedule)
         if pending.reschedule:
+            self._send_assign(winner, job, pending.initiator, reschedule=True)
             self._maybe_depart()
+            return
+        if self.config.failsafe:
+            self._tracked[job_id] = _Tracked(job, winner)
+        self._send_assign(winner, job, self.node_id, reschedule=False)
 
     def _send_control(self, dst: NodeId, message: Message) -> None:
         """Send a control-plane-critical message (ASSIGN / Track / Done /
@@ -674,30 +715,28 @@ class AriaAgent:
         else:
             self.transport.send(self.node_id, dst, message)
 
-    def _send_assign(self, target: NodeId, job: Job, reschedule: bool) -> None:
+    def _send_assign(
+        self, target: NodeId, job: Job, initiator: NodeId, reschedule: bool
+    ) -> None:
         """Delegate ``job`` to ``target`` (initial assignment or reschedule).
 
-        Reschedules resolve the job's original initiator, release the local
-        initiator bookkeeping, and notify the initiator (Track) when
-        tracking is active.
+        A reschedule travels under the job's original ``initiator`` and
+        notifies it (Track) when tracking is active.
         """
         if reschedule:
-            initiator = self._job_initiators.pop(job.job_id, self.node_id)
             # Remember the forwarding pointer: a probe that finds the job
             # gone from here can steer the initiator to ``target`` even if
             # the Track notification below never makes it.
             self._redelegated[job.job_id] = target
-        else:
-            initiator = self.node_id
         message = Assign(initiator=initiator, job=job, reschedule=reschedule)
         self._send_control(target, message)
         if reschedule and (
             self.config.notify_initiator or self.config.failsafe
         ):
             if initiator == self.node_id:
-                if job.job_id in self._tracked:
-                    self._tracked[job.job_id] = (job, target)
-                    self._suspect.pop(job.job_id, None)
+                tracked = self._tracked.get(job.job_id)
+                if tracked is not None:
+                    tracked.moved_to(target)
             else:
                 self._send_control(initiator, Track(job.job_id, target))
 
@@ -729,17 +768,19 @@ class AriaAgent:
             # An incoming probe is proof the job's tracker is alive: feed
             # the orphan detector, and if this node had *adopted* the job
             # (falsely — e.g. the initiator restarted, or its probes were
-            # partitioned away), cede the initiator role back.
-            self._last_probe[job_id] = self.sim.now
-            if job_id in self._adopted and message.initiator != self.node_id:
-                self._adopted.discard(job_id)
-                self._job_initiators[job_id] = message.initiator
-                self._untrack(job_id)
+            # partitioned away), cede the initiator role back.  (A job in
+            # a hand-off discovery has no held record to feed.)
+            held = self._held.get(job_id)
+            if held is not None:
+                held.last_probe = self.sim.now
+                if held.adopted and message.initiator != self.node_id:
+                    held.adopted = False
+                    held.initiator = message.initiator
+                    self._untrack(job_id)
+        elif job_id in self._completed:
+            done = True
         else:
-            if job_id in self._completed:
-                done = True
-            else:
-                new_assignee = self._redelegated.get(job_id)
+            new_assignee = self._redelegated.get(job_id)
         self._send_control(
             message.initiator,
             ProbeReply(job_id, holds, done=done, new_assignee=new_assignee),
@@ -771,7 +812,7 @@ class AriaAgent:
         cached = self._match_cache.get(job.job_id)
         if cached is None:
             cached = self._hosts_family(job) and self.node.can_execute(job)
-            if len(self._match_cache) >= self._match_cache_limit:
+            if len(self._match_cache) >= _MATCH_CACHE_LIMIT:
                 # Pure memoization: dropping entries only costs re-derival,
                 # so a flush-and-rewarm keeps memory bounded over runs that
                 # flood hundreds of thousands of job ids past each node.
@@ -870,28 +911,28 @@ class AriaAgent:
         candidates = select_inform_candidates(
             scheduler, self.config.inform_count, now, running_remaining
         )
-        deadlines = self._exec_deadlines
-        if self._deadline_slack > 0.0 and deadlines:
+        guarded = self._deadline_slack > 0.0
+        if guarded:
             candidates = self._with_overdue_candidates(candidates, now)
         policy = self.config.inform_flood
         hops_left = policy.max_hops - 1
         self.metrics.informs_advertised(len(candidates))
         for entry in candidates:
-            cost = current_queue_cost(
-                scheduler, entry.job.job_id, now, running_remaining
+            cost = scheduler.queue_cost_of(
+                entry.job.job_id, now, running_remaining
             )
-            if deadlines:
-                deadline = deadlines.get(entry.job.job_id)
-                if deadline is not None and now > deadline:
+            if guarded:
+                overdue = self._overdue(entry.job.job_id, now)
+                if overdue > 0.0:
                     # Straggler defense: an overdue job is advertised at
                     # its cost *plus* the overdue time, a penalty that
                     # grows every round until some other node's honest
                     # quote beats it and the INFORM path pulls the job
                     # off this (possibly fail-slow) node.
-                    overdue = now - deadline
                     cost += overdue
-                    if entry.job.job_id not in self._deadline_overdue:
-                        self._deadline_overdue.add(entry.job.job_id)
+                    held = self._held[entry.job.job_id]
+                    if not held.overdue:
+                        held.overdue = True
                         self.metrics.job_deadline_exceeded(
                             entry.job.job_id, now
                         )
@@ -932,8 +973,9 @@ class AriaAgent:
         chosen = {entry.job.job_id for entry in candidates}
         scheduler = self.node.scheduler
         extra = []
-        for job_id, deadline in self._exec_deadlines.items():
-            if now <= deadline or job_id in chosen:
+        for job_id, held in self._held.items():
+            deadline = held.exec_deadline
+            if deadline is None or now <= deadline or job_id in chosen:
                 continue
             entry = scheduler.find(job_id)
             if entry is not None:
@@ -990,18 +1032,13 @@ class AriaAgent:
         entry = self.node.scheduler.find(message.job_id)
         if entry is None:
             return  # job started, finished, or already rescheduled: stale
-        own_cost = current_queue_cost(
-            self.node.scheduler,
-            message.job_id,
-            self.sim.now,
-            self.node.running_remaining(),
+        own_cost = self.node.scheduler.queue_cost_of(
+            message.job_id, self.sim.now, self.node.running_remaining()
         )
-        if self._exec_deadlines:
-            deadline = self._exec_deadlines.get(message.job_id)
-            if deadline is not None and self.sim.now > deadline:
-                # Mirror the INFORM-side penalty so the offer that the
-                # inflated advertisement attracted actually wins here.
-                own_cost += self.sim.now - deadline
+        if self._deadline_slack > 0.0:
+            # Mirror the INFORM-side penalty so the offer that the
+            # inflated advertisement attracted actually wins here.
+            own_cost += self._overdue(message.job_id, self.sim.now)
         if self._trace is not None:
             self._trace.emit(
                 "accept.received",
@@ -1027,8 +1064,12 @@ class AriaAgent:
                 own_cost=own_cost,
                 offer_cost=message.cost,
             )
-        self._forget_execution_state(message.job_id)
-        self._send_assign(message.node, removed.job, reschedule=True)
+        self._send_assign(
+            message.node,
+            removed.job,
+            self._release(message.job_id),
+            reschedule=True,
+        )
 
     # ------------------------------------------------------------------
     # Assignment receipt and execution hooks
@@ -1058,7 +1099,6 @@ class AriaAgent:
                     src=src,
                 )
             return
-        self._job_initiators[job.job_id] = message.initiator
         self._redelegated.pop(job.job_id, None)
         # The wire copy may be this process's first sight of the job
         # (metrics are sharded per OS process in the isolated runtime).
@@ -1078,44 +1118,51 @@ class AriaAgent:
         if self.leaving:
             # An ASSIGN that raced our departure cannot be declined; the
             # leaving node immediately re-delegates it instead of queueing.
-            self._begin_discovery(job, reschedule=True)
+            self._begin_discovery(job, message.initiator)
             return
         if self._trace is not None:
             self._trace.emit(
                 "job.queued", self.sim.now, job=job.job_id, node=self.node_id
             )
+        held = self._held[job.job_id] = _Held(job, message.initiator)
         if self.config.failsafe:
             # Seed the orphan detector: treat the ASSIGN itself as the
             # tracker's first sign of life.
-            self._last_probe[job.job_id] = self.sim.now
+            held.last_probe = self.sim.now
         if self._deadline_slack > 0.0:
             # Execution deadline: the queue-wait + runtime estimate this
             # node would quote right now, stretched by the slack.  NAL
             # costs are not time-like, so the job's own scaled runtime is
             # the floor of the estimate.
             estimate = max(self.node.cost_for(job), self.node.ertp(job))
-            self._exec_deadlines[job.job_id] = (
-                self.sim.now + estimate * self._deadline_slack
-            )
+            held.exec_deadline = self.sim.now + estimate * self._deadline_slack
         self.node.accept_job(job)
 
-    def _forget_execution_state(self, job_id: JobId) -> None:
-        """Drop assignee-side per-job state once the job leaves this node
-        (finished, withdrawn for rescheduling, or handed off)."""
-        self._last_probe.pop(job_id, None)
-        self._adopted.discard(job_id)
-        self._exec_deadlines.pop(job_id, None)
-        self._deadline_overdue.discard(job_id)
+    def _release(self, job_id: JobId) -> NodeId:
+        """Drop the held record of a job leaving this node (finished,
+        withdrawn for rescheduling, or handed off); returns the job's
+        initiator — this node itself for a job nobody assigned."""
+        held = self._held.pop(job_id, None)
+        return held.initiator if held is not None else self.node_id
+
+    def _overdue(self, job_id: JobId, now: float) -> float:
+        """How far a waiting job is past its execution deadline (0.0 when
+        it has none or is within it)."""
+        held = self._held.get(job_id)
+        if held is None or held.exec_deadline is None:
+            return 0.0
+        return max(0.0, now - held.exec_deadline)
 
     def _on_job_started(self, node: GridNode, running: RunningJob) -> None:
         self.metrics.job_started(
             running.job.job_id, node.node_id, self.sim.now
         )
-        if self._exec_deadlines:
+        if self._deadline_slack > 0.0:
             # Once running, a job can never move (no preemption, §III-A):
             # its deadline has nothing left to defend.
-            self._exec_deadlines.pop(running.job.job_id, None)
-            self._deadline_overdue.discard(running.job.job_id)
+            held = self._held.get(running.job.job_id)
+            if held is not None:
+                held.exec_deadline = None
         if self._trace is not None:
             self._trace.emit(
                 "job.started",
@@ -1126,17 +1173,12 @@ class AriaAgent:
 
     def _on_job_finished(self, node: GridNode, finished: RunningJob) -> None:
         job_id = finished.job.job_id
-        initiator = self._job_initiators.pop(job_id, None)
-        self._completed.add(job_id, self.sim.now)
-        if self.journal is not None:
-            # Write-ahead: the completion reaches the disk before anyone
-            # (metrics, trace, the Done to the initiator) hears of it, so
-            # a kill between here and the announcement can only lose the
-            # announcement — never the memory that the job already ran.
-            self.journal.record_completion(
-                job_id, self.sim.now, self.incarnation
-            )
-        self._forget_execution_state(job_id)
+        # Write-ahead: a journal-backed log puts the completion on disk
+        # before anyone (metrics, trace, the Done to the initiator) hears
+        # of it, so a kill between here and the announcement can only lose
+        # the announcement — never the memory that the job already ran.
+        self._completed.add(job_id, self.sim.now, self.incarnation)
+        initiator = self._release(job_id)
         self.metrics.job_finished(
             job_id, node.node_id, self.sim.now, incarnation=self.incarnation
         )
@@ -1148,7 +1190,7 @@ class AriaAgent:
                 node=node.node_id,
                 incarnation=self.incarnation,
             )
-        if self.config.failsafe and initiator is not None:
+        if self.config.failsafe:
             if initiator == self.node_id:
                 self._untrack(job_id)
             else:
@@ -1159,26 +1201,29 @@ class AriaAgent:
     # Fail-safe mode (§III-D crash-recovery sketch)
     # ------------------------------------------------------------------
     def _untrack(self, job_id: JobId) -> None:
-        self._tracked.pop(job_id, None)
-        self._suspect.pop(job_id, None)
-        timeout = self._probe_timeouts.pop(job_id, None)
-        if timeout is not None:
-            self.sim.cancel(timeout)
+        tracked = self._tracked.pop(job_id, None)
+        if tracked is not None and tracked.probe_timer is not None:
+            self.sim.cancel(tracked.probe_timer)
+
+    def _abandon_tracking(self) -> None:
+        """Stop tracking every job (this node crashed or departed)."""
+        for tracked in self._tracked.values():
+            if tracked.probe_timer is not None:
+                self.sim.cancel(tracked.probe_timer)
+        self._tracked.clear()
 
     def _handle_track(self, src: NodeId, message: Track) -> None:
         """Update the believed assignee of a tracked job."""
-        entry = self._tracked.get(message.job_id)
-        if entry is None:
-            return
-        self._tracked[message.job_id] = (entry[0], message.new_assignee)
-        # Fresh assignment news clears any suspicion built by stale probes.
-        self._suspect.pop(message.job_id, None)
+        tracked = self._tracked.get(message.job_id)
+        if tracked is not None:
+            tracked.moved_to(message.new_assignee)
 
     def _failsafe_round(self) -> None:
         """Probe the believed assignee of every tracked, unfinished job."""
-        for job_id, (_job, assignee) in list(self._tracked.items()):
-            if job_id in self._pending or job_id in self._probe_timeouts:
+        for job_id, tracked in list(self._tracked.items()):
+            if job_id in self._pending or tracked.probe_timer is not None:
                 continue  # being rediscovered / probe already in flight
+            assignee = tracked.assignee
             if assignee == self.node_id:
                 continue  # local job: completion is observed directly
             if self._trace is not None:
@@ -1190,19 +1235,11 @@ class AriaAgent:
                     assignee=assignee,
                 )
             self._send_control(assignee, Probe(job_id, self.node_id))
-            self._probe_timeouts[job_id] = self.sim.call_after(
+            tracked.probe_timer = self.sim.call_after(
                 self.config.probe_timeout, self._probe_missed, job_id
             )
-        if self._last_probe:
+        if self._held:
             self._orphan_scan()
-
-    def _held_job(self, job_id: JobId) -> Optional[Job]:
-        """The descriptor of a job waiting or running here, else ``None``."""
-        running = self.node.running
-        if running is not None and running.job.job_id == job_id:
-            return running.job
-        entry = self.node.scheduler.find(job_id)
-        return entry.job if entry is not None else None
 
     def _orphan_scan(self) -> None:
         """Assignee side: detect jobs whose initiator has gone silent.
@@ -1220,17 +1257,17 @@ class AriaAgent:
         """
         now = self.sim.now
         window = self.config.adoption_windows * self.config.probe_interval
-        for job_id, last_seen in list(self._last_probe.items()):
-            if not self.node.holds_job(job_id):
-                del self._last_probe[job_id]
+        for job_id, held in self._held.items():
+            last_seen = held.last_probe
+            if last_seen is None:
                 continue
-            initiator = self._job_initiators.get(job_id)
-            if initiator is None or initiator == self.node_id:
-                del self._last_probe[job_id]
+            initiator = held.initiator
+            if initiator == self.node_id:
+                held.last_probe = None  # own job: nobody else tracks it
                 continue
             if now - last_seen < window:
                 continue
-            del self._last_probe[job_id]
+            held.last_probe = None
             self.metrics.job_orphaned(job_id, now)
             if self._trace is not None:
                 self._trace.emit(
@@ -1242,13 +1279,9 @@ class AriaAgent:
                 )
             if not self._adoption:
                 continue
-            job = self._held_job(job_id)
-            if job is None:  # pragma: no cover - holds_job checked above
-                continue
-            self._adopted.add(job_id)
-            self._job_initiators[job_id] = self.node_id
-            self._tracked[job_id] = (job, self.node_id)
-            self._suspect.pop(job_id, None)
+            held.adopted = True
+            held.initiator = self.node_id
+            self._tracked[job_id] = _Tracked(held.job, self.node_id)
             self.metrics.job_adopted(job_id, now)
             if self._trace is not None:
                 self._trace.emit(
@@ -1269,18 +1302,20 @@ class AriaAgent:
         double-count a single unanswered round.
         """
         job_id = message.job_id
-        timeout = self._probe_timeouts.pop(job_id, None)
+        tracked = self._tracked.get(job_id)
+        if tracked is None:
+            return
+        timeout = tracked.probe_timer
         if timeout is not None:
             self.sim.cancel(timeout)
-        if job_id not in self._tracked:
-            return
+            tracked.probe_timer = None
         if message.done:
             # The assignee executed the job but its Done notification was
             # permanently lost: reconcile and stop tracking.
             self._untrack(job_id)
             return
         if message.holds:
-            self._suspect.pop(job_id, None)
+            tracked.misses = 0
             return
         if message.new_assignee is not None:
             if message.new_assignee == self.node_id and not (
@@ -1289,13 +1324,11 @@ class AriaAgent:
                 # The forwarding pointer aims back here but nothing ever
                 # arrived (the re-ASSIGN itself died): treat as a miss so
                 # the job gets resubmitted rather than tracked forever.
-                self._record_probe_miss(job_id)
+                self._record_probe_miss(tracked)
                 return
             # The job moved on and the Track notification was lost: follow
             # the forwarding pointer instead of suspecting a crash.
-            job, _old = self._tracked[job_id]
-            self._tracked[job_id] = (job, message.new_assignee)
-            self._suspect.pop(job_id, None)
+            tracked.moved_to(message.new_assignee)
             return
         if timeout is None:
             return  # duplicate / post-timeout reply: miss already counted
@@ -1303,16 +1336,18 @@ class AriaAgent:
         # nothing about it: either a notification is still in flight
         # (wait it out) or the job was really lost.  Two consecutive
         # misses resubmit.
-        self._record_probe_miss(job_id)
+        self._record_probe_miss(tracked)
 
     def _probe_missed(self, job_id: JobId) -> None:
-        self._probe_timeouts.pop(job_id, None)
-        if job_id in self._tracked:
-            self._record_probe_miss(job_id)
+        tracked = self._tracked.get(job_id)
+        if tracked is not None:
+            tracked.probe_timer = None
+            self._record_probe_miss(tracked)
 
-    def _record_probe_miss(self, job_id: JobId) -> None:
-        misses = self._suspect.get(job_id, 0) + 1
-        self._suspect[job_id] = misses
+    def _record_probe_miss(self, tracked: _Tracked) -> None:
+        job = tracked.job
+        job_id = job.job_id
+        tracked.misses = misses = tracked.misses + 1
         if self._trace is not None:
             self._trace.emit(
                 "probe.miss",
@@ -1323,7 +1358,6 @@ class AriaAgent:
             )
         if misses < 2:
             return
-        job, _assignee = self._tracked[job_id]
         self._untrack(job_id)
         if job_id in self._pending:  # pragma: no cover - defensive
             return

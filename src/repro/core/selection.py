@@ -25,7 +25,7 @@ from typing import List
 from ..scheduling.base import DEADLINE, LocalScheduler, QueuedJob
 from ..scheduling.costs import completion_times
 
-__all__ = ["select_inform_candidates", "current_queue_cost"]
+__all__ = ["select_inform_candidates"]
 
 
 def select_inform_candidates(
@@ -51,20 +51,3 @@ def select_inform_candidates(
     # Batch: largest waiting time first (earliest enqueue first).
     return heapq.nsmallest(count, waiting, key=lambda e: e.enqueue_time)
 
-
-def current_queue_cost(
-    scheduler: LocalScheduler,
-    job_id: int,
-    now: float,
-    running_remaining: float,
-) -> float:
-    """The assignee's own current cost for a waiting job.
-
-    This is the value carried inside INFORM messages and the reference an
-    assignee compares incoming rescheduling ACCEPTs against.  For batch
-    schedulers it is the job's ETTC within the *current* queue; for
-    deadline schedulers it is the NAL of the current queue (the same
-    whole-queue quantity a remote EDF node quotes).  Delegates to the
-    scheduler's cached :meth:`~repro.scheduling.LocalScheduler.queue_cost_of`.
-    """
-    return scheduler.queue_cost_of(job_id, now, running_remaining)

@@ -22,7 +22,7 @@ from .invariants_online import OnlineInvariantChecker
 from .options import RunOptions
 from .report import fmt_hours, fmt_opt, render_series, render_table
 from .runner import GridSetup, RunResult, build_grid
-from .scale import ScenarioScale, bench_scale_from_env
+from .scale import SCALES, ScenarioScale, bench_scale_from_env
 from .scenario import Scenario
 from .summary import RunSummary
 from .validation import validate_run
@@ -44,6 +44,7 @@ __all__ = [
     "check_invariants",
     "run",
     "run_batch",
+    "SCALES",
     "SCENARIOS",
     "Scenario",
     "ScenarioScale",

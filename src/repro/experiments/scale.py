@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 
-__all__ = ["ScenarioScale", "bench_scale_from_env"]
+__all__ = ["SCALES", "ScenarioScale", "bench_scale_from_env"]
 
 #: The paper's node count; submission intervals in Table II refer to it.
 REFERENCE_NODES = 500
@@ -124,7 +124,9 @@ class ScenarioScale:
         )
 
 
-_SCALES = {
+#: The one name -> preset table: ``--scale``, ``ARIA_BENCH_SCALE`` and
+#: ``scripts/reproduce_paper.py`` all choose from it.
+SCALES = {
     "huge": ScenarioScale.huge,
     "large": ScenarioScale.large,
     "paper": ScenarioScale.paper,
@@ -137,9 +139,9 @@ _SCALES = {
 def bench_scale_from_env(default: str = "small") -> ScenarioScale:
     """The benchmark scale selected by ``ARIA_BENCH_SCALE``."""
     name = os.environ.get("ARIA_BENCH_SCALE", default).strip().lower()
-    factory = _SCALES.get(name)
+    factory = SCALES.get(name)
     if factory is None:
         raise ConfigurationError(
-            f"ARIA_BENCH_SCALE={name!r}; expected one of {sorted(_SCALES)}"
+            f"ARIA_BENCH_SCALE={name!r}; expected one of {sorted(SCALES)}"
         )
     return factory()

@@ -28,14 +28,13 @@ from .trace import (
     JsonlSink,
     MemorySink,
     PerfettoSink,
-    RotatingJsonlSink,
     TraceConfig,
     Tracer,
     iter_job_events,
-    load_rotated_trace,
     load_trace,
     merge_perfetto_traces,
     message_job_id,
+    read_trace,
     rotated_trace_paths,
     validate_event,
 )
@@ -54,16 +53,15 @@ __all__ = [
     "MemorySink",
     "MetricsRegistry",
     "PerfettoSink",
-    "RotatingJsonlSink",
     "TraceConfig",
     "Tracer",
     "explain_job",
     "iter_job_events",
-    "load_rotated_trace",
     "load_trace",
     "merge_perfetto_traces",
     "message_job_id",
     "parse_prometheus",
+    "read_trace",
     "render_prometheus",
     "rotated_trace_paths",
     "validate_event",

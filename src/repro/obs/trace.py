@@ -49,13 +49,12 @@ __all__ = [
     "JsonlSink",
     "MemorySink",
     "PerfettoSink",
-    "RotatingJsonlSink",
     "TraceConfig",
     "Tracer",
-    "load_rotated_trace",
     "load_trace",
     "merge_perfetto_traces",
     "message_job_id",
+    "read_trace",
     "rotated_trace_paths",
     "validate_event",
 ]
@@ -178,41 +177,23 @@ def message_job_id(message) -> Optional[int]:
 # Sinks
 # ----------------------------------------------------------------------
 class JsonlSink:
-    """Streams events to a file, one compact JSON object per line."""
+    """Streams events to a file, one compact JSON object per line.
 
-    def __init__(self, path) -> None:
-        self.path = path
-        self._handle = open(path, "w", encoding="utf-8", buffering=1 << 16)
-        self.emitted = 0
-
-    def append(self, event: Dict[str, Any]) -> None:
-        """Write one event as a JSONL line."""
-        self._handle.write(json.dumps(event, separators=(",", ":")))
-        self._handle.write("\n")
-        self.emitted += 1
-
-    def close(self) -> None:
-        """Flush and close the file (idempotent)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-
-class RotatingJsonlSink:
-    """A :class:`JsonlSink` with size-based rotation for soak runs.
-
-    When the active file would exceed ``max_bytes`` it is rotated the
-    way :mod:`logging`'s rotating handler does: ``path.1`` becomes
-    ``path.2`` (up to ``backups``), the active file becomes ``path.1``,
-    and writing continues into a fresh ``path``.  The newest events are
-    therefore always in ``path`` itself, and total disk usage is bounded
-    by ``(backups + 1) * max_bytes`` plus one line of slack — which is
-    what lets a multi-hour soak stream a transport-level trace without
-    filling the disk.
+    With ``max_bytes`` set (soak runs), an active file that would exceed
+    it is rotated the way :mod:`logging`'s rotating handler does:
+    ``path.1`` becomes ``path.2`` (up to ``backups``), the active file
+    becomes ``path.1``, and writing continues into a fresh ``path``.  The
+    newest events are therefore always in ``path`` itself, and total disk
+    usage is bounded by ``(backups + 1) * max_bytes`` plus one line of
+    slack — which is what lets a multi-hour soak stream a transport-level
+    trace without filling the disk.  :func:`load_trace` reads the
+    segments back as one stream.
     """
 
-    def __init__(self, path, max_bytes: int = 64 * 1024 * 1024, backups: int = 3) -> None:
-        if max_bytes <= 0:
+    def __init__(
+        self, path, max_bytes: Optional[int] = None, backups: int = 3
+    ) -> None:
+        if max_bytes is not None and max_bytes <= 0:
             raise ConfigurationError(f"non-positive max_bytes {max_bytes}")
         if backups < 1:
             raise ConfigurationError(f"need >= 1 backup file, got {backups}")
@@ -227,7 +208,11 @@ class RotatingJsonlSink:
     def append(self, event: Dict[str, Any]) -> None:
         """Write one event as a JSONL line, rotating files when full."""
         line = json.dumps(event, separators=(",", ":")) + "\n"
-        if self._written and self._written + len(line) > self.max_bytes:
+        if (
+            self.max_bytes is not None
+            and self._written
+            and self._written + len(line) > self.max_bytes
+        ):
             self._rotate()
         self._handle.write(line)
         self._written += len(line)
@@ -487,8 +472,8 @@ class TraceConfig:
     events: Optional[Tuple[str, ...]] = None
     memory_capacity: int = 1_000_000
     telemetry: bool = True
-    #: When set (bytes) the jsonl sink rotates files at this size
-    #: (:class:`RotatingJsonlSink`) — soak runs bound their disk usage.
+    #: When set (bytes) the jsonl sink rotates files at this size —
+    #: soak runs bound their disk usage.
     rotate_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -564,9 +549,7 @@ class TraceConfig:
     def make_sink(self):
         """Instantiate the configured sink."""
         if self.sink == "jsonl":
-            if self.rotate_bytes is not None:
-                return RotatingJsonlSink(self.path, self.rotate_bytes)
-            return JsonlSink(self.path)
+            return JsonlSink(self.path, self.rotate_bytes)
         if self.sink == "perfetto":
             return PerfettoSink(self.path)
         return MemorySink(self.memory_capacity)
@@ -644,55 +627,59 @@ class Tracer:
         )
 
 
-def load_trace(path) -> List[Dict[str, Any]]:
-    """Read a JSONL trace file back into a list of event dicts."""
-    events: List[Dict[str, Any]] = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
-    return events
-
-
 def rotated_trace_paths(path) -> List[str]:
     """Every segment of a (possibly rotated) trace, oldest first.
 
-    A soak run's :class:`RotatingJsonlSink` leaves ``path.N`` (oldest
-    backup) ... ``path.1`` (newest backup) plus the active ``path``; this
-    returns whichever of those exist in chronological order — for an
-    unrotated trace that is just ``[path]``.
+    A rotating :class:`JsonlSink` leaves ``path.N`` (oldest backup) ...
+    ``path.1`` (newest backup) in front of the active ``path``; for an
+    unrotated trace this is just ``[path]``.
     """
     import os
 
     path = os.fspath(path)
-    backups: List[Tuple[int, str]] = []
-    directory, base = os.path.split(path)
-    prefix = base + "."
-    for name in os.listdir(directory or "."):
-        if name.startswith(prefix):
-            suffix = name[len(prefix):]
-            if suffix.isdigit():
-                backups.append(
-                    (int(suffix), os.path.join(directory, name))
-                )
-    ordered = [p for _n, p in sorted(backups, reverse=True)]
-    if os.path.exists(path):
-        ordered.append(path)
-    return ordered
+    backups: List[str] = []
+    while os.path.exists(f"{path}.{len(backups) + 1}"):
+        backups.append(f"{path}.{len(backups) + 1}")
+    return backups[::-1] + [path]
 
 
-def load_rotated_trace(path) -> List[Dict[str, Any]]:
-    """Read a rotated JSONL trace (all segments, oldest events first).
+def read_trace(path) -> Tuple[List[Dict[str, Any]], int]:
+    """Read a JSONL trace back: ``(events, torn_lines)``.
 
-    The drop-in way to consume a soak trace: ``repro explain-job`` uses
-    it so a job whose lifecycle spans a rotation boundary still
-    reconstructs in full.
+    Every segment of a rotated trace is read, oldest events first, so a
+    job whose lifecycle spans a rotation boundary still reconstructs in
+    full.  The last line of a segment that does not parse is what a
+    SIGKILLed writer's buffer leaves behind: it is dropped and counted.
+    A bad line anywhere else cannot come from a torn write and raises
+    ``ValueError`` (the rule :class:`~repro.core.journal.DurableJournal`
+    applies to its own file).
     """
     events: List[Dict[str, Any]] = []
+    torn_lines = 0
     for segment in rotated_trace_paths(path):
-        events.extend(load_trace(segment))
-    return events
+        bad_line = None
+        with open(segment, encoding="utf-8") as handle:
+            for number, line in enumerate(handle, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                if bad_line is not None:
+                    raise ValueError(
+                        f"trace {segment} is corrupt at line {bad_line}"
+                    )
+                try:
+                    events.append(json.loads(line))
+                except ValueError:
+                    bad_line = number
+        if bad_line is not None:
+            torn_lines += 1
+    return events, torn_lines
+
+
+def load_trace(path) -> List[Dict[str, Any]]:
+    """The events of a JSONL trace, rotated or not (:func:`read_trace`
+    without the torn-line count)."""
+    return read_trace(path)[0]
 
 
 def iter_job_events(

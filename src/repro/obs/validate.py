@@ -10,9 +10,8 @@ rather than documentation.
 This module is the importable core behind ``scripts/validate_trace.py``
 (the script is a thin wrapper): :func:`validate_trace_file` returns the
 problems and per-event counts for programmatic use, :func:`main` is the
-CLI entry point.  ``rotated=True`` stitches a
-:class:`~repro.obs.trace.RotatingJsonlSink`'s backup segments in front
-of the active file, so a whole soak trace validates as one stream.
+CLI entry point.  A rotated trace's backup segments are read in front of
+the active file, so a whole soak trace validates as one stream.
 """
 
 from __future__ import annotations
@@ -21,22 +20,23 @@ import argparse
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from .trace import load_rotated_trace, load_trace, validate_event
+from .trace import read_trace, validate_event
 
 __all__ = ["main", "validate_trace_file"]
 
 
-def validate_trace_file(
-    path: str, rotated: bool = False
-) -> Tuple[List[str], Dict[str, int]]:
-    """Validate one trace file (or rotated set) against the schema.
+def validate_trace_file(path: str) -> Tuple[List[str], Dict[str, int]]:
+    """Validate one trace (every segment of it) against the schema.
 
     Returns ``(problems, counts)``: every schema violation as a
-    ``path:line: message`` string, and the number of events seen per
-    event name (``"<missing>"`` for records without an ``ev`` field).
+    ``path:line: message`` string (a torn tail a killed writer left
+    counts as one), and the number of events seen per event name
+    (``"<missing>"`` for records without an ``ev`` field).
     """
-    events = load_rotated_trace(path) if rotated else load_trace(path)
+    events, torn_lines = read_trace(path)
     problems: List[str] = []
+    if torn_lines:
+        problems.append(f"{path}: {torn_lines} torn line(s) dropped")
     counts: Dict[str, int] = {}
     for line_number, event in enumerate(events, start=1):
         for problem in validate_event(event):
@@ -58,14 +58,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=20,
         help="stop printing after this many problems (still counts all)",
     )
-    parser.add_argument(
-        "--rotated",
-        action="store_true",
-        help="also read RotatingJsonlSink backup segments (oldest first)",
-    )
     args = parser.parse_args(argv)
 
-    problems, counts = validate_trace_file(args.path, rotated=args.rotated)
+    problems, counts = validate_trace_file(args.path)
     total = sum(counts.values())
     if not total:
         print(f"{args.path}: no events", file=sys.stderr)

@@ -63,7 +63,7 @@ from ..errors import ConfigurationError, ProtocolError
 from ..net.reliability import ReliabilityLayer
 from ..obs.exposition import render_prometheus
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import TraceConfig, Tracer, rotated_trace_paths
+from ..obs.trace import JsonlSink, TraceConfig, Tracer, read_trace
 from ..sim.rng import RandomStreams
 from ..types import NodeId
 from ..experiments.assembly import (
@@ -797,23 +797,6 @@ class ProcRunResult:
     journal_incarnations: Dict[NodeId, int] = field(default_factory=dict)
 
 
-def _load_trace_tolerant(path: str) -> Tuple[List[Dict[str, Any]], int]:
-    """Load rotated segments, tolerating SIGKILL-torn lines."""
-    events: List[Dict[str, Any]] = []
-    torn = 0
-    for segment in rotated_trace_paths(path):
-        with open(segment, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    events.append(json.loads(line))
-                except ValueError:
-                    torn += 1
-    return events, torn
-
-
 def _read_journal_state(
     run_dir: str,
 ) -> Tuple[Dict[NodeId, int], Dict[NodeId, set]]:
@@ -1053,7 +1036,7 @@ async def _run_procs(
     events: List[Dict[str, Any]] = []
     torn_lines = 0
     for base in sorted(glob.glob(os.path.join(_trace_dir(run_dir), "*.jsonl"))):
-        segment_events, torn = _load_trace_tolerant(base)
+        segment_events, torn = read_trace(base)
         events.extend(segment_events)
         torn_lines += torn
     events.sort(key=lambda e: (e.get("wall", 0.0), e.get("t", 0.0)))
@@ -1066,11 +1049,13 @@ async def _run_procs(
     merged_trace_path = config.merged_trace_path or os.path.join(
         run_dir, "merged-trace.jsonl"
     )
-    with open(merged_trace_path, "w", encoding="utf-8") as handle:
+    merged = JsonlSink(merged_trace_path)
+    try:
         for event in events:
             checker.append(event)
-            handle.write(json.dumps(event, separators=(",", ":")))
-            handle.write("\n")
+            merged.append(event)
+    finally:
+        merged.close()
     checker.close()
 
     journal_incarnations, journal_completions = _read_journal_state(run_dir)

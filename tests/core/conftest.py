@@ -9,6 +9,7 @@ from repro.net import ConstantLatency, SimTransport
 from repro.overlay import OverlayGraph
 from repro.scheduling import make_scheduler
 from repro.sim import Simulator
+from repro.types import MINUTE
 
 from ..helpers import LINUX_AMD64
 
@@ -54,6 +55,18 @@ class MiniGrid:
 
     def record(self, job_id):
         return self.metrics.records[job_id]
+
+
+def failsafe_config(**overrides):
+    """Fail-safe on, rescheduling off, a short probe cadence for tests."""
+    defaults = dict(
+        rescheduling=False,
+        failsafe=True,
+        probe_interval=2 * MINUTE,
+        probe_timeout=10.0,
+    )
+    defaults.update(overrides)
+    return AriaConfig(**defaults)
 
 
 @pytest.fixture

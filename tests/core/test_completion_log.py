@@ -9,6 +9,7 @@ older than every plausible duplicate-ASSIGN replay window.
 import pytest
 
 from repro.core.completion import CompletionLog
+from repro.core.journal import DurableJournal
 from repro.errors import ConfigurationError
 
 
@@ -66,3 +67,45 @@ def test_eviction_stops_at_the_first_young_entry():
     assert 1 not in log
     assert 2 in log and 3 in log
     assert len(log) == 2
+
+
+# ----------------------------------------------------------------------
+# Journal backend: the disk file is the only unbounded copy
+# ----------------------------------------------------------------------
+def test_journal_backed_log_stays_bounded_and_recovers_everything(tmp_path):
+    path = tmp_path / "node-0.jsonl"
+    log = CompletionLog(max_size=64, min_age=0.0)
+    with DurableJournal(path, fsync=False) as journal:
+        journal.boot()
+        assert log.bind(journal) == []
+        for job_id in range(10_000):
+            log.add(job_id, float(job_id), 0)
+        assert len(log) <= 64
+        assert 9_999 in log and 0 not in log
+        assert journal.completions == []  # appends go to disk only
+    reborn = CompletionLog(max_size=64, min_age=0.0)
+    with DurableJournal(path, fsync=False) as journal:
+        assert journal.boot() == 1
+        recovered = reborn.bind(journal)
+        assert [job_id for job_id, _t, _inc in recovered] == list(range(10_000))
+        assert recovered[-1] == (9_999, 9_999.0, 0)
+        assert len(reborn) <= 64 and 9_999 in reborn
+        reborn.add(10_000, 10_000.0, 1)
+    with DurableJournal(path, fsync=False) as journal:
+        assert journal.completions[-1] == (10_000, 10_000.0, 1)
+
+
+def test_a_failed_journal_write_leaves_the_job_out_of_the_log():
+    # Write-ahead order: remembering before journaling would let a node
+    # answer "done" for a completion that a crash then un-happens.
+    class FullDisk:
+        completions = []
+
+        def record_completion(self, job_id, finished_at, incarnation):
+            raise OSError("no space left on device")
+
+    log = CompletionLog()
+    log.bind(FullDisk())
+    with pytest.raises(OSError):
+        log.add(7, 1.0, 0)
+    assert 7 not in log and len(log) == 0

@@ -9,6 +9,7 @@ queue through hand-off discoveries, finishes its running job, and departs.
 import pytest
 
 from repro.core import AriaConfig
+from repro.core.protocol import _Held
 from repro.errors import ProtocolError
 from repro.types import HOUR, MINUTE
 
@@ -35,7 +36,7 @@ def test_leave_hands_off_waiting_jobs():
         grid.metrics.job_submitted(job, 0, 0.0)
         grid.metrics.job_assigned(jid, 0, 0.0, reschedule=False)
         grid.agents[0].node.accept_job(job)
-        grid.agents[0]._job_initiators[jid] = 0
+        grid.agents[0]._held[jid] = _Held(job, 0)
     handed = grid.agents[0].leave()
     assert handed == 2  # the running job stays
     grid.sim.run_until(30 * HOUR)

@@ -8,23 +8,12 @@ let the initiator repair its tracking state from the probed node's own
 memory.  These tests drive the reconciliation paths directly.
 """
 
-from repro.core import AriaConfig
 from repro.core.messages import Probe, ProbeReply
+from repro.core.protocol import _Tracked
 from repro.types import HOUR, MINUTE
 
 from ..helpers import make_job
-from .conftest import MiniGrid
-
-
-def failsafe_config(**overrides):
-    defaults = dict(
-        rescheduling=False,
-        failsafe=True,
-        probe_interval=2 * MINUTE,
-        probe_timeout=10.0,
-    )
-    defaults.update(overrides)
-    return AriaConfig(**defaults)
+from .conftest import MiniGrid, failsafe_config
 
 
 def tracked_grid(n=3):
@@ -32,7 +21,7 @@ def tracked_grid(n=3):
     grid = MiniGrid(["FCFS"] * n, config=failsafe_config())
     job = make_job(1, ert=HOUR)
     grid.metrics.job_submitted(job, 0, 0.0)
-    grid.agents[0]._tracked[1] = (job, 1)
+    grid.agents[0]._tracked[1] = _Tracked(job, 1)
     return grid, job
 
 
@@ -44,7 +33,6 @@ def test_done_reply_heals_a_lost_done_notification():
     grid.agents[1]._handle_probe(0, Probe(1, initiator=0))
     grid.sim.run_until(MINUTE)
     assert 1 not in grid.agents[0]._tracked
-    assert grid.agents[0]._suspect.get(1) is None
 
 
 def test_forwarding_pointer_heals_a_lost_track_notification():
@@ -55,8 +43,9 @@ def test_forwarding_pointer_heals_a_lost_track_notification():
     grid.agents[2].node.accept_job(job)
     grid.agents[1]._handle_probe(0, Probe(1, initiator=0))
     grid.sim.run_until(MINUTE)
-    assert grid.agents[0]._tracked[1] == (job, 2)
-    assert grid.agents[0]._suspect.get(1) is None
+    tracked = grid.agents[0]._tracked[1]
+    assert (tracked.job, tracked.assignee) == (job, 2)
+    assert tracked.misses == 0
 
 
 def test_pointer_back_at_self_without_the_job_counts_as_miss():
@@ -67,8 +56,7 @@ def test_pointer_back_at_self_without_the_job_counts_as_miss():
     grid.agents[0]._handle_probe_reply(
         1, ProbeReply(1, holds=False, new_assignee=0)
     )
-    assert grid.agents[0]._suspect[1] == 1
-    assert 1 in grid.agents[0]._tracked  # one miss does not resubmit
+    assert grid.agents[0]._tracked[1].misses == 1  # one miss does not resubmit
 
 
 def test_duplicate_not_held_reply_counts_one_miss():
@@ -77,23 +65,25 @@ def test_duplicate_not_held_reply_counts_one_miss():
     # may count — otherwise one unanswered round looks like two.
     grid, _job = tracked_grid()
     agent = grid.agents[0]
-    agent._probe_timeouts[1] = grid.sim.call_after(
+    agent._tracked[1].probe_timer = grid.sim.call_after(
         10.0, agent._probe_missed, 1
     )
     agent._handle_probe_reply(1, ProbeReply(1, holds=False))
-    assert agent._suspect[1] == 1
+    assert agent._tracked[1].misses == 1
     agent._handle_probe_reply(1, ProbeReply(1, holds=False))  # duplicate
-    assert agent._suspect[1] == 1  # still one miss
+    assert agent._tracked[1].misses == 1  # still one miss
 
 
 def test_held_reply_clears_suspicion():
     grid, job = tracked_grid()
     grid.agents[1].node.accept_job(job)
-    grid.agents[0]._suspect[1] = 1
+    tracked = grid.agents[0]._tracked[1]
+    tracked.misses = 1
     grid.agents[1]._handle_probe(0, Probe(1, initiator=0))
     grid.sim.run_until(MINUTE)
-    assert grid.agents[0]._suspect.get(1) is None
-    assert grid.agents[0]._tracked[1] == (job, 1)
+    assert tracked.misses == 0
+    assert grid.agents[0]._tracked[1] is tracked
+    assert (tracked.job, tracked.assignee) == (job, 1)
 
 
 def test_resubmitted_job_rejects_stale_duplicate_assign():

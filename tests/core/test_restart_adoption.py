@@ -15,23 +15,15 @@ Three robustness mechanisms layered onto the §III-D fail-safe:
 import pytest
 
 from repro.core import AriaConfig
+from repro.core.journal import DurableJournal
 from repro.core.messages import Assign, Probe
+from repro.core.protocol import _Tracked
 from repro.errors import ProtocolError, SchedulingError
+from repro.obs import TraceConfig, Tracer
 from repro.types import HOUR, MINUTE
 
 from ..helpers import make_job
-from .conftest import MiniGrid
-
-
-def failsafe_config(**overrides):
-    defaults = dict(
-        rescheduling=False,
-        failsafe=True,
-        probe_interval=2 * MINUTE,
-        probe_timeout=10.0,
-    )
-    defaults.update(overrides)
-    return AriaConfig(**defaults)
+from .conftest import MiniGrid, failsafe_config
 
 
 def assign_tracked_job(grid, job, initiator=0, assignee=1):
@@ -40,7 +32,7 @@ def assign_tracked_job(grid, job, initiator=0, assignee=1):
     grid.agents[assignee]._handle_assign(
         initiator, Assign(initiator=initiator, job=job, reschedule=False)
     )
-    grid.agents[initiator]._tracked[job.job_id] = (job, assignee)
+    grid.agents[initiator]._tracked[job.job_id] = _Tracked(job, assignee)
     return job
 
 
@@ -87,18 +79,50 @@ def test_completion_journal_survives_restart_and_blocks_replay():
     assert grid.metrics.duplicate_executions == 0
 
 
+def test_bound_journal_carries_completions_across_a_process_death(tmp_path):
+    # Across a *real* death the heap is gone: the completion log's journal
+    # backend is what a reborn process recovers its memory from.
+    path = tmp_path / "node-1.jsonl"
+    job = make_job(1, ert=MINUTE)
+    grid = MiniGrid(["FCFS"] * 2, config=failsafe_config())
+    with DurableJournal(path, fsync=False) as journal:
+        assert grid.agents[1].bind_journal(journal) == 0
+        assign_tracked_job(grid, job)
+        grid.sim.run_until(10 * MINUTE)
+        assert grid.metrics.completed_jobs == 1
+    reborn = MiniGrid(["FCFS"] * 2, config=failsafe_config())
+    agent = reborn.agents[1]
+    events = []
+    agent._trace = Tracer(
+        TraceConfig(level="protocol", sink="memory"), events
+    )
+    with DurableJournal(path, fsync=False) as journal:
+        assert agent.bind_journal(journal) == 1
+        assert agent.incarnation == 1
+        assert reborn.transport.incarnation_stamp(1) == 1
+        assert 1 in agent._completed
+        assert [e["ev"] for e in events] == [
+            "journal.recovered",
+            "journal.replayed",
+        ]
+        assert events[0]["entries"] == 1 and events[1]["job"] == 1
+        reborn.metrics.job_submitted(job, 0, 0.0)
+        agent._handle_assign(
+            0, Assign(initiator=0, job=job, reschedule=False)
+        )
+        assert not agent.node.holds_job(1)
+
+
 def test_restart_loses_volatile_state():
     grid = MiniGrid(["FCFS"] * 3, config=failsafe_config())
     job = make_job(1, ert=HOUR)
     assign_tracked_job(grid, job, initiator=0, assignee=1)
     agent = grid.agents[0]
-    agent._suspect[1] = 1
+    agent._tracked[1].misses = 1
     agent.fail()
     agent.restart()
     assert agent._tracked == {}
-    assert agent._suspect == {}
-    assert agent._job_initiators == {}
-    assert agent._last_probe == {}
+    assert agent._held == {}
 
 
 def test_crash_records_pending_discoveries_as_lost():
@@ -152,9 +176,10 @@ def test_initiator_crash_with_adoption_completes_exactly_once():
     assert grid.metrics.orphaned_jobs == 1
     assert grid.metrics.adopted_jobs == 1
     agent = grid.agents[1]
-    assert 1 in agent._adopted
-    assert agent._job_initiators[1] == 1
-    assert agent._tracked[1] == (job, 1)
+    assert agent._held[1].adopted
+    assert agent._held[1].initiator == 1
+    tracked = agent._tracked[1]
+    assert (tracked.job, tracked.assignee) == (job, 1)
     grid.sim.run_until(2 * HOUR)
     # Completed exactly once; as its own initiator the adopter suppresses
     # the Done that would otherwise chase the dead node, and untracks.
@@ -170,10 +195,10 @@ def test_probe_from_a_live_initiator_cedes_adoption_back():
     grid, job = adoption_grid(adoption=True)
     grid.sim.run_until(20 * MINUTE)
     agent = grid.agents[1]
-    assert 1 in agent._adopted
+    assert agent._held[1].adopted
     agent._handle_probe(0, Probe(1, initiator=0))
-    assert 1 not in agent._adopted
-    assert agent._job_initiators[1] == 0
+    assert not agent._held[1].adopted
+    assert agent._held[1].initiator == 0
     assert 1 not in agent._tracked
 
 
@@ -199,14 +224,14 @@ def test_overdue_queued_job_is_re_advertised_and_pulled_away():
     grid.sim.run_until(1.0)
     # The running job's deadline has nothing left to defend; the queued
     # job's was armed at assignment.
-    assert 1 not in agent._exec_deadlines
-    assert 2 in agent._exec_deadlines
+    assert agent._held[1].exec_deadline is None
+    assert agent._held[2].exec_deadline is not None
     # Force the queued job far past its deadline and run an INFORM round:
     # the idle peer's honest quote beats the penalized cost and pulls it.
-    agent._exec_deadlines[2] = 0.5
+    agent._held[2].exec_deadline = 0.5
     agent._inform_round()
     grid.sim.run_until(MINUTE)
     assert grid.metrics.deadline_exceeded_jobs == 1
     assert grid.agents[0].node.holds_job(2)
     assert not agent.node.holds_job(2)
-    assert 2 not in agent._exec_deadlines  # forgotten on withdrawal
+    assert 2 not in agent._held  # forgotten on withdrawal

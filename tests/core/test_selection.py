@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import current_queue_cost, select_inform_candidates
+from repro.core import select_inform_candidates
 from repro.scheduling import EDFScheduler, FCFSScheduler, SJFScheduler
 from repro.types import HOUR
 
@@ -59,10 +59,8 @@ def test_current_queue_cost_batch_is_position_ettc():
     s.enqueue(make_job(1, ert=3 * HOUR), 3 * HOUR, now=0.0)
     s.enqueue(make_job(2, ert=1 * HOUR), 1 * HOUR, now=1.0)
     # SJF order: job 2 then job 1.
-    assert current_queue_cost(s, 2, now=0.0, running_remaining=0.0) == HOUR
-    assert (
-        current_queue_cost(s, 1, now=0.0, running_remaining=0.0) == 4 * HOUR
-    )
+    assert s.queue_cost_of(2, now=0.0, running_remaining=0.0) == HOUR
+    assert s.queue_cost_of(1, now=0.0, running_remaining=0.0) == 4 * HOUR
 
 
 def test_current_queue_cost_deadline_is_whole_queue_nal():
@@ -72,6 +70,6 @@ def test_current_queue_cost_deadline_is_whole_queue_nal():
     # ETCs 1h and 2h; slacks 3h and 8h; NAL = -(11h) regardless of which
     # job the INFORM advertises.
     for job_id in (1, 2):
-        assert current_queue_cost(
-            s, job_id, now=0.0, running_remaining=0.0
+        assert s.queue_cost_of(
+            job_id, now=0.0, running_remaining=0.0
         ) == -(11 * HOUR)

@@ -285,49 +285,82 @@ def test_result_summary_matches_validate_run():
 # Every perturbed kind takes the one run_grid path, byte for byte
 # ----------------------------------------------------------------------
 #: SHA-256 of ``json.dumps(RunSummary.to_dict(), sort_keys=True)`` at tiny
-#: scale, seed 0, recorded at the last commit that had one runner per kind.
+#: scale, seed 0, recorded at the last commit that had one runner per kind;
+#: and beside it that of the run's protocol-level trace
+#: (``json.dumps(result.trace_events, sort_keys=True)``), recorded at the
+#: last commit that kept per-job agent state in eight tables — summaries
+#: alone do not pin the *order* of probes, orphanings and adoptions.
 _KIND_HASHES = [
     (
         CrashPlan(),
         RunOptions(),
         "iMixed+crash",
         "11d7695ca2906f0d20ad96d7a30b488027499974593c4af15519575f9ab3a00e",
+        "92328fd86506e65cd4adaaeb28d995ddbd222d1164d72b6dede380951407b11b",
     ),
     (
         CrashPlan(),
         RunOptions(failsafe=True),
         "iMixed+crash+failsafe",
         "9f24175ef96e10c39dcf12b849e4eb92ad513b6dd077ee800c58c7cf25582e7b",
+        "43739629e78ef119be1df46bd5e6ded1f9203c8f80dab1857f612c800af4002a",
     ),
     (
         ChurnPlan(crash_weight=0.5),
         RunOptions(),
         "iMixed+churn",
         "36bb6299acf27fa67b3c047e7f4ce127d9a28ed64bad5d40ea035c179ef527f9",
+        "c2b04d377403fc5a6cfccd7b60c60024efa7467e40c5b27b8c6b2cc9314ca316",
     ),
     (
         FaultPlan.chaos(TINY.duration),
         RunOptions(),
         "iMixed+faults+reliable",
         "135094ab84be5aaa6be0f2555e8fcf4f61dc820883521a66f270d0abcb7c4f25",
+        "f17bbb0355a1b230ff8a3ecec87c97fef0660f7454e77da48f68df3f1b21af9a",
     ),
     (
         FailureModel.chaos(TINY.duration),
         RunOptions(fault_plan=FaultPlan.chaos(TINY.duration)),
         "iMixed+failures+failsafe",
         "6dda1f28778bf40fb8f2b3e873b7106cb02f27cdaf2d94a77acb15cb2b4f8185",
+        "61801e658656d7a5b6dc81e39600542617e82092e1e5ab052cd916b3755dc32b",
     ),
 ]
 
 
-@pytest.mark.parametrize(
-    "spec,options,name,digest", _KIND_HASHES, ids=[k[2] for k in _KIND_HASHES]
+_per_kind = pytest.mark.parametrize(
+    "spec,options,name,digest,trace_digest",
+    _KIND_HASHES,
+    ids=[k[2] for k in _KIND_HASHES],
 )
-def test_perturbed_kind_summary_is_pinned(spec, options, name, digest):
+
+
+@_per_kind
+def test_perturbed_kind_summary_is_pinned(
+    spec, options, name, digest, trace_digest
+):
     summary = run(spec, TINY, seed=0, options=options).summary().to_dict()
     assert summary["name"] == name
     canonical = json.dumps(summary, sort_keys=True)
     assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+
+
+@_per_kind
+def test_perturbed_kind_protocol_trace_is_pinned(
+    spec, options, name, digest, trace_digest
+):
+    from repro.experiments import TraceConfig
+
+    result = run(
+        spec,
+        TINY,
+        seed=0,
+        options=options,
+        trace=TraceConfig(level="protocol", sink="memory"),
+    )
+    canonical = json.dumps(result.trace_events, sort_keys=True)
+    assert hashlib.sha256(canonical.encode()).hexdigest() == trace_digest
 
 
 # ----------------------------------------------------------------------

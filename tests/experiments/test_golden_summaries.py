@@ -17,14 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import ScenarioScale, run
+from repro.experiments import SCALES, run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-
-_SCALES = {
-    "tiny": ScenarioScale.tiny,
-    "small": ScenarioScale.small,
-}
 
 #: The frozen (scenario, scale, seed) pairs; one batch/ETTC-heavy run with
 #: rescheduling, one deadline/NAL run — together they exercise the kernel,
@@ -43,7 +38,7 @@ def _canonical(summary_dict) -> str:
 def test_summary_matches_golden_file(scenario, scale_name, seed):
     golden_path = GOLDEN_DIR / f"{scenario}_{scale_name}_seed{seed}.json"
     golden = golden_path.read_text()
-    summary = run(scenario, _SCALES[scale_name](), seed=seed).summary()
+    summary = run(scenario, SCALES[scale_name](), seed=seed).summary()
     assert _canonical(summary.to_dict()) == golden, (
         f"{scenario}@{scale_name} seed={seed} diverged from the golden "
         f"summary in {golden_path} — a hot-path change altered simulated "

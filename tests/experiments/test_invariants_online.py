@@ -3,10 +3,24 @@
 Each test feeds a small synthetic event stream straight into
 :class:`~repro.experiments.OnlineInvariantChecker` — no grid, no
 transport — and asserts the checker's verdict, its tee-through to the
-downstream sink, and that its state stays bounded.
+downstream sink, and that its state stays bounded.  The last section
+replays real chaos runs instead and pins the checker's agreement with
+the post-run sweep.
 """
 
-from repro.experiments import OnlineInvariantChecker
+import pytest
+
+from repro.experiments import (
+    ChurnPlan,
+    CrashPlan,
+    FailureModel,
+    FaultPlan,
+    OnlineInvariantChecker,
+    RunOptions,
+    ScenarioScale,
+    TraceConfig,
+    run,
+)
 from repro.obs import MemorySink
 
 
@@ -178,3 +192,56 @@ def test_probe_long_after_finish_is_leaked_tracking_state():
     )
     assert len(checker.violations) == 1
     assert "tracking state leaked" in checker.violations[0]
+
+
+# ----------------------------------------------------------------------
+# Agreement with the post-run checker (experiments/invariants.py)
+# ----------------------------------------------------------------------
+# Twelve rules live in two modules; only double execution and tracking
+# quiescence are stated in both.  Rather than merge them (the post-run
+# rules read final queues no trace records), pin that the two verdicts
+# agree on real chaos runs replayed from their transport-level trace.
+def _replay(spec, options):
+    result = run(
+        spec,
+        ScenarioScale.tiny(),
+        seed=0,
+        options=options,
+        trace=TraceConfig(level="transport", sink="memory"),
+    )
+    checker = OnlineInvariantChecker()
+    feed(checker, *result.trace_events)
+    checker.close()
+    return checker.violations, result.summary().violations
+
+
+def _chaos_kind(kind):
+    duration = ScenarioScale.tiny().duration
+    chaos = FaultPlan.chaos(duration)
+    return {
+        "crash+failsafe": (CrashPlan(), RunOptions(failsafe=True)),
+        "faults": (chaos, RunOptions()),
+        "failures": (
+            FailureModel.chaos(duration),
+            RunOptions(fault_plan=chaos),
+        ),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["crash+failsafe", "faults", "failures"])
+def test_replayed_trace_agrees_with_the_post_run_sweep(kind):
+    online, post_run = _replay(*_chaos_kind(kind))
+    assert online == []
+    assert post_run == []
+
+
+def test_churn_replay_reports_unadopted_orphans_only():
+    # The churn kind keeps adoption off by design, so every orphan its
+    # crashes leave stays unadopted: the replay says so and nothing else,
+    # and the post-run sweep (which has no orphan rule) stays clean.
+    online, post_run = _replay(
+        ChurnPlan(crash_weight=0.5), RunOptions(failsafe=True)
+    )
+    assert post_run == []
+    assert online
+    assert all("orphan adoption failed to converge" in v for v in online)

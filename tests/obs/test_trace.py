@@ -137,12 +137,10 @@ def _rotating_event(index):
 
 
 def test_rotating_sink_rotates_and_bounds_disk(tmp_path):
-    from repro.obs import RotatingJsonlSink
-
     path = tmp_path / "soak.jsonl"
     line = len(json.dumps(_rotating_event(0), separators=(",", ":"))) + 1
     # Room for two lines per file: every third append rotates.
-    sink = RotatingJsonlSink(str(path), max_bytes=2 * line + 5, backups=2)
+    sink = JsonlSink(str(path), max_bytes=2 * line + 5, backups=2)
     for index in range(10):
         sink.append(_rotating_event(index))
     sink.close()
@@ -158,13 +156,13 @@ def test_rotating_sink_rotates_and_bounds_disk(tmp_path):
     assert [json.loads(l)["job"] for l in backup1] == [6, 7]
     assert [json.loads(l)["job"] for l in backup2] == [4, 5]
     assert not (tmp_path / "soak.jsonl.3").exists()  # backups=2 bound
+    # The one reader stitches every surviving segment, oldest first.
+    assert [e["job"] for e in load_trace(path)] == [4, 5, 6, 7, 8, 9]
 
 
 def test_rotating_sink_without_overflow_is_a_plain_jsonl(tmp_path):
-    from repro.obs import RotatingJsonlSink, load_trace
-
     path = tmp_path / "soak.jsonl"
-    sink = RotatingJsonlSink(str(path), max_bytes=1 << 20, backups=3)
+    sink = JsonlSink(str(path), max_bytes=1 << 20, backups=3)
     for index in range(5):
         sink.append(_rotating_event(index))
     sink.close()
@@ -174,24 +172,41 @@ def test_rotating_sink_without_overflow_is_a_plain_jsonl(tmp_path):
     assert all(validate_event(e) == [] for e in events)
 
 
-def test_rotating_sink_validates_parameters(tmp_path):
-    from repro.obs import RotatingJsonlSink
+def test_reader_drops_a_torn_tail_and_raises_on_interior_corruption(tmp_path):
+    from repro.obs import read_trace
 
+    path = tmp_path / "killed.jsonl"
+    good = json.dumps(_rotating_event(0), separators=(",", ":"))
+    # What SIGKILL leaves: a complete rotated segment, and an active file
+    # whose last line stopped mid-record.
+    (tmp_path / "killed.jsonl.1").write_text(good + "\n")
+    path.write_text(good + "\n" + good[:17])
+    events, torn = read_trace(path)
+    assert [e["job"] for e in events] == [0, 0]
+    assert torn == 1
+    assert load_trace(path) == events
+    # A bad line with good lines after it is not a torn write.
+    path.write_text(good[:17] + "\n" + good + "\n")
+    with pytest.raises(ValueError, match="corrupt at line 1"):
+        read_trace(path)
+    with pytest.raises(FileNotFoundError):
+        read_trace(tmp_path / "nope.jsonl")
+
+
+def test_rotating_sink_validates_parameters(tmp_path):
     with pytest.raises(ConfigurationError):
-        RotatingJsonlSink(str(tmp_path / "t.jsonl"), max_bytes=0)
+        JsonlSink(str(tmp_path / "t.jsonl"), max_bytes=0)
     with pytest.raises(ConfigurationError):
-        RotatingJsonlSink(str(tmp_path / "t.jsonl"), backups=0)
+        JsonlSink(str(tmp_path / "t.jsonl"), backups=0)
 
 
 def test_config_rotate_bytes_makes_a_rotating_sink(tmp_path):
-    from repro.obs import RotatingJsonlSink
-
     config = TraceConfig(
         sink="jsonl", path=str(tmp_path / "t.jsonl"), rotate_bytes=1 << 20
     )
     sink = config.make_sink()
     try:
-        assert isinstance(sink, RotatingJsonlSink)
+        assert isinstance(sink, JsonlSink)
         assert sink.max_bytes == 1 << 20
     finally:
         sink.close()

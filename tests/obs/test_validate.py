@@ -54,12 +54,19 @@ def test_rotated_mode_stitches_backup_segments_oldest_first(tmp_path):
     _write_jsonl(str(active) + ".2", GOOD[:1])
     _write_jsonl(str(active) + ".1", GOOD[1:2])
     _write_jsonl(active, GOOD[2:])
-    problems, counts = validate_trace_file(str(active), rotated=True)
+    problems, counts = validate_trace_file(str(active))
     assert problems == []
     assert sum(counts.values()) == 3
-    # Without rotated=True only the active segment is read.
-    _, active_only = validate_trace_file(str(active))
-    assert sum(active_only.values()) == 1
+
+
+def test_torn_tail_is_reported_as_a_problem(tmp_path):
+    path = tmp_path / "killed.jsonl"
+    _write_jsonl(path, GOOD)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('{"t": 9.0, "ev": "job.fin')
+    problems, counts = validate_trace_file(str(path))
+    assert sum(counts.values()) == 3
+    assert len(problems) == 1 and "torn" in problems[0]
 
 
 def test_main_exits_zero_on_a_clean_trace(tmp_path, capsys):

@@ -262,11 +262,11 @@ def test_explain_job_reads_rotated_soak_segments(tmp_path, capsys):
     # leaving a fresh (empty) active file — the explainer must stitch.
     (tmp_path / "soak.jsonl.1").write_text(trace_path.read_text())
     trace_path.write_text("")
-    from repro.obs import load_rotated_trace
+    from repro.obs import load_trace
 
     job_id = next(
         event["job"]
-        for event in load_rotated_trace(str(trace_path))
+        for event in load_trace(str(trace_path))
         if event["ev"] == "job.finished"
     )
     capsys.readouterr()
