@@ -13,13 +13,15 @@ that contract, satisfied structurally by two implementations:
 
 Keeping this module free of any :mod:`repro.sim` import is the point: code
 annotated against :class:`Clock` provably runs on either backend.
+:class:`Recurrence`, the state behind both clocks' ``every``, is the one
+piece of behaviour they share, and it too sees only the contract.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
-__all__ = ["Clock", "TimerHandle"]
+__all__ = ["Clock", "Recurrence", "TimerHandle"]
 
 #: Opaque handle returned by :meth:`Clock.call_at` / :meth:`Clock.call_after`;
 #: pass it back to :meth:`Clock.cancel`.  The simulator returns its slab
@@ -86,5 +88,70 @@ class Clock(Protocol):
         start: Optional[float] = None,
         until: Optional[float] = None,
     ) -> Callable[[], None]:
-        """Run ``callback(*args)`` periodically; returns a stop function."""
+        """Run ``callback(*args)`` periodically; returns a stop function.
+
+        The first call happens at ``start`` (default: one interval from
+        now), then one every ``interval``.  ``until`` is exclusive: no
+        call happens at or after it.  Both clocks implement this with
+        :class:`Recurrence`.
+        """
         ...
+
+
+class Recurrence:
+    """State of one :meth:`Clock.every` schedule, on either clock.
+
+    Written against ``call_at`` / ``cancel`` only.  Each tick runs the
+    callback first and then re-arms at the time it was due plus
+    ``interval`` — never at "``now`` plus ``interval``", so a wall clock
+    that fires late does not drift, and on the simulator (where a tick
+    runs exactly when due) the event order and float arithmetic are those
+    of scheduling from ``now``.
+    """
+
+    __slots__ = (
+        "_clock", "_interval", "_callback", "_args", "_until", "_due",
+        "_handle", "_stopped",
+    )
+
+    def __init__(
+        self,
+        clock: Clock,
+        interval: float,
+        callback: Callable[..., Any],
+        args: tuple,
+        start: float,
+        until: Optional[float],
+    ) -> None:
+        self._clock = clock
+        self._interval = interval
+        self._callback = callback
+        self._args = args
+        self._until = until
+        self._handle: TimerHandle = None
+        self._stopped = False
+        self._arm(start)
+
+    def _fire(self) -> None:
+        """One tick: run the callback, then arm the next — also when the
+        callback raised, so one bad round on the live wire (where the
+        event loop logs the exception and carries on) does not silence a
+        node's periodic duties for good."""
+        try:
+            self._callback(*self._args)
+        finally:
+            self._arm(self._due + self._interval)
+
+    def _arm(self, time: float) -> None:
+        """Arm the tick due at ``time`` unless stopped or past ``until``."""
+        if self._stopped or (self._until is not None and time >= self._until):
+            return
+        self._due = time
+        self._handle = self._clock.call_at(time, self._fire)
+
+    def stop(self) -> None:
+        """Stop the recurrence; safe to call more than once, and from
+        inside the callback."""
+        self._stopped = True
+        if self._handle is not None:
+            self._clock.cancel(self._handle)

@@ -895,9 +895,9 @@ class AriaAgent:
     def _inform_round(self) -> None:
         """Advertise up to ``inform_count`` waiting jobs (assignee side).
 
-        ``now`` and ``running_remaining`` are hoisted out of the loop: both
-        are constant within one event, so every candidate's quote reuses
-        the scheduler's ``(version, now, running_remaining)``-keyed caches.
+        ``now`` and ``running_remaining`` are read once: both are constant
+        within one event, so every candidate is quoted against the same
+        load.
         """
         scheduler = self.node.scheduler
         if len(scheduler) == 0:

@@ -497,15 +497,15 @@ class GridSetup:
         objects the collector re-scans on every full pass without ever
         finding a collectable cycle (per-event garbage is acyclic and
         dies by refcount).  ``gc.freeze`` moves the built graph to the
-        permanent generation so those passes stay cheap; ``unfreeze``
-        in the ``finally`` restores normal collection so a long-lived
-        process reclaims the grid afterwards.  GC never changes
+        permanent generation so those passes stay cheap (``build_grid``
+        ended on a full collection, so it is not garbage that freezes);
+        ``unfreeze`` in the ``finally`` restores normal collection so a
+        long-lived process reclaims the grid afterwards.  GC never changes
         simulated outcomes — it only reclaims unreachable objects — and
         the gate keeps golden-scale runs entirely untouched.
         """
         freeze = self.scale.nodes > _LARGE_GRID_NODES
         if freeze:
-            gc.collect()
             gc.freeze()
         try:
             self.sim.run_until(self.scale.duration)

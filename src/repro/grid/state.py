@@ -31,7 +31,7 @@ from array import array
 
 from ..types import NodeId
 
-__all__ = ["GridState", "IncarnationSlab"]
+__all__ = ["GridState"]
 
 
 class GridState:
@@ -103,37 +103,3 @@ class GridState:
     def is_live(self, slot: int) -> bool:
         """Whether the slot's node is live (not crashed, not departed)."""
         return bool(self._live[slot])
-
-
-class IncarnationSlab:
-    """Dict-shaped incarnation store backed by a flat unsigned array.
-
-    Drop-in for the ``{node_id: incarnation}`` dict on the transport hot
-    path: supports exactly the two operations the stamping code uses
-    (``get(node, 0)`` and item assignment), with O(1) array indexing
-    instead of hashing — and ~9 bytes per node instead of a dict entry.
-    """
-
-    __slots__ = ("_values",)
-
-    def __init__(self) -> None:
-        self._values = array("Q")
-
-    def get(self, node_id: NodeId, default: int = 0) -> int:
-        """The node's incarnation, or ``default`` when never bumped."""
-        slot = int(node_id)
-        values = self._values
-        if slot >= len(values):
-            return default
-        return values[slot]
-
-    def __setitem__(self, node_id: NodeId, value: int) -> None:
-        slot = int(node_id)
-        values = self._values
-        missing = slot + 1 - len(values)
-        if missing > 0:
-            values.extend([0] * missing)
-        values[slot] = value
-
-    def __len__(self) -> int:
-        return sum(1 for value in self._values if value)

@@ -123,19 +123,8 @@ class PairwiseLogNormalLatency(LatencyModel):
         self.max_pairs = max_pairs
         self._base: Dict[Tuple[NodeId, NodeId], float] = {}
 
-    def _base_delay(self, src: NodeId, dst: NodeId, rng: random.Random) -> float:
-        key = (src, dst) if src <= dst else (dst, src)
-        base = self._base.get(key)
-        if base is None:
-            base = rng.lognormvariate(self.mu, self.sigma)
-            if len(self._base) >= self.max_pairs:
-                del self._base[next(iter(self._base))]
-            self._base[key] = base
-        return base
-
     def sample(self, src: NodeId, dst: NodeId, rng: random.Random) -> float:
         """The pair's cached base delay plus per-message jitter."""
-        # _base_delay inlined: this runs once per delivered message.
         key = (src, dst) if src <= dst else (dst, src)
         cache = self._base
         base = cache.get(key)

@@ -130,9 +130,8 @@ class Transport:
         self.faults = None
         #: Optional :class:`~repro.net.reliability.ReliabilityLayer`.
         self.reliability = None
-        #: ``None`` until :meth:`enable_incarnations`; then an
-        #: :class:`~repro.grid.state.IncarnationSlab` mapping node id ->
-        #: current incarnation number (missing means 0).
+        #: ``None`` until :meth:`enable_incarnations`; then a dict mapping
+        #: node id -> current incarnation number (missing means 0).
         self._incarnations = None
         self._dropped_stale = self.registry.counter("net.dropped_stale")
         #: Optional :class:`~repro.obs.Tracer`, attached only when
@@ -229,9 +228,7 @@ class Transport:
         a stamp and can be rejected on arrival at the reborn node.
         """
         if self._incarnations is None:
-            from ..grid.state import IncarnationSlab
-
-            self._incarnations = IncarnationSlab()
+            self._incarnations = {}
 
     def bump_incarnation(self, node_id: NodeId) -> int:
         """Advance ``node_id`` to a fresh incarnation and return it.
@@ -252,7 +249,7 @@ class Transport:
         Two callers: a process worker that recovered its incarnation
         counter from a :class:`~repro.core.journal.DurableJournal` at
         boot, and live discovery when a peer's agent card advertises a
-        fresher incarnation than the local slab knows.  Only moves the
+        fresher incarnation than the local table knows.  Only moves the
         counter forward — a stale card can never roll a node back to a
         dead incarnation.
         """

@@ -29,53 +29,11 @@ from __future__ import annotations
 import asyncio
 from typing import Callable, Optional
 
+from ..clock import Recurrence
 from ..errors import ConfigurationError
 from ..sim.rng import RandomStreams
 
 __all__ = ["WallClock"]
-
-
-class _WallRecurrence:
-    """State of one :meth:`WallClock.every` periodic schedule.
-
-    Mirrors the simulator's ``_Recurrence``: fires every ``interval``
-    protocol seconds from ``start`` until ``until``, and the returned
-    stop function cancels the pending occurrence.
-    """
-
-    __slots__ = ("clock", "interval", "callback", "args", "until", "handle", "stopped", "next_time")
-
-    def __init__(self, clock, interval, callback, args, start, until):
-        self.clock = clock
-        self.interval = interval
-        self.callback = callback
-        self.args = args
-        self.until = until
-        self.stopped = False
-        self.handle = None
-        self.next_time = start
-        self._schedule()
-
-    def _schedule(self):
-        if self.stopped:
-            return
-        if self.until is not None and self.next_time > self.until:
-            self.handle = None
-            return
-        self.handle = self.clock.call_at(self.next_time, self._fire)
-
-    def _fire(self):
-        if self.stopped:
-            return
-        self.next_time += self.interval
-        self._schedule()
-        self.callback(*self.args)
-
-    def stop(self):
-        self.stopped = True
-        if self.handle is not None:
-            self.clock.cancel(self.handle)
-            self.handle = None
 
 
 class WallClock:
@@ -159,16 +117,13 @@ class WallClock:
     ) -> Callable[[], None]:
         """Run ``callback(*args)`` every ``interval`` protocol seconds.
 
-        Returns a zero-argument stop function, like
-        :meth:`~repro.sim.Simulator.every`.
+        Returns a zero-argument stop function; ``until`` is exclusive,
+        like :meth:`~repro.sim.Simulator.every`.
         """
         if interval <= 0:
             raise ConfigurationError(f"non-positive interval {interval}")
-        first = start if start is not None else self.now + interval
-        recurrence = _WallRecurrence(
-            self, interval, callback, args, first, until
-        )
-        return recurrence.stop
+        first = self.now + interval if start is None else start
+        return Recurrence(self, interval, callback, args, first, until).stop
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -27,7 +27,18 @@ from ..workload.submission import SubmissionSchedule
 from .telemetry import TelemetryCollector, render_dashboard
 from .transport import LiveTransport
 
-__all__ = ["WireRunConfig", "start_collector", "stop_on_signal", "wait_out"]
+__all__ = [
+    "FORGE_JOB_ID",
+    "WireRunConfig",
+    "start_collector",
+    "stop_on_signal",
+    "wait_out",
+]
+
+#: The bogus job id both drivers' ``seed_violation`` self-test forges
+#: completions for — the id the double-execution check must fire on, and
+#: excluded from the completed-jobs tally.
+FORGE_JOB_ID = 999_999_999
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,13 @@ from ..experiments.catalog import get_scenario
 from ..experiments.invariants_online import OnlineInvariantChecker
 from .clock import WallClock
 from .codec import encode_job
-from .driver import WireRunConfig, start_collector, stop_on_signal, wait_out
+from .driver import (
+    FORGE_JOB_ID,
+    WireRunConfig,
+    start_collector,
+    stop_on_signal,
+    wait_out,
+)
 from .http import HttpServer, http_get_json, http_post_json
 from .transport import HEALTH_PATH, SUBMIT_PATH
 
@@ -89,10 +95,6 @@ __all__ = [
     "run_procs",
     "worker_main",
 ]
-
-#: The bogus job id forged by ``seed_violation`` workers — excluded from
-#: the completed-jobs tally, and the id the checker self-test fires on.
-FORGE_JOB_ID = 999_999_999
 
 #: Wall seconds a submission keeps retrying for a live entry point
 #: before it counts as failed (covers worker boot and crash-restart

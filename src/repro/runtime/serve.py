@@ -58,7 +58,13 @@ from ..experiments.catalog import get_scenario
 from ..experiments.invariants import check_invariants
 from ..experiments.invariants_online import OnlineInvariantChecker
 from .clock import WallClock
-from .driver import WireRunConfig, start_collector, stop_on_signal, wait_out
+from .driver import (
+    FORGE_JOB_ID,
+    WireRunConfig,
+    start_collector,
+    stop_on_signal,
+    wait_out,
+)
 
 __all__ = ["LiveFailureSchedule", "LiveRunConfig", "run_live"]
 
@@ -324,8 +330,8 @@ async def _run_live(
             await asyncio.sleep(0.3 * config.wall_duration())
             # Two completions of one (bogus) job id: the exact signature
             # the double-execution check must fire on.
-            tracer.emit("job.finished", clock.now, job=999_999_999, node=0)
-            tracer.emit("job.finished", clock.now, job=999_999_999, node=1)
+            tracer.emit("job.finished", clock.now, job=FORGE_JOB_ID, node=0)
+            tracer.emit("job.finished", clock.now, job=FORGE_JOB_ID, node=1)
 
         chaos_tasks.append(loop.create_task(_forge_duplicate()))
 

@@ -239,7 +239,7 @@ class LiveTransport(Transport):
         When incarnation stamping is active the card also advertises the
         node's current incarnation: it is how a *remote* process learns
         that a reborn peer moved on — re-discovery max-merges the card
-        value into the local slab, and until that happens sends keep
+        value into the local table, and until that happens sends keep
         stamping the dead incarnation and are correctly dropped stale.
         """
         server = self._servers[node_id]

@@ -20,15 +20,7 @@ __all__ = ["BatchScheduler", "FCFSScheduler", "SJFScheduler", "LJFScheduler"]
 
 
 class BatchScheduler(LocalScheduler):
-    """Common cost logic of all batch policies: ETTC of the probed job.
-
-    The fast path bisects the probe into the cached execution order and
-    reads its completion time off the cached prefix fold — the same float
-    operations, in the same order, as the reference
-    ``ettc(hypothetical_order(...), ...)``, which remains the fallback for
-    probes whose job id is already queued (first-match semantics) and for
-    ``generic`` probe modes.
-    """
+    """Common cost logic of all batch policies: ETTC of the probed job."""
 
     kind = BATCH
 
@@ -36,13 +28,9 @@ class BatchScheduler(LocalScheduler):
         self, job: "Job", ertp: float, now: float, running_remaining: float
     ) -> float:
         """ETTC of ``job`` if it were enqueued now (lower is better)."""
-        if job.job_id not in self._ids:
-            index = self._probe_index(job, ertp)
-            if index is not None:
-                fold = self._prefix_fold(running_remaining)
-                return (now + (fold[index] + ertp)) - now
-        order = self.hypothetical_order(job, ertp)
-        return ettc(order, job.job_id, now, running_remaining)
+        return ettc(
+            self.hypothetical_order(job, ertp), job.job_id, now, running_remaining
+        )
 
 
 class FCFSScheduler(BatchScheduler):
@@ -67,35 +55,17 @@ class SJFScheduler(BatchScheduler):
     """
 
     name = "SJF"
-    probe_mode = "keyed"
 
     def execution_order(self, entries: List[QueuedJob]) -> List[QueuedJob]:
         """Sort by grid-baseline ERT, ties by arrival."""
         return sorted(entries, key=lambda e: (e.job.ert, e.enqueue_time))
-
-    def entry_sort_value(self, entry: QueuedJob) -> float:
-        """First sort-key component: the job's ERT."""
-        return entry.job.ert
-
-    def probe_sort_value(self, job: "Job", ertp: float) -> float:
-        """A probe sorts by its ERT like any entry."""
-        return job.ert
 
 
 class LJFScheduler(BatchScheduler):
     """Longest-Job-First (extension): inverse of SJF, same ETTC cost."""
 
     name = "LJF"
-    probe_mode = "keyed"
 
     def execution_order(self, entries: List[QueuedJob]) -> List[QueuedJob]:
         """Sort by descending ERT, ties by arrival."""
         return sorted(entries, key=lambda e: (-e.job.ert, e.enqueue_time))
-
-    def entry_sort_value(self, entry: QueuedJob) -> float:
-        """First sort-key component: negated ERT."""
-        return -entry.job.ert
-
-    def probe_sort_value(self, job: "Job", ertp: float) -> float:
-        """A probe sorts by its negated ERT like any entry."""
-        return -job.ert

@@ -23,10 +23,12 @@ positively, and on-time jobs in a missing queue contribute nothing.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
 from ..errors import SchedulingError
-from .base import QueuedJob
+
+if TYPE_CHECKING:  # base imports this module for its default queue cost
+    from .base import QueuedJob
 
 __all__ = ["ettc", "completion_times", "nal"]
 
@@ -55,30 +57,46 @@ def ettc(
     now: float,
     running_remaining: float,
 ) -> float:
-    """Relative expected completion time of ``job_id`` within ``order``."""
-    for entry, etc in zip(order, completion_times(order, now, running_remaining)):
+    """Relative expected completion time of ``job_id`` within ``order``.
+
+    One pass, stopping at the first match, with the float operations of
+    :func:`completion_times` in its order (``elapsed += ertp``, then
+    ``now + elapsed``): the two agree bit for bit.
+    """
+    if running_remaining < 0:
+        raise SchedulingError(f"negative running_remaining {running_remaining!r}")
+    elapsed = running_remaining
+    for entry in order:
+        elapsed += entry.ertp
         if entry.job.job_id == job_id:
-            return etc - now
+            return (now + elapsed) - now
     raise SchedulingError(f"job {job_id} not in hypothetical order")
 
 
 def nal(order: Sequence[QueuedJob], now: float, running_remaining: float) -> float:
-    """Negative Accumulated Lateness of the whole hypothetical queue."""
-    gammas: List[float] = []
-    for entry, etc in zip(order, completion_times(order, now, running_remaining)):
-        if entry.job.deadline is None:
+    """Negative Accumulated Lateness of the whole hypothetical queue.
+
+    One pass keeps both candidate sums: ``slack`` is the answer while
+    every deadline holds (each δ = −1), ``lateness`` once one is missed
+    (δ = 1 for late entries; on-time ones have δ = 0 and add nothing).
+    """
+    if running_remaining < 0:
+        raise SchedulingError(f"negative running_remaining {running_remaining!r}")
+    elapsed = running_remaining
+    slack = 0.0
+    lateness = 0.0
+    any_late = False
+    for entry in order:
+        deadline = entry.job.deadline
+        if deadline is None:
             raise SchedulingError(
                 f"job {entry.job.job_id} has no deadline: NAL needs deadlines"
             )
-        gammas.append(entry.job.deadline - etc)
-    any_late = any(g < 0 for g in gammas)
-    total = 0.0
-    for gamma in gammas:
-        if not any_late:
-            delta = -1.0
-        elif gamma >= 0:
-            delta = 0.0
-        else:
-            delta = 1.0
-        total += delta * abs(gamma)
-    return total
+        elapsed += entry.ertp
+        gamma = deadline - (now + elapsed)
+        if gamma < 0:
+            any_late = True
+            lateness -= gamma
+        elif not any_late:
+            slack -= gamma
+    return lateness if any_late else slack

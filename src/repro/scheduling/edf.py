@@ -4,20 +4,11 @@
 earlier deadline (as specified in their profile)" (§IV-C).  EDF is the sole
 deadline policy of the paper's evaluation and uses the Negative Accumulated
 Lateness cost; deadline offers are never compared with batch (ETTC) offers.
-
-NAL is a whole-queue quantity, so a probe cannot be O(1); what the hot path
-avoids is the per-probe sort and allocation: the execution order and the
-completion-time fold are cached per queue version, the probe is bisected
-into position, and one tight loop over a reused gamma buffer replays the
-exact float operations of the reference :func:`~repro.scheduling.costs.nal`.
-The whole-queue NAL quoted in INFORM messages is additionally memoized per
-``(version, now, running_remaining)``, collapsing the per-candidate
-recomputation of an INFORM round into one evaluation.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List
 
 from ..errors import SchedulingError
 from ..types import JobId
@@ -35,13 +26,6 @@ class EDFScheduler(LocalScheduler):
 
     kind = DEADLINE
     name = "EDF"
-    probe_mode = "keyed"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._gammas: List[float] = []  # reused per-probe scratch buffer
-        self._queue_nal_key: Optional[Tuple[int, float, float]] = None
-        self._queue_nal = 0.0
 
     def enqueue(self, job: "Job", ertp: float, now: float) -> QueuedJob:
         """Enqueue ``job``; EDF refuses jobs without a deadline."""
@@ -57,14 +41,6 @@ class EDFScheduler(LocalScheduler):
             entries, key=lambda e: (e.job.deadline, e.enqueue_time)
         )
 
-    def entry_sort_value(self, entry: QueuedJob) -> float:
-        """First sort-key component: the job's deadline."""
-        return entry.job.deadline
-
-    def probe_sort_value(self, job: "Job", ertp: float) -> float:
-        """A probe sorts by its deadline like any entry."""
-        return job.deadline
-
     def cost_of(
         self, job: "Job", ertp: float, now: float, running_remaining: float
     ) -> float:
@@ -73,57 +49,13 @@ class EDFScheduler(LocalScheduler):
             raise SchedulingError(
                 f"job {job.job_id} has no deadline: cannot compute NAL"
             )
-        if job.job_id in self._ids:
-            order = self.hypothetical_order(job, ertp)
-            return nal(order, now, running_remaining)
-        index = self._probe_index(job, ertp)
-        order = self._ordered()
-        fold = self._prefix_fold(running_remaining)
-        # One pass over (order[:index], probe, order[index:]) replaying the
-        # reference operation order: elapsed += ertp; etc = now + elapsed;
-        # gamma = deadline - etc.  Entries before the probe reuse the
-        # cached fold (identical left-fold); from the probe on, the fold
-        # continues locally.
-        gammas = self._gammas
-        gammas.clear()
-        append = gammas.append
-        for k in range(index):
-            entry = order[k]
-            append(entry.job.deadline - (now + fold[k + 1]))
-        elapsed = fold[index] + ertp
-        append(job.deadline - (now + elapsed))
-        for k in range(index, len(order)):
-            entry = order[k]
-            elapsed = elapsed + entry.ertp
-            append(entry.job.deadline - (now + elapsed))
-        any_late = False
-        for gamma in gammas:
-            if gamma < 0:
-                any_late = True
-                break
-        total = 0.0
-        if not any_late:
-            for gamma in gammas:
-                total += -1.0 * abs(gamma)
-        else:
-            for gamma in gammas:
-                if gamma < 0:
-                    total += 1.0 * abs(gamma)
-                # on-time entries contribute delta = 0.0: adding 0.0 * |g|
-                # to a non-negative-so-far total is exact, so it is skipped
-        return total
+        return nal(self.hypothetical_order(job, ertp), now, running_remaining)
 
     def queue_cost_of(
         self, job_id: JobId, now: float, running_remaining: float
     ) -> float:
         """Whole-queue NAL (the deadline family's INFORM quote).
 
-        Independent of ``job_id`` (§III-D quotes the queue, not the job),
-        so one evaluation per ``(version, now, running_remaining)`` serves
-        every candidate of an INFORM round.
+        Independent of ``job_id``: §III-D quotes the queue, not the job.
         """
-        key = (self._version, now, running_remaining)
-        if self._queue_nal_key != key:
-            self._queue_nal = nal(self._ordered(), now, running_remaining)
-            self._queue_nal_key = key
-        return self._queue_nal
+        return nal(self.ordered_queue(), now, running_remaining)

@@ -24,21 +24,12 @@ class PriorityScheduler(BatchScheduler):
     """Strict priority order, arrival-ordered within one priority level."""
 
     name = "PRIORITY"
-    probe_mode = "keyed"
 
     def execution_order(self, entries: List[QueuedJob]) -> List[QueuedJob]:
         """Sort by descending priority, ties by arrival."""
         return sorted(
             entries, key=lambda e: (-e.job.priority, e.enqueue_time)
         )
-
-    def entry_sort_value(self, entry: QueuedJob) -> float:
-        """First sort-key component: negated priority."""
-        return -entry.job.priority
-
-    def probe_sort_value(self, job, ertp: float) -> float:
-        """A probe sorts by its negated priority like any entry."""
-        return -job.priority
 
 
 class AgingPriorityScheduler(BatchScheduler):
@@ -50,9 +41,6 @@ class AgingPriorityScheduler(BatchScheduler):
     """
 
     name = "AGING"
-    # Effective priorities depend on the whole queue (the newest enqueue
-    # time), so probes take the generic re-sort path.
-    probe_mode = "generic"
 
     def __init__(self, aging_interval: float = 3600.0) -> None:
         super().__init__()

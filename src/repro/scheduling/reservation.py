@@ -59,14 +59,12 @@ class ReservationScheduler(BatchScheduler):
 
     name = "RESERVATION"
     supports_reservations = True
-    # Reservation ETTC depends on idle gaps, not just the prefix fold, so
-    # cost probes use the reference path below; probe_mode is irrelevant.
 
     def pop_next(self, now: float = float("inf")) -> Optional[QueuedJob]:
         """Pop the head unless its reservation still holds the machine."""
         if not self._queue:
             return None
-        head = self._ordered()[0]
+        head = self.ordered_queue()[0]
         if not head.job.eligible_at(now):
             return None  # the machine is being held for the reservation
         self._remove_entry(head)
@@ -76,7 +74,7 @@ class ReservationScheduler(BatchScheduler):
         """The head's reservation time, when it is what blocks the queue."""
         if not self._queue:
             return None
-        head = self._ordered()[0]
+        head = self.ordered_queue()[0]
         if head.job.eligible_at(now):
             return None
         return head.job.not_before
@@ -110,7 +108,7 @@ class BackfillScheduler(ReservationScheduler):
         """Pop the head, or the earliest job that fits the reservation gap."""
         if not self._queue:
             return None
-        order = self._ordered()
+        order = self.ordered_queue()
         head = order[0]
         if head.job.eligible_at(now):
             self._remove_entry(head)

@@ -28,6 +28,7 @@ import heapq
 import time
 from typing import Any, Callable, Optional
 
+from ..clock import Recurrence
 from ..errors import SimulationError
 from .events import Event, EventQueue
 from .rng import RandomStreams
@@ -39,40 +40,6 @@ def _callback_name(callback: Callable[..., Any]) -> str:
     """Readable identity of an event callback for kernel trace spans."""
     name = getattr(callback, "__qualname__", None)
     return name if name is not None else repr(callback)
-
-
-class _Recurrence:
-    """State of one :meth:`Simulator.every` periodic schedule."""
-
-    __slots__ = ("_sim", "_interval", "_callback", "_args", "_until", "_entry", "_stopped")
-
-    def __init__(self, sim, interval, callback, args, until) -> None:
-        self._sim = sim
-        self._interval = interval
-        self._callback = callback
-        self._args = args
-        self._until = until
-        self._entry: Optional[Event] = None
-        self._stopped = False
-
-    def _fire(self) -> None:
-        """One periodic tick: run the callback, then schedule the next."""
-        self._callback(*self._args)
-        self._schedule(self._sim._now + self._interval)
-
-    def _schedule(self, time: float) -> None:
-        """Schedule the next tick at ``time`` unless stopped or past until."""
-        if self._stopped:
-            return
-        if self._until is not None and time >= self._until:
-            return
-        self._entry = self._sim.call_at(time, self._fire)
-
-    def stop(self) -> None:
-        """Stop the recurrence; safe to call multiple times."""
-        self._stopped = True
-        if self._entry is not None:
-            self._sim.cancel(self._entry)
 
 
 class Simulator:
@@ -172,9 +139,8 @@ class Simulator:
         """
         if interval <= 0:
             raise SimulationError(f"non-positive interval {interval!r}")
-        recurrence = _Recurrence(self, interval, callback, args, until)
-        recurrence._schedule(self._now + interval if start is None else start)
-        return recurrence.stop
+        first = self._now + interval if start is None else start
+        return Recurrence(self, interval, callback, args, first, until).stop
 
     # ------------------------------------------------------------------
     # Execution

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.grid.state import GridState, IncarnationSlab
+from repro.grid.state import GridState
 
 
 def test_register_starts_live_and_idle():
@@ -54,21 +54,3 @@ def test_membership_version_tracks_live_transitions():
     assert state.membership_version == version + 1
     assert state.live_count == 0
 
-
-def test_incarnation_slab_is_dict_shaped():
-    slab = IncarnationSlab()
-    assert slab.get(7, 0) == 0
-    assert slab.get(7) == 0
-    slab[7] = 3
-    slab[2] = 1
-    assert slab.get(7) == 3
-    assert slab.get(2) == 1
-    assert slab.get(100) == 0
-    assert len(slab) == 2  # counts bumped nodes, like the dict it replaces
-
-
-def test_incarnation_slab_rejects_nothing_in_range():
-    slab = IncarnationSlab()
-    for node in (0, 10, 5):
-        slab[node] = node + 1
-    assert [slab.get(n) for n in (0, 5, 10)] == [1, 6, 11]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.scheduling import (
+    SCHEDULER_FACTORIES,
     EDFScheduler,
     FCFSScheduler,
     LJFScheduler,
@@ -147,3 +148,56 @@ def test_hypothetical_order_never_mutates(scheduler, ert):
     before = [e.job.job_id for e in scheduler.queued()]
     scheduler.hypothetical_order(make_job(999, ert=ert), ert)
     assert [e.job.job_id for e in scheduler.queued()] == before
+
+
+queue_ops = st.one_of(
+    st.tuples(
+        st.just("enqueue"),
+        erts,
+        st.integers(min_value=0, max_value=3),  # priority
+        st.floats(min_value=0, max_value=30 * HOUR),  # deadline slack
+    ),
+    st.tuples(st.just("remove"), st.integers(min_value=0)),
+    st.tuples(st.just("pop_next")),
+)
+
+
+@given(
+    st.sampled_from(sorted(SCHEDULER_FACTORIES)),
+    st.lists(queue_ops, max_size=25),
+    erts,
+    st.floats(min_value=0, max_value=HOUR),
+)
+def test_quotes_depend_on_the_queue_not_on_its_history(policy, ops, ert, running):
+    # Schedulers keep no state between quotes beyond the queue itself:
+    # after any interleaving of mutations, a scheduler quotes exactly what
+    # one freshly built from the surviving entries does.
+    scheduler = SCHEDULER_FACTORIES[policy]()
+    survivors = {}
+    clock = 0.0
+    for index, (op, *params) in enumerate(ops):
+        clock += 60.0
+        if op == "enqueue":
+            ertp, priority, slack = params
+            job = make_job(
+                index + 1, ert=ertp, priority=priority,
+                deadline=clock + ertp + slack,
+            )
+            survivors[job.job_id] = scheduler.enqueue(job, ertp, now=clock)
+        elif op == "remove" and survivors:
+            job_id = sorted(survivors)[params[0] % len(survivors)]
+            assert scheduler.remove(job_id) is survivors.pop(job_id)
+        elif op == "pop_next" and survivors:
+            del survivors[scheduler.pop_next().job.job_id]
+    fresh = SCHEDULER_FACTORIES[policy]()
+    for entry in survivors.values():  # dicts keep arrival order
+        fresh.enqueue(entry.job, entry.ertp, now=entry.enqueue_time)
+    probe = make_job(999, ert=ert, deadline=clock + 10 * HOUR)
+    quote = dict(now=clock, running_remaining=running)
+    assert scheduler.cost_of(probe, ert, **quote) == fresh.cost_of(
+        probe, ert, **quote
+    )
+    for job_id in survivors:
+        assert scheduler.queue_cost_of(job_id, **quote) == fresh.queue_cost_of(
+            job_id, **quote
+        )

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.runtime import WallClock
+from repro.sim import Simulator
 
 
 def in_loop(coro_fn):
@@ -84,6 +85,65 @@ def test_every_recurs_until_stopped():
         assert len(ticks) == count  # stopped means stopped
 
     in_loop(main)
+
+
+def test_every_outlives_a_raising_callback():
+    # The event loop logs a timer callback's exception and carries on; so
+    # must the recurrence, or one bad INFORM round silences a live node.
+    async def main():
+        loop = asyncio.get_running_loop()
+        loop.set_exception_handler(lambda loop, context: None)
+        clock = WallClock(loop, time_scale=100.0)
+        ticks = []
+
+        def flaky():
+            ticks.append(clock.now)
+            if len(ticks) == 1:
+                raise RuntimeError("one bad round")
+
+        stop = clock.every(1.0, flaky)  # 10 ms wall
+        await asyncio.sleep(0.08)
+        stop()
+        assert len(ticks) >= 2
+
+    in_loop(main)
+
+
+def drive_simulator(arm):
+    sim = Simulator()
+    arm(sim)
+    sim.run_until(15.0)
+
+
+def drive_wall_clock(arm):
+    async def main():
+        arm(WallClock(asyncio.get_running_loop(), time_scale=100.0))
+        await asyncio.sleep(0.15)  # 15 protocol seconds
+
+    in_loop(main)
+
+
+@pytest.mark.parametrize(
+    "drive", [drive_simulator, drive_wall_clock], ids=["sim", "wall"]
+)
+def test_every_until_is_exclusive_and_stop_works_inside_the_callback(drive):
+    # One Recurrence serves both clocks, so one test does: ticks are due
+    # at 2, 3 and 4; the one due *at* ``until`` never happens.
+    ticks, seen = [], []
+
+    def arm(clock):
+        clock.every(1.0, ticks.append, "tick", start=2.0, until=5.0)
+
+        def stop_at_the_second():
+            seen.append(clock.now)
+            if len(seen) == 2:
+                stop()
+
+        stop = clock.every(1.0, stop_at_the_second, start=2.0)
+
+    drive(arm)
+    assert ticks == ["tick"] * 3
+    assert len(seen) == 2 and 2.0 <= seen[0] < seen[1]
 
 
 def test_stop_silences_pending_timers():

@@ -6,12 +6,13 @@ import pytest
 
 from repro.errors import SchedulingError
 from repro.scheduling import (
+    SCHEDULER_FACTORIES,
     EDFScheduler,
     FCFSScheduler,
-    LJFScheduler,
     SJFScheduler,
+    reservation_completion_times,
 )
-from repro.scheduling.base import QueuedJob
+from repro.scheduling.base import DEADLINE, QueuedJob
 from repro.scheduling.costs import completion_times, ettc, nal
 from repro.types import HOUR
 
@@ -134,46 +135,112 @@ def test_nal_uses_edf_order_for_etc():
     assert cost == -(1.5 * HOUR + 0.0)
 
 
+def reference_ettc(order, job_id, now, remaining, times=completion_times):
+    """§III-C restated: every entry's ETC, then the first match's, made
+    relative — built on ``completion_times``, which ``ettc`` no longer
+    calls."""
+    for entry, etc in zip(order, times(order, now, remaining)):
+        if entry.job.job_id == job_id:
+            return etc - now
+    raise AssertionError(f"job {job_id} not in order")
+
+
+def reference_nal(order, now, remaining):
+    """§III-C restated: γ per entry, one δ per entry, Σ δ·|γ|."""
+    gammas = [
+        entry.job.deadline - etc
+        for entry, etc in zip(order, completion_times(order, now, remaining))
+    ]
+    any_late = any(gamma < 0 for gamma in gammas)
+    total = 0.0
+    for gamma in gammas:
+        if not any_late:
+            delta = -1.0
+        elif gamma >= 0:
+            delta = 0.0
+        else:
+            delta = 1.0
+        total += delta * abs(gamma)
+    return total
+
+
 @pytest.mark.parametrize("queue_length", [5, 200])
-@pytest.mark.parametrize(
-    "scheduler_type", [FCFSScheduler, SJFScheduler, LJFScheduler, EDFScheduler]
-)
+@pytest.mark.parametrize("scheduler_type", list(SCHEDULER_FACTORIES.values()))
 def test_cached_costs_equal_the_reference_exactly(scheduler_type, queue_length):
-    # The version-keyed caches (order, bisected probe position, prefix
-    # fold) must replay the reference float operations in the reference
-    # order: exact equality, also on queues far longer than any golden
-    # run folds.
+    # Nothing is cached any more (the name is pinned by the tier-1 floor
+    # list): every registry policy's quotes must equal the literal §III-C
+    # restatement above *exactly*, also on queues far longer than any
+    # golden run folds.
     rng = random.Random(queue_length)
     scheduler = scheduler_type()
     now, remaining = 12_345.678, 901.234
+
+    def draw_job(job_id, ertp):
+        return make_job(
+            job_id,
+            ert=ertp,
+            deadline=now + rng.uniform(-HOUR, 400 * HOUR),
+            priority=rng.randint(0, 3),
+        )
+
     for job_id in range(queue_length):
         # Mixed magnitudes provoke a rounding difference in any fold
         # that reorders the summation.
         ertp = rng.uniform(0.001, 3600.0) * 10 ** rng.randint(-3, 3)
-        deadline = now + rng.uniform(-HOUR, 400 * HOUR)
-        scheduler.enqueue(
-            make_job(job_id, ert=ertp, deadline=deadline),
-            ertp,
-            now=rng.uniform(0.0, now),
-        )
-    deadline_family = scheduler_type is EDFScheduler
+        scheduler.enqueue(draw_job(job_id, ertp), ertp, now=rng.uniform(0.0, now))
+    deadline_family = scheduler.kind == DEADLINE
+    # The reservation family's probe cost has its own completion-time
+    # function (idle gaps); its INFORM quote is the plain ETTC.
+    probe_times = (
+        reservation_completion_times
+        if scheduler.supports_reservations
+        else completion_times
+    )
     for probe_id in range(queue_length, queue_length + 5):
         ertp = rng.uniform(1.0, 3600.0)
-        probe = make_job(
-            probe_id, ert=ertp, deadline=now + rng.uniform(0.0, 400 * HOUR)
-        )
+        probe = draw_job(probe_id, ertp)
         order = scheduler.hypothetical_order(probe, ertp)
         expected = (
-            nal(order, now, remaining)
+            reference_nal(order, now, remaining)
             if deadline_family
-            else ettc(order, probe_id, now, remaining)
+            else reference_ettc(order, probe_id, now, remaining, probe_times)
         )
         assert scheduler.cost_of(probe, ertp, now, remaining) == expected
     for job_id in rng.sample(range(queue_length), 5):
         order = scheduler.ordered_queue()
         expected = (
-            nal(order, now, remaining)
+            reference_nal(order, now, remaining)
             if deadline_family
-            else ettc(order, job_id, now, remaining)
+            else reference_ettc(order, job_id, now, remaining)
         )
         assert scheduler.queue_cost_of(job_id, now, remaining) == expected
+
+
+def test_probe_with_an_already_queued_id_quotes_the_first_match():
+    # A re-offer of a job this node already holds: the order then has two
+    # entries with one id, and the quote is the earlier one's.
+    s = FCFSScheduler()
+    s.enqueue(make_job(1, ert=HOUR), HOUR, now=0.0)
+    s.enqueue(make_job(2, ert=2 * HOUR), 2 * HOUR, now=1.0)
+    cost = s.cost_of(make_job(1, ert=HOUR), HOUR, now=0.0, running_remaining=0.0)
+    assert cost == HOUR  # the queued entry at the head, not the probe (4h)
+
+
+@pytest.mark.parametrize("policy", ["FCFS", "SJF", "EDF"])
+def test_negative_running_remaining_raises_from_every_quote(policy):
+    s = SCHEDULER_FACTORIES[policy]()
+    job = make_job(1, ert=HOUR, deadline=5 * HOUR)
+    s.enqueue(job, HOUR, now=0.0)
+    probe = make_job(2, ert=HOUR, deadline=5 * HOUR)
+    with pytest.raises(SchedulingError):
+        s.cost_of(probe, HOUR, now=0.0, running_remaining=-1.0)
+    with pytest.raises(SchedulingError):
+        s.queue_cost_of(1, now=0.0, running_remaining=-1.0)
+
+
+def test_negative_running_remaining_raises_from_both_folds():
+    order = [entry(1, HOUR, deadline=5 * HOUR)]
+    with pytest.raises(SchedulingError):
+        ettc(order, 1, now=0.0, running_remaining=-1.0)
+    with pytest.raises(SchedulingError):
+        nal(order, now=0.0, running_remaining=-1.0)

@@ -84,6 +84,28 @@ def test_the_grid_recipe_is_written_once():
         assert sites == ["experiments/assembly.py"], (call, sites)
 
 
+def test_the_cost_fold_is_written_once():
+    """Every policy quotes through ``costs.ettc`` / ``costs.nal`` over an
+    order ``execution_order`` produced: no cache beside the fold, no
+    second spelling of it (``docs/PERFORMANCE.md`` says when one may
+    return)."""
+    sources = {
+        path.name: path.read_text()
+        for path in (ROOT / "src" / "repro" / "scheduling").glob("*.py")
+    }
+    for name, text in sources.items():
+        for gone in (
+            "_version", "probe_mode", "_prefix_fold", "_probe_index", "sort_value"
+        ):
+            assert gone not in text, (gone, name)
+    for fold in ("def ettc", "def nal"):
+        sites = [
+            path.relative_to(ROOT / "src" / "repro").as_posix()
+            for path in (ROOT / "src" / "repro").rglob("*.py")
+            if fold in path.read_text()
+        ]
+        assert sites == ["scheduling/costs.py"], (fold, sites)
+
 
 @pytest.mark.parametrize(
     "module,absent",
