@@ -283,6 +283,13 @@ class AriaAgent:
         node.on_job_started.append(self._on_job_started)
         node.on_job_finished.append(self._on_job_finished)
 
+    def _emit(self, event: str, **fields) -> None:
+        """Record one protocol event at this node, now — the agent-side
+        twin of ``Transport._emit_msg``.  Call sites guard on
+        ``self._trace is not None``, so an untraced run pays one
+        attribute test per instrumentation point and builds no kwargs."""
+        self._trace.emit(event, self.sim.now, node=self.node_id, **fields)
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -328,7 +335,7 @@ class AriaAgent:
             raise ProtocolError(f"node {self.node_id} already failed")
         self.failed = True
         if self._trace is not None:
-            self._trace.emit("node.crashed", self.sim.now, node=self.node_id)
+            self._emit("node.crashed")
         self.stop()
         # A dead node abandons its initiator duties too: pending discovery
         # retries, fail-safe probes and tracking state all die with it.
@@ -340,12 +347,7 @@ class AriaAgent:
                 self.sim.cancel(pending.timer)
             self.metrics.job_lost(pending.job.job_id, self.sim.now)
             if self._trace is not None:
-                self._trace.emit(
-                    "job.lost",
-                    self.sim.now,
-                    job=pending.job.job_id,
-                    node=self.node_id,
-                )
+                self._emit("job.lost", job=pending.job.job_id)
         self._pending.clear()
         self._held.clear()
         self._abandon_tracking()
@@ -362,9 +364,7 @@ class AriaAgent:
         for job in lost:
             self.metrics.job_lost(job.job_id, self.sim.now)
             if self._trace is not None:
-                self._trace.emit(
-                    "job.lost", self.sim.now, job=job.job_id, node=self.node_id
-                )
+                self._emit("job.lost", job=job.job_id)
         return lost
 
     def restart(self) -> None:
@@ -409,12 +409,7 @@ class AriaAgent:
         self.transport.register(self.node_id, self._on_message)
         self.metrics.node_restarted(self.node_id, self.sim.now)
         if self._trace is not None:
-            self._trace.emit(
-                "node.restarted",
-                self.sim.now,
-                node=self.node_id,
-                incarnation=self.incarnation,
-            )
+            self._emit("node.restarted", incarnation=self.incarnation)
         self.start()
 
     def bind_journal(self, journal) -> int:
@@ -445,19 +440,15 @@ class AriaAgent:
             self.transport.set_incarnation(self.node_id, incarnation)
             self.metrics.node_restarted(self.node_id, self.sim.now)
         if self._trace is not None and (incarnation or recovered):
-            self._trace.emit(
+            self._emit(
                 "journal.recovered",
-                self.sim.now,
-                node=self.node_id,
                 incarnation=incarnation,
                 entries=len(recovered),
             )
             for job_id, _finished_at, entry_incarnation in recovered[-64:]:
-                self._trace.emit(
+                self._emit(
                     "journal.replayed",
-                    self.sim.now,
                     job=job_id,
-                    node=self.node_id,
                     incarnation=entry_incarnation,
                 )
         return incarnation
@@ -575,9 +566,7 @@ class AriaAgent:
             raise ProtocolError(f"job {job.job_id} already pending here")
         self.metrics.job_submitted(job, self.node_id, self.sim.now)
         if self._trace is not None:
-            self._trace.emit(
-                "job.submitted", self.sim.now, job=job.job_id, node=self.node_id
-            )
+            self._emit("job.submitted", job=job.job_id)
         self._begin_discovery(job)
 
     def _begin_discovery(
@@ -598,11 +587,9 @@ class AriaAgent:
         policy = self.config.request_flood
         if self._trace is not None:
             pending = self._pending.get(job.job_id)
-            self._trace.emit(
+            self._emit(
                 "request.broadcast",
-                self.sim.now,
                 job=job.job_id,
-                node=self.node_id,
                 retry=pending.retries if pending is not None else 0,
             )
         broadcast_id = self._next_broadcast_id()
@@ -628,19 +615,12 @@ class AriaAgent:
             own_cost = self.node.cost_for(job)
             pending.offers.append((own_cost, self.node_id))
             if self._trace is not None:
-                self._trace.emit(
-                    "cost.evaluated",
-                    self.sim.now,
-                    job=job_id,
-                    node=self.node_id,
-                    cost=own_cost,
-                    phase="self",
+                self._emit(
+                    "cost.evaluated", job=job_id, cost=own_cost, phase="self"
                 )
-                self._trace.emit(
+                self._emit(
                     "accept.received",
-                    self.sim.now,
                     job=job_id,
-                    node=self.node_id,
                     src=self.node_id,
                     cost=own_cost,
                     phase="self",
@@ -654,24 +634,14 @@ class AriaAgent:
                     # executing the job itself before departing (a job may
                     # never be dropped once accepted, §III-A).
                     if self._trace is not None:
-                        self._trace.emit(
-                            "job.queued",
-                            self.sim.now,
-                            job=job_id,
-                            node=self.node_id,
-                        )
+                        self._emit("job.queued", job=job_id)
                     self._held[job_id] = _Held(job, pending.initiator)
                     self.node.accept_job(job)
                     return
                 self._untrack(job_id)
                 self.metrics.job_unschedulable(job_id, self.sim.now)
                 if self._trace is not None:
-                    self._trace.emit(
-                        "job.unschedulable",
-                        self.sim.now,
-                        job=job_id,
-                        node=self.node_id,
-                    )
+                    self._emit("job.unschedulable", job=job_id)
                 return
             self._broadcast_request(job)
             pending.timer = self.sim.call_after(
@@ -683,11 +653,9 @@ class AriaAgent:
         del self._pending[job_id]
         cost, winner = min(pending.offers)
         if self._trace is not None:
-            self._trace.emit(
+            self._emit(
                 "assign.winner",
-                self.sim.now,
                 job=job_id,
-                node=self.node_id,
                 winner=winner,
                 cost=cost,
                 offers=len(pending.offers),
@@ -840,11 +808,9 @@ class AriaAgent:
         if self._can_host(message.job):
             cost = self.node.cost_for(message.job)
             if self._trace is not None:
-                self._trace.emit(
+                self._emit(
                     "cost.evaluated",
-                    self.sim.now,
                     job=message.job.job_id,
-                    node=self.node_id,
                     cost=cost,
                     phase="request",
                 )
@@ -877,11 +843,9 @@ class AriaAgent:
         if pending is not None:
             pending.offers.append((message.cost, message.node))
             if self._trace is not None:
-                self._trace.emit(
+                self._emit(
                     "accept.received",
-                    self.sim.now,
                     job=message.job_id,
-                    node=self.node_id,
                     src=message.node,
                     cost=message.cost,
                     phase="request",
@@ -937,21 +901,13 @@ class AriaAgent:
                             entry.job.job_id, now
                         )
                         if self._trace is not None:
-                            self._trace.emit(
+                            self._emit(
                                 "deadline.exceeded",
-                                now,
                                 job=entry.job.job_id,
-                                node=self.node_id,
                                 overdue=overdue,
                             )
             if self._trace is not None:
-                self._trace.emit(
-                    "inform.broadcast",
-                    now,
-                    job=entry.job.job_id,
-                    node=self.node_id,
-                    cost=cost,
-                )
+                self._emit("inform.broadcast", job=entry.job.job_id, cost=cost)
             broadcast_id = self._next_broadcast_id()
             self._seen_informs.seen_before(broadcast_id)
             message = Inform(
@@ -994,11 +950,9 @@ class AriaAgent:
             cost = self.node.cost_for(message.job)
             if cost < message.cost - self._improvement_threshold:
                 if self._trace is not None:
-                    self._trace.emit(
+                    self._emit(
                         "cost.evaluated",
-                        self.sim.now,
                         job=message.job.job_id,
-                        node=node_id,
                         cost=cost,
                         phase="inform",
                     )
@@ -1040,11 +994,9 @@ class AriaAgent:
             # inflated advertisement attracted actually wins here.
             own_cost += self._overdue(message.job_id, self.sim.now)
         if self._trace is not None:
-            self._trace.emit(
+            self._emit(
                 "accept.received",
-                self.sim.now,
                 job=message.job_id,
-                node=self.node_id,
                 src=message.node,
                 cost=message.cost,
                 phase="inform",
@@ -1055,11 +1007,9 @@ class AriaAgent:
         if removed is None:  # pragma: no cover - guarded by find() above
             return
         if self._trace is not None:
-            self._trace.emit(
+            self._emit(
                 "reschedule.withdrawn",
-                self.sim.now,
                 job=message.job_id,
-                node=self.node_id,
                 to=message.node,
                 own_cost=own_cost,
                 offer_cost=message.cost,
@@ -1091,13 +1041,7 @@ class AriaAgent:
             # executed whose Done got lost): accepting twice would
             # double-execute, so the second copy is dropped idempotently.
             if self._trace is not None:
-                self._trace.emit(
-                    "assign.duplicate",
-                    self.sim.now,
-                    job=job.job_id,
-                    node=self.node_id,
-                    src=src,
-                )
+                self._emit("assign.duplicate", job=job.job_id, src=src)
             return
         self._redelegated.pop(job.job_id, None)
         # The wire copy may be this process's first sight of the job
@@ -1107,11 +1051,9 @@ class AriaAgent:
             job.job_id, self.node_id, self.sim.now, message.reschedule
         )
         if self._trace is not None:
-            self._trace.emit(
+            self._emit(
                 "assign.received",
-                self.sim.now,
                 job=job.job_id,
-                node=self.node_id,
                 src=src,
                 reschedule=message.reschedule,
             )
@@ -1121,9 +1063,7 @@ class AriaAgent:
             self._begin_discovery(job, message.initiator)
             return
         if self._trace is not None:
-            self._trace.emit(
-                "job.queued", self.sim.now, job=job.job_id, node=self.node_id
-            )
+            self._emit("job.queued", job=job.job_id)
         held = self._held[job.job_id] = _Held(job, message.initiator)
         if self.config.failsafe:
             # Seed the orphan detector: treat the ASSIGN itself as the
@@ -1164,12 +1104,7 @@ class AriaAgent:
             if held is not None:
                 held.exec_deadline = None
         if self._trace is not None:
-            self._trace.emit(
-                "job.started",
-                self.sim.now,
-                job=running.job.job_id,
-                node=node.node_id,
-            )
+            self._emit("job.started", job=running.job.job_id)
 
     def _on_job_finished(self, node: GridNode, finished: RunningJob) -> None:
         job_id = finished.job.job_id
@@ -1183,12 +1118,8 @@ class AriaAgent:
             job_id, node.node_id, self.sim.now, incarnation=self.incarnation
         )
         if self._trace is not None:
-            self._trace.emit(
-                "job.finished",
-                self.sim.now,
-                job=job_id,
-                node=node.node_id,
-                incarnation=self.incarnation,
+            self._emit(
+                "job.finished", job=job_id, incarnation=self.incarnation
             )
         if self.config.failsafe:
             if initiator == self.node_id:
@@ -1227,13 +1158,7 @@ class AriaAgent:
             if assignee == self.node_id:
                 continue  # local job: completion is observed directly
             if self._trace is not None:
-                self._trace.emit(
-                    "probe.sent",
-                    self.sim.now,
-                    job=job_id,
-                    node=self.node_id,
-                    assignee=assignee,
-                )
+                self._emit("probe.sent", job=job_id, assignee=assignee)
             self._send_control(assignee, Probe(job_id, self.node_id))
             tracked.probe_timer = self.sim.call_after(
                 self.config.probe_timeout, self._probe_missed, job_id
@@ -1270,13 +1195,7 @@ class AriaAgent:
             held.last_probe = None
             self.metrics.job_orphaned(job_id, now)
             if self._trace is not None:
-                self._trace.emit(
-                    "job.orphaned",
-                    now,
-                    job=job_id,
-                    node=self.node_id,
-                    initiator=initiator,
-                )
+                self._emit("job.orphaned", job=job_id, initiator=initiator)
             if not self._adoption:
                 continue
             held.adopted = True
@@ -1284,13 +1203,7 @@ class AriaAgent:
             self._tracked[job_id] = _Tracked(held.job, self.node_id)
             self.metrics.job_adopted(job_id, now)
             if self._trace is not None:
-                self._trace.emit(
-                    "job.adopted",
-                    now,
-                    job=job_id,
-                    node=self.node_id,
-                    initiator=initiator,
-                )
+                self._emit("job.adopted", job=job_id, initiator=initiator)
 
     def _handle_probe_reply(self, src: NodeId, message: ProbeReply) -> None:
         """Process a probe answer; two consecutive misses resubmit.
@@ -1349,13 +1262,7 @@ class AriaAgent:
         job_id = job.job_id
         tracked.misses = misses = tracked.misses + 1
         if self._trace is not None:
-            self._trace.emit(
-                "probe.miss",
-                self.sim.now,
-                job=job_id,
-                node=self.node_id,
-                misses=misses,
-            )
+            self._emit("probe.miss", job=job_id, misses=misses)
         if misses < 2:
             return
         self._untrack(job_id)
@@ -1363,7 +1270,5 @@ class AriaAgent:
             return
         self.metrics.job_resubmitted(job_id, self.sim.now)
         if self._trace is not None:
-            self._trace.emit(
-                "job.resubmitted", self.sim.now, job=job_id, node=self.node_id
-            )
+            self._emit("job.resubmitted", job=job_id)
         self._begin_discovery(job)

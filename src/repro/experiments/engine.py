@@ -490,17 +490,12 @@ def run(
     ``trace`` is a :class:`~repro.obs.TraceConfig`: events are recorded
     to its sink and the metrics-registry snapshot is surfaced as
     ``RunSummary.telemetry`` (not supported for baseline specs).
-    ``trace`` / ``profile`` / ``profile_out`` may come either as direct
-    arguments or via ``options``; direct arguments win.
 
     Returns a :class:`~repro.experiments.runner.RunResult` (scenario,
     crash, churn) or :class:`~repro.baselines.runner.BaselineRunResult`
     (baseline); call ``.summary()`` on either for the picklable hand-off.
     """
     opts = options if options is not None else RunOptions()
-    trace = trace if trace is not None else opts.trace
-    profile = profile or opts.profile
-    profile_out = profile_out if profile_out is not None else opts.profile_out
     scale = scale if scale is not None else ScenarioScale.paper()
     payload = _spec_payload(spec, opts.spec_options())
     payload["scale"] = dataclasses.asdict(scale)
@@ -626,19 +621,9 @@ def run_batch(
     served from the cache.
 
     Like :func:`run`, spec options come via ``options`` (a
-    :class:`RunOptions`).  The
-    batch mechanics (``parallel`` / ``cache`` / ``progress`` /
-    ``seed_timeout`` / ``trace``) may come either as direct arguments or
-    via ``options``; direct arguments win.
+    :class:`RunOptions`).
     """
     opts = options if options is not None else RunOptions()
-    trace = trace if trace is not None else opts.trace
-    parallel = parallel if parallel is not None else opts.parallel
-    cache = cache if cache is not None else opts.cache
-    progress = progress if progress is not None else opts.progress
-    seed_timeout = (
-        seed_timeout if seed_timeout is not None else opts.seed_timeout
-    )
     scale = scale if scale is not None else ScenarioScale.paper()
     base_payload = _spec_payload(spec, opts.spec_options())
     cache_store = _resolve_cache(cache)

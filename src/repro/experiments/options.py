@@ -1,18 +1,16 @@
-"""One frozen spec for everything a ``run`` / ``run_batch`` call can vary.
+"""One frozen spec for what a ``run`` / ``run_batch`` call computes.
 
-Everything an engine call can vary travels in one frozen, validated
-:class:`RunOptions`:
+Every per-kind knob that joins the experiment payload — and therefore
+the on-disk **cache key** — travels in one frozen, validated
+:class:`RunOptions`.  Every field defaults to ``None`` (= unset) and
+:meth:`spec_options` excludes unset fields, so a ``RunOptions()`` run
+produces byte-identical payloads — and therefore identical cache keys
+and golden summaries — to a bare ``run(spec, scale)`` call.
 
-* **Spec options** — the per-kind knobs that join the experiment payload
-  and therefore the on-disk **cache key**.  Every field defaults to
-  ``None`` (= unset) and :meth:`spec_options` excludes unset fields, so
-  a ``RunOptions()`` run produces byte-identical payloads — and
-  therefore identical cache keys and golden summaries — to a bare
-  ``run(spec, scale)`` call.
-* **Mechanics** — how the run executes (``trace``, ``profile``,
-  ``parallel``, ``cache``, ``progress``, ``seed_timeout``).  These never
-  join spec payloads; the trace config joins the cache key separately,
-  exactly as before.
+*How* a run executes (``trace``, ``profile``, ``parallel``, ``cache``,
+``progress``, ``seed_timeout``) is not here: those are arguments of
+:func:`~repro.experiments.engine.run` / ``run_batch`` and never join
+spec payloads (the trace config joins the cache key separately).
 
 The engine still validates spec options *per kind* (``failsafe`` on a
 plain scenario is still an error): :class:`RunOptions` guards the field
@@ -21,35 +19,17 @@ plain scenario is still an error): :class:`RunOptions` guards the field
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Tuple
 
-from ..obs.trace import TraceConfig
-
 __all__ = ["RunOptions"]
-
-#: RunOptions fields that belong to the experiment payload (cache key).
-_SPEC_FIELDS = (
-    "config_overrides",
-    "policies",
-    "submission_interval",
-    "multirequest_k",
-    "failsafe",
-    "adoption",
-    "reliability",
-    "scenario_name",
-    "probe_interval",
-    "deadline_slack",
-    "fault_plan",
-)
 
 
 @dataclass(frozen=True)
 class RunOptions:
-    """Validated options for one engine invocation.
-
-    Spec options (cache-key relevant; ``None`` = unset, leave the
-    experiment's own default in force):
+    """Validated spec options for one engine invocation (cache-key
+    relevant; ``None`` = unset, leave the experiment's own default in
+    force):
 
     * ``config_overrides`` — scenario runs: :class:`AriaConfig` patches.
     * ``policies`` / ``submission_interval`` / ``multirequest_k`` —
@@ -58,14 +38,6 @@ class RunOptions:
       churn and fault experiments.
     * ``adoption`` / ``reliability`` / ``deadline_slack`` /
       ``fault_plan`` — failure-model experiments.
-
-    Mechanics (never part of the experiment payload):
-
-    * ``trace`` — :class:`~repro.obs.TraceConfig` (joins the cache key
-      on its own, as before).
-    * ``profile`` / ``profile_out`` — cProfile the run (single-run only).
-    * ``parallel`` / ``cache`` / ``progress`` / ``seed_timeout`` — batch
-      execution knobs (see :func:`~repro.experiments.engine.run_batch`).
     """
 
     config_overrides: Optional[Dict[str, object]] = None
@@ -80,14 +52,6 @@ class RunOptions:
     deadline_slack: Optional[float] = None
     fault_plan: Optional[object] = None
 
-    trace: Optional[TraceConfig] = None
-    profile: bool = False
-    profile_out: Optional[str] = None
-    parallel: Optional[int] = None
-    cache: object = None
-    progress: object = None
-    seed_timeout: Optional[float] = None
-
     def __post_init__(self) -> None:
         if self.policies is not None:
             object.__setattr__(self, "policies", tuple(self.policies))
@@ -100,7 +64,7 @@ class RunOptions:
         never mentioned them.
         """
         return {
-            name: getattr(self, name)
-            for name in _SPEC_FIELDS
-            if getattr(self, name) is not None
+            field.name: getattr(self, field.name)
+            for field in fields(self)
+            if getattr(self, field.name) is not None
         }

@@ -51,9 +51,8 @@ def _sweep_point(
             scenario,
             scale,
             seeds=seeds,
-            options=RunOptions(
-                parallel=parallel, config_overrides=config_overrides
-            ),
+            options=RunOptions(config_overrides=config_overrides),
+            parallel=parallel,
         )
     )
 

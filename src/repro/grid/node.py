@@ -18,7 +18,6 @@ the paper ("the ART ... is unknown until execution completes", §IV-D).
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 from ..clock import Clock
@@ -92,7 +91,6 @@ class GridNode:
         performance_index: float,
         scheduler: LocalScheduler,
         accuracy: AccuracyModel,
-        art_rng: Optional[random.Random] = None,
     ) -> None:
         self.node_id = node_id
         self.sim = sim
@@ -100,7 +98,7 @@ class GridNode:
         self.performance_index = performance_index
         self.scheduler = scheduler
         self.accuracy = accuracy
-        self._art_rng = art_rng if art_rng is not None else sim.streams.get("grid.art")
+        self._art_rng = sim.streams.get("grid.art")
         self.running: Optional[RunningJob] = None
         self._completion_event = None
         #: A crashed node executes nothing and loses its queue (§III-D

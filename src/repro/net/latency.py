@@ -78,6 +78,17 @@ class UniformLatency(LatencyModel):
         return rng.uniform(self.low, self.high)
 
 
+#: FIFO cap on :class:`PairwiseLogNormalLatency`'s per-pair base-delay
+#: cache.  Far above what any grid up to the paper's 500 nodes can
+#: populate (125k symmetric pairs), so eviction never occurs there and
+#: seeded runs are unchanged; at 10^4-10^5 nodes the pair space is
+#: quadratic and an unbounded cache would dominate peak memory.  An
+#: evicted pair that communicates again simply draws a fresh base delay
+#: — still deterministic, and statistically indistinguishable since pairs
+#: are i.i.d.
+_MAX_PAIRS = 1_000_000
+
+
 class PairwiseLogNormalLatency(LatencyModel):
     """Log-normal per-pair base delay plus uniform per-message jitter.
 
@@ -90,37 +101,24 @@ class PairwiseLogNormalLatency(LatencyModel):
         not extreme tail; ~95 % of pairs fall within [9 ms, 66 ms]).
     jitter:
         Per-message jitter, uniform in ``[0, jitter]`` seconds.
-    max_pairs:
-        FIFO cap on the per-pair base-delay cache.  The default (10^6
-        pairs) is far above what any grid up to the paper's 500 nodes can
-        populate (125k symmetric pairs), so eviction never occurs there
-        and seeded runs are unchanged; at 10^4-10^5 nodes the pair space
-        is quadratic and an unbounded cache would dominate peak memory.
-        An evicted pair that communicates again simply draws a fresh base
-        delay — still deterministic, and statistically indistinguishable
-        since pairs are i.i.d.
     """
 
-    __slots__ = ("mu", "sigma", "jitter", "max_pairs", "_base")
+    __slots__ = ("mu", "sigma", "jitter", "_base")
 
     def __init__(
         self,
         median: float = 0.025,
         sigma: float = 0.5,
         jitter: float = 0.005,
-        max_pairs: int = 1_000_000,
     ) -> None:
         if median <= 0 or sigma < 0 or jitter < 0:
             raise ConfigurationError(
                 f"invalid log-normal parameters median={median} sigma={sigma} "
                 f"jitter={jitter}"
             )
-        if max_pairs < 1:
-            raise ConfigurationError(f"max_pairs must be >= 1, got {max_pairs}")
         self.mu = math.log(median)
         self.sigma = sigma
         self.jitter = jitter
-        self.max_pairs = max_pairs
         self._base: Dict[Tuple[NodeId, NodeId], float] = {}
 
     def sample(self, src: NodeId, dst: NodeId, rng: random.Random) -> float:
@@ -130,7 +128,7 @@ class PairwiseLogNormalLatency(LatencyModel):
         base = cache.get(key)
         if base is None:
             base = rng.lognormvariate(self.mu, self.sigma)
-            if len(cache) >= self.max_pairs:
+            if len(cache) >= _MAX_PAIRS:
                 del cache[next(iter(cache))]
             cache[key] = base
         jitter = self.jitter

@@ -32,6 +32,7 @@ fault experiments).  See ``docs/FAULTS.md`` for the full argument.
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -152,12 +153,19 @@ class ReliabilityLayer:
         self._next_id = msg_id_base
         self._pending: Dict[int, _Pending] = {}
         #: Receiver-side dedup state: ``(src, msg_id)`` pairs already
-        #: delivered, per local endpoint (so one layer serves every node
-        #: of the grid).  Keying by sender matters once peers live in
-        #: other processes: their layers allocate msg_ids independently,
-        #: and a bare msg_id from one sender must not suppress a fresh
-        #: message from another.
-        self._seen: Dict[NodeId, set] = {}
+        #: delivered -> when first seen, oldest first (an ``OrderedDict``
+        #: because a plain dict's first key is not O(1) to find once
+        #: older ones were deleted), per local endpoint (so one layer
+        #: serves every node of the grid).  Keying by sender matters once
+        #: peers live in other processes: their layers allocate msg_ids
+        #: independently, and a bare msg_id from one sender must not
+        #: suppress a fresh message from another.
+        self._seen: Dict[NodeId, OrderedDict] = {}
+        #: How long a dedup entry is kept.  One give-up horizon after a
+        #: first copy arrived its sender has abandoned the id, so no
+        #: retransmission can follow; the second horizon covers a
+        #: duplicated or delay-spiked last copy (docs/FAULTS.md).
+        self._dedup_window = 2.0 * self.config.give_up_horizon()
         registry = transport.registry
         self._retransmissions = registry.counter("reliable.retransmissions")
         self._acks_sent = registry.counter("reliable.acks_sent")
@@ -286,17 +294,8 @@ class ReliabilityLayer:
         self._delivered.inc()
         self._ack_rtt.observe(self._clock.now - pending.sent_at)
 
-    def _on_ack_stamped(self, msg_id: int, dst: NodeId, stamp: int) -> None:
-        """Deliver an ack only if the acked sender's incarnation still
-        matches the one the ack was addressed to."""
-        incarnations = self.transport._incarnations
-        if incarnations is not None and incarnations.get(dst, 0) != stamp:
-            self.transport._dropped_stale.inc()
-            return
-        self._on_ack(msg_id)
-
     # ------------------------------------------------------------------
-    # Receiver side (called by Transport._deliver_tagged)
+    # Receiver side (called by Transport._deliver for tagged messages)
     # ------------------------------------------------------------------
     def accept(self, src: NodeId, dst: NodeId, msg_id: int) -> bool:
         """Ack a tagged delivery at ``dst``; ``False`` if it is a duplicate.
@@ -308,11 +307,16 @@ class ReliabilityLayer:
         self.transport.send_ack(dst, src, Ack(msg_id), msg_id)
         seen = self._seen.get(dst)
         if seen is None:
-            seen = self._seen[dst] = set()
+            seen = self._seen[dst] = OrderedDict()
         if (src, msg_id) in seen:
             self._duplicates_suppressed.inc()
             return False
-        seen.add((src, msg_id))
+        now = self._clock.now
+        seen[(src, msg_id)] = now
+        expired = now - self._dedup_window
+        # Ends at the entry just added, if not before.
+        while seen[next(iter(seen))] < expired:
+            seen.popitem(last=False)
         return True
 
     # ------------------------------------------------------------------

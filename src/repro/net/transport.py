@@ -71,9 +71,10 @@ class Transport:
     :meth:`send_ack` — while this base owns everything both backends
     share: the handler registry, traffic accounting and loss judgment
     (:meth:`_account`, the single choke point every outbound message
-    passes through), delivery-side bookkeeping (drop / staleness
-    counters), incarnation stamping, and the counter snapshot consumed by
-    run summaries.
+    passes through), the fault verdict (:meth:`_judge`), delivery
+    (:meth:`_deliver`, the one door to a handler, with its drop /
+    staleness counters, and :meth:`_deliver_ack` beside it), incarnation
+    stamping, and the counter snapshot consumed by run summaries.
     """
 
     __slots__ = (
@@ -190,10 +191,9 @@ class Transport:
         original sender ``dst``.
 
         Acks bypass the handler registry on arrival: they settle the
-        sender-side pending entry directly (via
-        ``reliability._on_ack`` / ``_on_ack_stamped``), stamped with the
-        sender's incarnation when stamping is active so a reborn sender
-        never consumes an ack addressed to its past.
+        sender-side pending entry directly (:meth:`_deliver_ack`),
+        stamped with the sender's incarnation when stamping is active so
+        a reborn sender never consumes an ack addressed to its past.
         """
         raise NotImplementedError
 
@@ -348,6 +348,21 @@ class Transport:
             return False
         return True
 
+    def _judge(self, src: NodeId, dst: NodeId, message: Message) -> int:
+        """The fault verdict on one accounted message, for both wires:
+        how many copies survive (0 = lost, counted; 2 = duplicated).
+        Call only while ``faults`` is attached."""
+        copies = self.faults.judge(src, dst)
+        if not copies:
+            self._lost.inc()
+            if self._trace is not None:
+                self._emit_msg(
+                    "msg.lost", message, src=src, dst=dst, reason="fault"
+                )
+        elif copies > 1 and self._trace is not None:
+            self._emit_msg("msg.duplicated", message, src=src, dst=dst)
+        return copies
+
     def _emit_msg(self, event: str, message: Message, **fields) -> None:
         """Record one message event, annotated with its job when known."""
         job = message_job_id(message)
@@ -472,56 +487,63 @@ class Transport:
         if self._trace is not None:
             self._emit_msg("msg.dropped", message, dst=dst, reason=reason)
 
-    def _deliver(self, src: NodeId, dst: NodeId, message: Message) -> None:
-        handler = self._handlers.get(dst)
-        if handler is None:
-            self._drop(dst, message)
-            return
-        if self._trace is not None:
-            self._emit_msg("msg.delivered", message, src=src, dst=dst)
-        handler(src, message)
-
-    def _deliver_tagged(
-        self, src: NodeId, dst: NodeId, message: Message, msg_id: int
-    ) -> None:
-        handler = self._handlers.get(dst)
-        if handler is None:
-            self._drop(dst, message)
-            return
-        if self._trace is not None:
-            self._emit_msg("msg.delivered", message, src=src, dst=dst)
-        reliability = self.reliability
-        if reliability is None or reliability.accept(src, dst, msg_id):
-            handler(src, message)
-
-    def _stale(self, dst: NodeId, message: Message) -> None:
-        """Reject a delivery addressed to a dead incarnation of ``dst``."""
+    def _is_stale(self, dst: NodeId, stamp: int) -> bool:
+        """Whether ``stamp`` addresses a dead incarnation of ``dst``,
+        counted if so (a transport that does not stamp rejects nothing)."""
+        incarnations = self._incarnations
+        if incarnations is None or incarnations.get(dst, 0) == stamp:
+            return False
         self._dropped_stale.inc()
-        if self._trace is not None:
-            self._emit_msg(
-                "msg.dropped", message, dst=dst, reason="stale_incarnation"
-            )
+        return True
 
-    def _deliver_stamped(
-        self, src: NodeId, dst: NodeId, message: Message, stamp: int
-    ) -> None:
-        if self._incarnations.get(dst, 0) != stamp:
-            self._stale(dst, message)
-            return
-        self._deliver(src, dst, message)
-
-    def _deliver_tagged_stamped(
+    def _deliver(
         self,
         src: NodeId,
         dst: NodeId,
         message: Message,
-        msg_id: int,
-        stamp: int,
+        msg_id: Optional[int] = None,
+        stamp: Optional[int] = None,
     ) -> None:
-        if self._incarnations.get(dst, 0) != stamp:
-            self._stale(dst, message)
+        """The one way a message reaches a handler, on either wire.
+
+        ``stamp`` (when stamping is on) rejects a copy addressed to a
+        dead incarnation of ``dst``; ``msg_id`` (a reliable send) routes
+        through the reliability layer, which acks every copy and
+        suppresses duplicates.  A plain flooded message carries neither
+        and pays the two ``is None`` tests.
+        """
+        if stamp is not None and self._is_stale(dst, stamp):
+            if self._trace is not None:
+                self._emit_msg(
+                    "msg.dropped", message, dst=dst, reason="stale_incarnation"
+                )
             return
-        self._deliver_tagged(src, dst, message, msg_id)
+        handler = self._handlers.get(dst)
+        if handler is None:
+            self._drop(dst, message)
+            return
+        if self._trace is not None:
+            self._emit_msg("msg.delivered", message, src=src, dst=dst)
+        if msg_id is not None:
+            reliability = self.reliability
+            if reliability is not None and not reliability.accept(
+                src, dst, msg_id
+            ):
+                return
+        handler(src, message)
+
+    def _deliver_ack(
+        self, dst: NodeId, msg_id: int, stamp: Optional[int] = None
+    ) -> None:
+        """Settle the pending reliable send ``msg_id`` at its sender
+        ``dst`` — unless ``dst`` restarted since the ack was addressed:
+        the pending entry died with the crash, and the reborn sender
+        must not read an ack meant for its past."""
+        if stamp is not None and self._is_stale(dst, stamp):
+            return
+        reliability = self.reliability
+        if reliability is not None:
+            reliability._on_ack(msg_id)
 
 
 class SimTransport(Transport):
@@ -559,16 +581,11 @@ class SimTransport(Transport):
 
     def send(self, src: NodeId, dst: NodeId, message: Message) -> None:
         incarnations = self._incarnations
-        if incarnations is not None:
-            self._post(
-                src,
-                dst,
-                message,
-                self._deliver_stamped,
-                (src, dst, message, incarnations.get(dst, 0)),
-            )
-            return
-        self._post(src, dst, message, self._deliver, (src, dst, message))
+        if incarnations is None:
+            args = (src, dst, message)
+        else:
+            args = (src, dst, message, None, incarnations.get(dst, 0))
+        self._post(src, dst, message, self._deliver, args)
 
     def send_tagged(
         self,
@@ -578,40 +595,19 @@ class SimTransport(Transport):
         msg_id: int,
         stamp: Optional[int] = None,
     ) -> None:
-        if stamp is None:
-            self._post(
-                src,
-                dst,
-                message,
-                self._deliver_tagged,
-                (src, dst, message, msg_id),
-            )
-        else:
-            self._post(
-                src,
-                dst,
-                message,
-                self._deliver_tagged_stamped,
-                (src, dst, message, msg_id, stamp),
-            )
+        self._post(
+            src, dst, message, self._deliver, (src, dst, message, msg_id, stamp)
+        )
 
     def send_ack(self, src: NodeId, dst: NodeId, message: Message, msg_id: int) -> None:
-        reliability = self.reliability
-        stamp = self.incarnation_stamp(dst)
-        if stamp is None:
-            self._post(src, dst, message, reliability._on_ack, (msg_id,))
-        else:
-            # Stamp the ack with the *sender's* current incarnation: if
-            # the sender restarts before the ack lands, the ack is stale
-            # by definition (the pending entry died with the crash) and
-            # must not be interpreted by the reborn sender.
-            self._post(
-                src,
-                dst,
-                message,
-                reliability._on_ack_stamped,
-                (msg_id, dst, stamp),
-            )
+        # Stamped with the *sender's* current incarnation (see _deliver_ack).
+        self._post(
+            src,
+            dst,
+            message,
+            self._deliver_ack,
+            (dst, msg_id, self.incarnation_stamp(dst)),
+        )
 
     def _post(
         self,
@@ -663,21 +659,11 @@ class SimTransport(Transport):
         args: tuple,
         message: Message,
     ) -> None:
-        """Fault-model path: judge the message, then schedule each
-        surviving copy after its own latency draw."""
-        copies = self.faults.judge(src, dst)
-        if not copies:
-            self._lost.inc()
-            if self._trace is not None:
-                self._emit_msg(
-                    "msg.lost", message, src=src, dst=dst, reason="fault"
-                )
-            return
-        if copies > 1 and self._trace is not None:
-            self._emit_msg("msg.duplicated", message, src=src, dst=dst)
+        """Fault-model path: schedule each copy that survives the
+        verdict after its own latency draw."""
         sim = self._sim
         queue = sim._queue
-        for _ in range(copies):
+        for _ in range(self._judge(src, dst, message)):
             delay = self._latency.sample(src, dst, self._rng)
             entry = [sim._now + delay, 0, queue._seq, callback, args]
             queue._seq += 1

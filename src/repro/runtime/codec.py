@@ -15,8 +15,9 @@ constructors take the slots in order), with two typed special cases:
 
 The envelope wraps one encoded message with its routing metadata —
 source, destination, delivery kind (plain / reliability-tagged / ack),
-``msg_id`` and incarnation ``stamp`` — mirroring exactly the four
-delivery paths of the :class:`~repro.net.Transport` interface.
+``msg_id`` and incarnation ``stamp`` — the arguments of
+:meth:`~repro.net.Transport._deliver` (and ``_deliver_ack``), which is
+where a decoded envelope goes.
 
 Note the declared ``SIZE_BYTES`` wire sizes stay authoritative for
 traffic accounting even live: the JSON encoding is a convenience
@@ -189,12 +190,19 @@ def decode_envelope(payload: Dict[str, Any]) -> Dict[str, Any]:
     kind = payload.get("kind")
     if kind not in ("send", "tagged", "ack"):
         raise ConfigurationError(f"malformed envelope kind {kind!r}")
+    msg_id = payload.get("msg_id")
+    if (msg_id is None) != (kind == "send"):
+        # The kind and the tag must agree: delivery acks and dedups on
+        # msg_id alone, and an ack settles nothing without one.
+        raise ConfigurationError(
+            f"{kind!r} envelope with msg_id {msg_id!r}"
+        )
     return {
         "kind": kind,
         "src": payload["src"],
         "dst": payload["dst"],
         "message": decode_message(payload["message"]),
-        "msg_id": payload.get("msg_id"),
+        "msg_id": msg_id,
         "stamp": payload.get("stamp"),
         "trace": payload.get("trace"),
     }

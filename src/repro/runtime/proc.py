@@ -101,6 +101,13 @@ __all__ = [
 #: windows at the default supervisor backoff).
 _SUBMIT_RETRY_WINDOW = 8.0
 
+#: Fail-slow detection: wall seconds between ``/healthz`` probe rounds,
+#: the timeout of one probe, and how many consecutive misses get a live
+#: but unresponsive worker SIGKILLed.
+_HEALTH_INTERVAL = 1.0
+_HEALTH_TIMEOUT = 1.0
+_HEALTH_FAILS = 5
+
 
 # ----------------------------------------------------------------------
 # Process-level chaos schedule
@@ -501,7 +508,7 @@ class Supervisor:
     Crash recovery is exit-code driven (a SIGKILLed child reports a
     negative exit code immediately) with ``/healthz`` probes layered on
     top for fail-slow detection: a worker that is alive but unresponsive
-    for ``health_fails`` consecutive probes is SIGKILLed, which folds the
+    for ``_HEALTH_FAILS`` consecutive probes is SIGKILLed, which folds the
     gray failure into the crash path the journal already survives.
     Respawns back off exponentially (``backoff_base * 2**restarts``,
     capped) and a worker that exhausts ``max_restarts`` is declared
@@ -517,9 +524,6 @@ class Supervisor:
         backoff_base: float = 0.5,
         backoff_cap: float = 10.0,
         max_restarts: int = 5,
-        health_interval: float = 1.0,
-        health_timeout: float = 1.0,
-        health_fails: int = 5,
         target: Callable[[WorkerSpec], None] = worker_main,
     ) -> None:
         if backoff_base <= 0 or backoff_cap <= 0:
@@ -531,9 +535,6 @@ class Supervisor:
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.max_restarts = max_restarts
-        self.health_interval = health_interval
-        self.health_timeout = health_timeout
-        self.health_fails = health_fails
         self.workers = [_Worker(spec) for spec in specs]
         self.total_restarts = 0
         self._restarts_counter = (
@@ -596,7 +597,7 @@ class Supervisor:
         while True:
             self.poll()
             if health and time.monotonic() >= next_probe:
-                next_probe = time.monotonic() + self.health_interval
+                next_probe = time.monotonic() + _HEALTH_INTERVAL
                 await self._probe_health()
             await asyncio.sleep(0.1)
 
@@ -614,12 +615,12 @@ class Supervisor:
                     entry["host"],
                     entry["port"],
                     HEALTH_PATH,
-                    timeout=self.health_timeout,
+                    timeout=_HEALTH_TIMEOUT,
                     retries=0,
                 )
             except (ConnectionError, OSError, ValueError, asyncio.TimeoutError):
                 worker.health_misses += 1
-                if worker.health_misses >= self.health_fails:
+                if worker.health_misses >= _HEALTH_FAILS:
                     # Fail-slow → crash-stop: SIGKILL folds the gray
                     # failure into the restart path.
                     self.kill(index)
@@ -740,8 +741,6 @@ class ProcRunConfig(WireRunConfig):
     run_dir: Optional[str] = None
     trace_level: str = "transport"
     rotate_bytes: int = 64 * 1024 * 1024
-    #: Wall seconds SIGTERMed workers get to depart before SIGKILL.
-    drain_grace: float = 5.0
     max_restarts: int = 5
     backoff_base: float = 0.5
     #: Forge a cross-process duplicate completion (checker self-test).
@@ -1024,7 +1023,7 @@ async def _run_procs(
         )
         monitor_task.cancel()
         await asyncio.gather(monitor_task, return_exceptions=True)
-        await supervisor.drain(config.drain_grace)
+        await supervisor.drain()
         if collector_task is not None:
             collector_task.cancel()
             await asyncio.gather(collector_task, return_exceptions=True)

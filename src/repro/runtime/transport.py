@@ -11,12 +11,13 @@ that serves three routes:
 * ``POST /message`` — the node's inbox.  The body is one envelope
   (:mod:`repro.runtime.codec`) carrying a protocol message plus its
   delivery kind, reliability tag and incarnation stamp; the server
-  decodes it and hands it to the exact same delivery methods
-  (``_deliver`` / ``_deliver_tagged`` / stamped variants) the simulated
-  transport uses, so drop, staleness and dedup semantics are shared code.
+  decodes it and hands it to the same :meth:`~repro.net.Transport._deliver`
+  (``_deliver_ack`` for an ack) the simulated transport schedules, so
+  drop, staleness and dedup semantics are shared code.
   A body that fails to parse or decode — non-JSON, a truncated envelope,
-  an unknown ``kind`` — is answered with HTTP 400 and counted in the
-  ``rejected`` counter instead of poisoning the request task.
+  an unknown ``kind``, a ``kind`` that disagrees with ``msg_id`` — is
+  answered with HTTP 400 and counted in the ``rejected`` counter instead
+  of poisoning the request task.
 * ``GET /healthz`` — a liveness snapshot for operators and the soak
   harness: node id, protocol time, whether an inbox handler is attached,
   plus whatever the node's registered health provider reports (queue
@@ -241,20 +242,24 @@ class LiveTransport(Transport):
         that a reborn peer moved on — re-discovery max-merges the card
         value into the local table, and until that happens sends keep
         stamping the dead incarnation and are correctly dropped stale.
+        ``endpoints.submit`` is listed only while a submit handler is
+        attached — without one the route answers 404.
         """
         server = self._servers[node_id]
+        endpoints = {
+            "message": MESSAGE_PATH,
+            "health": HEALTH_PATH,
+            "metrics": METRICS_PATH,
+        }
+        if node_id in self._submit:
+            endpoints["submit"] = SUBMIT_PATH
         card: Dict[str, Any] = {
             "name": f"aria-node-{node_id}",
             "node_id": node_id,
             "protocol": PROTOCOL_VERSION,
             "transport": "http+json",
             "url": f"http://{server.host}:{server.port}",
-            "endpoints": {
-                "message": MESSAGE_PATH,
-                "health": HEALTH_PATH,
-                "metrics": METRICS_PATH,
-                "submit": SUBMIT_PATH,
-            },
+            "endpoints": endpoints,
         }
         incarnations = self._incarnations
         if incarnations is not None:
@@ -468,43 +473,21 @@ class LiveTransport(Transport):
         return handle
 
     def _dispatch(self, envelope: Dict[str, Any]) -> None:
-        """Route one decoded envelope through the shared delivery paths.
-
-        The delivery callback is resolved first, then invoked — through
-        :meth:`~repro.net.Transport._traced_dispatch` when the envelope
-        carries a ``trace`` stamp and tracing is on here too, so the
-        receiving process emits the paired ``net.recv`` event and runs
-        the handler under the sender's causal context.
+        """Hand one decoded envelope to the shared delivery door —
+        through :meth:`~repro.net.Transport._traced_dispatch` when the
+        envelope carries a ``trace`` stamp and tracing is on here too,
+        so the receiving process emits the paired ``net.recv`` event and
+        runs the handler under the sender's causal context.
         """
-        kind = envelope["kind"]
         src = envelope["src"]
         dst = envelope["dst"]
         message = envelope["message"]
+        msg_id = envelope["msg_id"]
         stamp = envelope["stamp"]
-        if kind == "send":
-            if stamp is None:
-                callback, args = self._deliver, (src, dst, message)
-            else:
-                callback = self._deliver_stamped
-                args = (src, dst, message, stamp)
-        elif kind == "tagged":
-            msg_id = envelope["msg_id"]
-            if stamp is None:
-                callback = self._deliver_tagged
-                args = (src, dst, message, msg_id)
-            else:
-                callback = self._deliver_tagged_stamped
-                args = (src, dst, message, msg_id, stamp)
+        if envelope["kind"] == "ack":
+            callback, args = self._deliver_ack, (dst, msg_id, stamp)
         else:
-            # kind == "ack": settle the sender-side pending entry directly.
-            reliability = self.reliability
-            if reliability is None:
-                return
-            if stamp is None:
-                callback, args = reliability._on_ack, (envelope["msg_id"],)
-            else:
-                callback = reliability._on_ack_stamped
-                args = (envelope["msg_id"], dst, stamp)
+            callback, args = self._deliver, (src, dst, message, msg_id, stamp)
         trace = envelope.get("trace")
         if trace is not None and self._trace is not None:
             self._traced_dispatch(
@@ -523,32 +506,13 @@ class LiveTransport(Transport):
     # Send side (the Transport interface)
     # ------------------------------------------------------------------
     def send(self, src: NodeId, dst: NodeId, message: Message) -> None:
-        incarnations = self._incarnations
+        stamp = self.incarnation_stamp(dst)
         if src == dst:
             # Local loopback: free, lossless, delivered on the next loop
             # iteration so handlers never re-enter each other.
-            if incarnations is None:
-                self._loop.call_soon(self._deliver, src, dst, message)
-            else:
-                self._loop.call_soon(
-                    self._deliver_stamped,
-                    src,
-                    dst,
-                    message,
-                    incarnations.get(dst, 0),
-                )
+            self._loop.call_soon(self._deliver, src, dst, message, None, stamp)
             return
-        if not self._account(src, dst, message):
-            return
-        stamp = None if incarnations is None else incarnations.get(dst, 0)
-        self._post_envelope(
-            dst,
-            encode_envelope(
-                "send", src, dst, message, stamp=stamp,
-                trace=self._wire_trace(),
-            ),
-            message,
-        )
+        self._post_envelope("send", src, dst, message, None, stamp)
 
     def send_tagged(
         self,
@@ -558,58 +522,39 @@ class LiveTransport(Transport):
         msg_id: int,
         stamp: Optional[int] = None,
     ) -> None:
-        if not self._account(src, dst, message):
-            return
-        self._post_envelope(
-            dst,
-            encode_envelope(
-                "tagged", src, dst, message, msg_id=msg_id, stamp=stamp,
-                trace=self._wire_trace(),
-            ),
-            message,
-        )
+        self._post_envelope("tagged", src, dst, message, msg_id, stamp)
 
     def send_ack(self, src: NodeId, dst: NodeId, message: Message, msg_id: int) -> None:
-        if not self._account(src, dst, message):
-            return
-        stamp = self.incarnation_stamp(dst)
         self._post_envelope(
-            dst,
-            encode_envelope(
-                "ack", src, dst, message, msg_id=msg_id, stamp=stamp,
-                trace=self._wire_trace(),
-            ),
-            message,
+            "ack", src, dst, message, msg_id, self.incarnation_stamp(dst)
         )
 
-    def _wire_trace(self) -> Optional[Dict[str, Any]]:
-        """The causal context the preceding :meth:`_account` call stamped
-        in ``_last_send_ctx``, shaped as the envelope ``trace`` field —
-        ``None`` (field omitted) when transport tracing is off."""
-        if self._trace is None:
-            return None
-        tid, hop, sent_at = self._last_send_ctx
-        return {"id": tid, "hop": hop, "sent_at": sent_at}
-
     def _post_envelope(
-        self, dst: NodeId, envelope: Dict[str, Any], message: Message
+        self,
+        kind: str,
+        src: NodeId,
+        dst: NodeId,
+        message: Message,
+        msg_id: Optional[int],
+        stamp: Optional[int],
     ) -> None:
-        """Post-``_account`` wire path: fault verdict, injected delay per
-        surviving copy, then a background POST per copy."""
-        src = envelope["src"]
-        faults = self.faults
-        copies = 1
-        if faults is not None:
-            copies = faults.judge(src, dst)
-            if not copies:
-                self._lost.inc()
-                if self._trace is not None:
-                    self._emit_msg(
-                        "msg.lost", message, src=src, dst=dst, reason="fault"
-                    )
-                return
-            if copies > 1 and self._trace is not None:
-                self._emit_msg("msg.duplicated", message, src=src, dst=dst)
+        """The wire path of every non-local message: accounting and loss
+        draw, fault verdict, then per surviving copy an injected delay
+        and a background POST."""
+        if not self._account(src, dst, message):
+            return
+        trace = None
+        if self._trace is not None:
+            # The causal context ``_account`` just stamped, as the
+            # envelope field (omitted when transport tracing is off).
+            tid, hop, sent_at = self._last_send_ctx
+            trace = {"id": tid, "hop": hop, "sent_at": sent_at}
+        envelope = encode_envelope(
+            kind, src, dst, message, msg_id=msg_id, stamp=stamp, trace=trace
+        )
+        copies = 1 if self.faults is None else self._judge(src, dst, message)
+        if not copies:
+            return
         address = self._directory.get(dst)
         if address is None:
             # Never discovered: the live analogue of an unknown/detached

@@ -152,14 +152,11 @@ class Simulator:
             return False
         self._now = entry[0]
         self.executed_events += 1
-        if self._trace is not None:
-            self._dispatch_traced(entry)
+        if self._trace is None:
+            entry[3](*entry[4])
             return True
-        entry[3](*entry[4])
-        return True
-
-    def _dispatch_traced(self, entry) -> None:
-        """Run one event under a wall-clock span (``kernel.event``)."""
+        # Kernel tracing: the event runs under a wall-clock span, so
+        # Perfetto shows where the time goes.
         start = time.perf_counter()
         entry[3](*entry[4])
         duration = time.perf_counter() - start
@@ -170,6 +167,7 @@ class Simulator:
             wall_us=start * 1e6,
             dur_us=duration * 1e6,
         )
+        return True
 
     def run_until(self, end_time: float) -> None:
         """Run events up to and including ``end_time``, then set now there.
@@ -183,7 +181,15 @@ class Simulator:
             )
         self._stopped = False
         if self._trace is not None:
-            self._run_until_traced(end_time)
+            # :meth:`step` records each event's span; the loop below
+            # stays branch-free for untraced runs.
+            peek_time = self._queue.peek_time
+            while not self._stopped:
+                next_time = peek_time()
+                if next_time is None or next_time > end_time:
+                    break
+                self.step()
+            self._now = max(self._now, end_time)
             return
         # Batched dispatch: hoist the heap, pop and counter into locals so
         # the per-event cost is a handful of C-level operations.
@@ -204,33 +210,6 @@ class Simulator:
             executed += 1
             self.executed_events = executed
             callback(*entry[4])
-            if self._stopped:
-                break
-        self._now = max(self._now, end_time)
-
-    def _run_until_traced(self, end_time: float) -> None:
-        """The instrumented twin of the :meth:`run_until` fast loop.
-
-        Each dispatched event is wrapped in a ``perf_counter`` span and
-        emitted as a ``kernel.event`` record, so Perfetto shows where
-        wall-clock time goes; the fast loop stays branch-free for
-        untraced runs.
-        """
-        queue = self._queue
-        heap = queue._heap
-        heappop = heapq.heappop
-        dispatch = self._dispatch_traced
-        while heap:
-            entry = heap[0]
-            if entry[0] > end_time:
-                break
-            entry = heappop(heap)
-            if entry[3] is None:  # lazily cancelled
-                continue
-            queue._live -= 1
-            self._now = entry[0]
-            self.executed_events += 1
-            dispatch(entry)
             if self._stopped:
                 break
         self._now = max(self._now, end_time)

@@ -30,8 +30,14 @@ def test_spec_options_excludes_only_unset_fields():
 
 
 def test_mechanics_never_join_spec_options():
-    options = RunOptions(parallel=4, progress=True, seed_timeout=60.0)
-    assert options.spec_options() == {}
+    # How a run executes is an argument of run / run_batch; RunOptions
+    # holds only what joins the cache key, so every field is a spec option.
+    with pytest.raises(TypeError):
+        RunOptions(parallel=4)
+    names = [f.name for f in dataclasses.fields(RunOptions)]
+    assert len(names) == 11
+    all_set = RunOptions(**{name: () for name in names})
+    assert list(all_set.spec_options()) == names
 
 
 def test_options_are_frozen():

@@ -109,6 +109,30 @@ def test_faulted_duplicates_are_suppressed():
     assert layer.duplicates_suppressed > 0
 
 
+def test_dedup_window_forgets_ids_older_than_two_give_up_horizons():
+    sim, transport, layer = make_layer()
+    horizon = layer.config.give_up_horizon()
+    got = []
+    transport.register(1, lambda src, msg: None)
+    transport.register(2, lambda src, msg: got.append(msg.tag))
+    for index in range(10_000):  # spread over 100 horizons
+        sim.call_at(index * horizon / 100.0, layer.send, 1, 2, Ping(index))
+    sim.run()
+    assert got == list(range(10_000))
+    window = layer._seen[2]
+    first_seen = list(window.values())
+    assert first_seen == sorted(first_seen)
+    assert first_seen[0] >= first_seen[-1] - 2.0 * horizon
+    assert len(window) <= 201
+    # A copy of an id still inside the window is suppressed, and acked.
+    _, newest_id = next(reversed(window))
+    transport.send_tagged(1, 2, Ping(-1), newest_id)
+    sim.run()
+    assert got[-1] == 9_999
+    assert layer.duplicates_suppressed == 1
+    assert layer.acks_sent == 10_001
+
+
 def test_gives_up_after_bounded_retries():
     config = ReliabilityConfig(max_retries=3)
     sim, transport, layer = make_layer(config=config)

@@ -108,3 +108,17 @@ def test_envelope_rejects_unknown_kind():
         encode_envelope("gossip", 1, 2, Probe(job_id=1, initiator=0))
     with pytest.raises(ConfigurationError):
         decode_envelope({"kind": "gossip", "src": 1, "dst": 2})
+
+
+@pytest.mark.parametrize(
+    "kind, msg_id", [("tagged", None), ("ack", None), ("send", 7)]
+)
+def test_envelope_rejects_kind_and_msg_id_that_disagree(kind, msg_id):
+    # Delivery acks and dedups on msg_id alone, so a tagged / ack
+    # envelope without one — or a plain send with one — must not decode.
+    wire = encode_envelope("send", 1, 2, Probe(job_id=1, initiator=0))
+    wire["kind"] = kind
+    if msg_id is not None:
+        wire["msg_id"] = msg_id
+    with pytest.raises(ConfigurationError):
+        decode_envelope(wire)

@@ -12,8 +12,11 @@ import socket
 
 import pytest
 
+from repro.core.messages import Probe
 from repro.errors import ConfigurationError
+from repro.net.reliability import ReliabilityLayer
 from repro.runtime import HEALTH_PATH, LiveTransport, WallClock
+from repro.runtime.codec import encode_envelope
 from repro.runtime.http import http_get_json, http_post_json, http_request
 from repro.runtime.transport import MESSAGE_PATH
 
@@ -148,6 +151,28 @@ def test_truncated_envelope_is_rejected_and_counted():
         )
         assert status == 400
         assert transport.rejected == 1
+
+    live(body)
+
+
+def test_envelope_whose_kind_and_msg_id_disagree_is_rejected_and_counted():
+    async def body(clock, transport):
+        layer = ReliabilityLayer(transport)
+        host, port = await transport.add_endpoint(1)
+        delivered = []
+        transport.register(1, lambda src, msg: delivered.append(msg))
+        good = encode_envelope("send", 0, 1, Probe(job_id=1, initiator=0))
+        for kind, msg_id in (("tagged", None), ("ack", None), ("send", 7)):
+            bogus = dict(good, kind=kind)
+            if msg_id is not None:
+                bogus["msg_id"] = msg_id
+            status = await http_post_json(host, port, MESSAGE_PATH, bogus)
+            assert status == 400
+        assert transport.rejected == 3
+        # Nothing reached the delivery door: no handler call, no ack.
+        assert delivered == [] and layer.acks_sent == 0
+        assert await http_post_json(host, port, MESSAGE_PATH, good) == 200
+        assert len(delivered) == 1
 
     live(body)
 

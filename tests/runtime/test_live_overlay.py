@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.runtime import LiveRunConfig, LiveTransport, WallClock, run_live
+from repro.runtime.http import http_post_json
 from repro.runtime.transport import AGENT_CARD_PATH, PROTOCOL_VERSION
 
 CONFIG = LiveRunConfig(
@@ -104,6 +105,13 @@ def test_agent_cards_drive_discovery():
             assert card["url"] == f"http://{host}:{port}"
             assert card["endpoints"]["message"] == "/message"
             assert AGENT_CARD_PATH == "/.well-known/agent.json"
+            # A card lists only routes the node serves: POST /submit is a
+            # 404 until a submit handler is attached (--procs workers do,
+            # serve / soak nodes never).
+            assert "submit" not in card["endpoints"]
+            assert await http_post_json(host, port, "/submit", {}) == 404
+            transport.set_submit_handler(7, lambda job: None)
+            assert transport.agent_card(7)["endpoints"]["submit"] == "/submit"
 
             directory = await transport.discover([(host, port)])
             assert directory == {7: (host, port)}

@@ -315,6 +315,7 @@ def test_delay_spikes_delay_but_never_lose(backend_cls):
 def test_stale_incarnation_stamp_is_rejected(backend_cls):
     async def case(backend):
         transport = backend.transport
+        ReliabilityLayer(transport, RELIABILITY)
         got = []
         transport.register(1, lambda src, msg: None)
         transport.register(2, lambda src, msg: got.append(msg.tag))
@@ -328,7 +329,45 @@ def test_stale_incarnation_stamp_is_rejected(backend_cls):
         await backend.settle()
         assert got == ["fresh"]
         assert transport.dropped_stale == 1
-        assert transport.network_counters()["dropped_stale"] == 1
+        counters = transport.network_counters()
+        assert counters["dropped_stale"] == 1
+        # The stale copy is not acked either: the reborn node never saw it.
+        assert counters["reliable_acks"] == 1
+
+    drive(case, backend_cls)
+
+
+@both
+def test_ack_to_a_restarted_sender_is_stale_and_settles_nothing(backend_cls):
+    async def case(backend):
+        transport = backend.transport
+        # No retransmission, so the one ack is the only way to settle.
+        reliability = ReliabilityLayer(
+            transport,
+            ReliabilityConfig(ack_timeout=5.0, max_timeout=5.0, max_retries=0),
+        )
+        got = []
+
+        def receive(src, msg):
+            # The ack is already on its way back (acks precede the
+            # handler); the sender restarts before it lands.
+            got.append(msg.tag)
+            transport.bump_incarnation(1)
+
+        transport.register(1, lambda src, msg: None)
+        transport.register(2, receive)
+        await backend.ready(1, 2)
+        transport.enable_incarnations()
+        reliability.send(1, 2, Ping("once"))
+        await backend.settle()
+        assert got == ["once"]
+        counters = transport.network_counters()
+        assert counters["reliable_acks"] == 1
+        assert counters["dropped_stale"] == 1
+        assert counters["reliable_delivered"] == 0
+        # Unsettled: still waiting on the live wire, abandoned once the
+        # simulator has run its ack timer out.
+        assert counters["reliable_pending"] + counters["reliable_gave_up"] == 1
 
     drive(case, backend_cls)
 

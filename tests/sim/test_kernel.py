@@ -1,8 +1,11 @@
 """Unit tests for the discrete-event kernel."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs import TraceConfig, Tracer
 from repro.sim import Simulator
 
 
@@ -236,3 +239,62 @@ def test_stop_during_run_until_preserves_pending_and_clock():
     assert sim.now == 5.0
     sim.run_until(5.0)
     assert seen == [1, 2]
+
+
+def _sliced_fuzz_run(traced):
+    """One seeded 10k-event schedule (a quarter cancelled, one callback
+    stopping the loop) through ``run_until`` in slices."""
+    rng = random.Random(0xA51A)
+    sim = Simulator()
+    tracer = None
+    if traced:
+        tracer = sim._trace = Tracer(TraceConfig(level="kernel", sink="memory"))
+    order = []
+    late = []  # events a stop() left behind for the next slice
+    stopper = set()  # filled once the survivors are known
+    slice_start = 0.0
+
+    def fire(seq, time):
+        order.append(seq)
+        if time <= slice_start:
+            late.append(seq)
+        if seq in stopper:
+            sim.stop()
+
+    handles = []
+    for seq in range(10_000):
+        time = rng.choice([rng.uniform(0, 100), float(rng.randrange(0, 20))])
+        priority = rng.randrange(-2, 3)
+        handles.append(
+            (seq, sim.call_at(time, fire, seq, time, priority=priority))
+        )
+        if rng.random() < 0.25:
+            sim.cancel(handles.pop(rng.randrange(len(handles)))[1])
+    stopper.add(handles[len(handles) // 2][0])
+    after_each_slice = []
+    for end in [float(t) for t in range(5, 101, 5)] + [101.0]:
+        sim.run_until(end)
+        after_each_slice.append(
+            (sim.executed_events, sim.pending_events, sim.now)
+        )
+        slice_start = end
+    return order, late, after_each_slice, tracer
+
+
+def test_fuzz_10k_events_dispatch_the_same_traced_and_untraced():
+    """The kernel-traced dispatch (``step()`` per event) is the fast
+    loop's equal: same callback order, and after every slice the same
+    counters and clock — plus one ``kernel.event`` span per event."""
+    order, late, slices, _ = _sliced_fuzz_run(traced=False)
+    traced_order, traced_late, traced_slices, tracer = _sliced_fuzz_run(
+        traced=True
+    )
+    assert traced_order == order
+    assert traced_late == late and late  # the stop() cut a slice short
+    assert traced_slices == slices
+    executed, pending, now = slices[-1]
+    assert (pending, now) == (0, 101.0)
+    assert executed == len(order) == len(set(order)) > 7_000
+    spans = tracer.events
+    assert [e["ev"] for e in spans] == ["kernel.event"] * executed
+    assert all(e["dur_us"] >= 0.0 for e in spans)

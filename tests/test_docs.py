@@ -107,6 +107,48 @@ def test_the_cost_fold_is_written_once():
         assert sites == ["scheduling/costs.py"], (fold, sites)
 
 
+def test_the_hot_path_is_written_once():
+    """One delivery door (plus its ack sibling), one fault verdict, one
+    agent-side emitter and no traced twin of the dispatch loop —
+    ``docs/PERFORMANCE.md``, "One of each stage"."""
+    package = ROOT / "src" / "repro"
+    sources = {
+        path.relative_to(package).as_posix(): path.read_text()
+        for path in package.rglob("*.py")
+    }
+
+    def sites(needle):
+        return {
+            name: text.count(needle)
+            for name, text in sources.items()
+            if needle in text
+        }
+
+    for gone in (
+        "_deliver_tagged", "_deliver_stamped", "_on_ack_stamped",
+        "_run_until_traced",
+    ):
+        assert sites(gone) == {}, gone
+    assert sites("faults.judge(") == {"net/transport.py": 1}
+    doors = {
+        name: re.findall(r"def (_deliver\w*)\(", text)
+        for name, text in sources.items()
+        if "def _deliver" in text
+    }
+    assert doors == {
+        "net/transport.py": ["_deliver", "_deliver_ack"],
+        "baselines/multirequest.py": ["_deliver_copy"],  # of jobs, unrelated
+    }
+    protocol = sources["core/protocol.py"]
+    assert protocol.count("_trace.emit(") == 1
+    emitter = protocol.index("def _emit(")
+    assert (
+        emitter
+        < protocol.index("_trace.emit(")
+        < protocol.index("def ", emitter + 1)
+    )
+
+
 @pytest.mark.parametrize(
     "module,absent",
     [
