@@ -31,8 +31,7 @@ memory stays capped either way.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..types import JobId
@@ -54,7 +53,7 @@ class CompletionLog:
         self.min_age = min_age
         #: job id -> completion time, oldest first (completion times are
         #: monotonic, so insertion order is age order).
-        self._entries: "OrderedDict[JobId, float]" = OrderedDict()
+        self._entries: Dict[JobId, float] = {}
         self._journal = None
 
     def bind(self, journal) -> List[Tuple[JobId, float, int]]:

@@ -83,10 +83,11 @@ _OVERLAY_CACHE: "OrderedDict[Tuple[int, int], OverlayGraph]" = OrderedDict()
 _OVERLAY_CACHE_SIZE = 8
 
 #: Above this many nodes the grid switches to its large-scale build: the
-#: BLATANT ant walk is replaced by a degree-equivalent chordal ring
-#: (convergence is O(nodes^2) — 67 s at 2 000 nodes and growing — while
-#: the ring builds in O(nodes) with the same average degree and a
-#: logarithmic diameter), and per-agent dedup caches are trimmed so
+#: BLATANT ant walk is replaced by a chordal ring (convergence is
+#: O(nodes^2) — 67 s at 2 000 nodes and growing — while the ring builds
+#: in O(nodes) at the paper's average degree 4, denser than the ≈ 2.8
+#: this repo's BLATANT converges to, with a logarithmic diameter; both
+#: measured in EXPERIMENTS.md), and per-agent dedup caches are trimmed so
 #: aggregate memory stays proportional to the grid, not to the paper-scale
 #: defaults times 10^5 nodes.  Every stock preset up to ``paper`` (500
 #: nodes) sits below the threshold, so their seeded runs are unchanged.
@@ -132,10 +133,10 @@ def build_overlay(kind: str, size: int, seed: int) -> OverlayGraph:
     """The scenario's overlay: BLATANT (default) or a static topology.
 
     Above :data:`_LARGE_GRID_NODES` the "converged BLATANT" starting
-    point is stood in for by a chordal ring with the same average degree
-    (~4) and bounded path lengths — the properties BLATANT-S converges
-    to — because running the ant walk to convergence is quadratic in the
-    grid size.
+    point is stood in for by a chordal ring with the paper's average
+    degree (4; the BLATANT built here converges at ≈ 2.8) and bounded
+    path lengths, because running the ant walk to convergence is
+    quadratic in the grid size.
     """
     if kind == "blatant":
         if size > _LARGE_GRID_NODES:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..errors import ConfigurationError
-from ..overlay.blatant import BlatantConfig, BlatantMaintainer
+from ..overlay.blatant import BlatantMaintainer
 from ..types import MINUTE, NodeId
 
 if TYPE_CHECKING:
@@ -57,7 +57,7 @@ class ChurnPlan:
         (not yet run) simulated grid."""
         rng = setup.sim.streams.get("churn")
         maintainer = BlatantMaintainer(
-            setup.graph, setup.sim.streams.get("churn.overlay"), BlatantConfig()
+            setup.graph, setup.sim.streams.get("churn.overlay")
         )
         maintainer.start(setup.sim)
         state = {"next_id": max(n.node_id for n in setup.nodes) + 1}

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..errors import ConfigurationError
-from ..overlay.blatant import BlatantConfig, BlatantMaintainer
+from ..overlay.blatant import BlatantMaintainer
 from ..types import MINUTE
 
 if TYPE_CHECKING:
@@ -195,9 +195,7 @@ class FailureModel:
             # path as churn joins; the maintainer also keeps the overlay
             # healthy around the holes the crashes tear into it.
             maintainer = BlatantMaintainer(
-                setup.graph,
-                setup.sim.streams.get("failures.overlay"),
-                BlatantConfig(),
+                setup.graph, setup.sim.streams.get("failures.overlay")
             )
             maintainer.start(setup.sim)
             step = self.restart_spread / len(bouncing)

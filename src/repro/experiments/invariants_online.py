@@ -36,7 +36,6 @@ immediately.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..types import JobId, NodeId
@@ -80,10 +79,8 @@ class OnlineInvariantChecker:
         #: Events inspected (forwarded or not).
         self.checked = 0
         self._now = 0.0
-        #: Finished jobs, LRU-bounded: job -> (node, finish time).
-        self._finished: "OrderedDict[JobId, Tuple[NodeId, float]]" = (
-            OrderedDict()
-        )
+        #: Finished jobs, oldest first and bounded: job -> (node, finish time).
+        self._finished: Dict[JobId, Tuple[NodeId, float]] = {}
         #: Unresolved orphans: job -> orphaning time.
         self._orphans: Dict[JobId, float] = {}
         #: Nodes currently crashed (between node.crashed and
@@ -139,7 +136,7 @@ class OnlineInvariantChecker:
             else:
                 self._finished[job] = (event["node"], t)
                 if len(self._finished) > self.max_tracked_jobs:
-                    self._finished.popitem(last=False)
+                    del self._finished[next(iter(self._finished))]
             self._orphans.pop(job, None)
         elif name in (
             "job.adopted",

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Optional
 from ..net.reliability import ReliabilityLayer
 from ..net.transport import SimTransport
 from ..obs.trace import TraceConfig, Tracer
-from ..overlay.blatant import BlatantConfig, BlatantMaintainer
+from ..overlay.blatant import BlatantMaintainer
 from ..overlay.graph import OverlayGraph
 from ..sim import Simulator
 from ..types import MINUTE, NodeId
@@ -182,11 +182,7 @@ def _schedule_expansion(
     while the grid grows.  Maintenance stops shortly after the expansion
     window since a converged static overlay has nothing left to optimize.
     """
-    maintainer = BlatantMaintainer(
-        graph,
-        sim.streams.get("overlay.online"),
-        BlatantConfig(),
-    )
+    maintainer = BlatantMaintainer(graph, sim.streams.get("overlay.online"))
     extra = scale.expanding_extra_nodes
     window = scale.expanding_end - scale.expanding_start
     join_interval = window / extra

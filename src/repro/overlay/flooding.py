@@ -14,7 +14,6 @@ them to the transport.
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Set
 
@@ -52,12 +51,11 @@ def choose_targets(
     when other neighbours exist, which avoids trivially bouncing messages
     back and forth.
     """
-    # The cached view avoids a fresh list per flooded message; random.sample
-    # draws identically from a tuple and a list of the same contents.  The
-    # cache dict is probed directly — one method call per relayed message
-    # adds up — falling back to neighbors_view() on a miss (which also
-    # raises TopologyError for unknown nodes).
-    neighbors = graph._views.get(node)
+    # The adjacency is probed directly — one method call per relayed
+    # message adds up — falling back to neighbors_view() on a miss, which
+    # raises TopologyError for unknown nodes.  The live list is only read;
+    # every return below is a fresh list.
+    neighbors = graph._adj.get(node)
     if neighbors is None:
         neighbors = graph.neighbors_view(node)
     if exclude is not None and len(neighbors) > 1:
@@ -68,7 +66,13 @@ def choose_targets(
 
 
 class SeenCache:
-    """Bounded LRU set of message identifiers for duplicate suppression."""
+    """Bounded LRU set of message identifiers for duplicate suppression.
+
+    A plain dict in least-recently-seen-first order: a hit deletes and
+    re-inserts its key, overflow deletes the first key.  At paper scale
+    these windows hold over a million ids, so an entry costs a dict slot
+    and nothing else.
+    """
 
     __slots__ = ("_capacity", "_entries")
 
@@ -76,17 +80,18 @@ class SeenCache:
         if capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         self._capacity = capacity
-        self._entries: "OrderedDict[Hashable, None]" = OrderedDict()
+        self._entries: Dict[Hashable, None] = {}
 
     def seen_before(self, key: Hashable) -> bool:
         """Record ``key``; return ``True`` if it had been recorded already."""
         entries = self._entries
         if key in entries:
-            entries.move_to_end(key)
+            del entries[key]
+            entries[key] = None
             return True
         entries[key] = None
         if len(entries) > self._capacity:
-            entries.popitem(last=False)
+            del entries[next(iter(entries))]
         return False
 
     def __contains__(self, key: Hashable) -> bool:

@@ -20,21 +20,18 @@ __all__ = ["OverlayGraph"]
 class OverlayGraph:
     """An undirected graph keyed by :class:`~repro.types.NodeId`.
 
-    Neighbour lists are kept in insertion order (Python dicts) so that a
-    seeded simulation replays identically.  Per-node neighbour tuples are
-    cached (:meth:`neighbors_view`) and invalidated on mutation, so the
-    flooding hot path never re-materializes an unchanged adjacency list.
+    One neighbour list per node, in link-insertion order, is the only
+    adjacency: a seeded simulation replays identically, and a mutation has
+    nothing to invalidate.  Removing and re-adding a link moves it last on
+    both ends — the order :class:`~repro.overlay.ants.PruningAnt` leaves
+    behind, which every recorded run depends on.
     """
 
-    __slots__ = ("_adj", "_link_count", "_views", "_version", "_slab")
+    __slots__ = ("_adj", "_link_count")
 
     def __init__(self) -> None:
-        self._adj: Dict[NodeId, Dict[NodeId, None]] = {}
+        self._adj: Dict[NodeId, List[NodeId]] = {}
         self._link_count = 0
-        self._views: Dict[NodeId, Tuple[NodeId, ...]] = {}
-        #: Bumped on every structural mutation; keys the slab cache.
-        self._version = 0
-        self._slab = None
 
     # ------------------------------------------------------------------
     # Nodes
@@ -43,21 +40,16 @@ class OverlayGraph:
         """Add an isolated node (it must not already exist)."""
         if node in self._adj:
             raise TopologyError(f"node {node} already in overlay")
-        self._adj[node] = {}
-        self._version += 1
+        self._adj[node] = []
 
     def remove_node(self, node: NodeId) -> None:
         """Remove a node and all its links."""
         neighbors = self._adj.pop(node, None)
         if neighbors is None:
             raise TopologyError(f"node {node} not in overlay")
-        views = self._views
-        views.pop(node, None)
         for other in neighbors:
-            del self._adj[other][node]
-            views.pop(other, None)
+            self._adj[other].remove(node)
         self._link_count -= len(neighbors)
-        self._version += 1
 
     def has_node(self, node: NodeId) -> bool:
         """Whether ``node`` is part of the overlay."""
@@ -89,12 +81,9 @@ class OverlayGraph:
         self._check_nodes(a, b)
         if b in self._adj[a]:
             return False
-        self._adj[a][b] = None
-        self._adj[b][a] = None
-        self._views.pop(a, None)
-        self._views.pop(b, None)
+        self._adj[a].append(b)
+        self._adj[b].append(a)
         self._link_count += 1
-        self._version += 1
         return True
 
     def remove_link(self, a: NodeId, b: NodeId) -> None:
@@ -102,12 +91,9 @@ class OverlayGraph:
         self._check_nodes(a, b)
         if b not in self._adj[a]:
             raise TopologyError(f"no link {a}--{b}")
-        del self._adj[a][b]
-        del self._adj[b][a]
-        self._views.pop(a, None)
-        self._views.pop(b, None)
+        self._adj[a].remove(b)
+        self._adj[b].remove(a)
         self._link_count -= 1
-        self._version += 1
 
     def has_link(self, a: NodeId, b: NodeId) -> bool:
         """Whether the undirected link ``a -- b`` exists."""
@@ -118,29 +104,20 @@ class OverlayGraph:
         """Neighbour ids of ``node``, in link-insertion order (fresh list)."""
         return list(self.neighbors_view(node))
 
-    def neighbors_view(self, node: NodeId) -> Tuple[NodeId, ...]:
-        """Cached immutable neighbour tuple of ``node`` (insertion order).
+    def neighbors_view(self, node: NodeId) -> List[NodeId]:
+        """The live neighbour list of ``node`` itself — read-only by contract.
 
-        The tuple is shared across calls until a mutation touches ``node``,
-        so hot paths (flood target selection) avoid allocating a fresh list
-        per message.  Callers must not rely on identity across mutations.
+        Flood target selection reads it without a copy per message; later
+        mutations of the graph show in it.
         """
-        view = self._views.get(node)
-        if view is not None:
-            return view
         adj = self._adj.get(node)
         if adj is None:
             raise TopologyError(f"node {node} not in overlay")
-        view = tuple(adj)
-        self._views[node] = view
-        return view
+        return adj
 
     def degree(self, node: NodeId) -> int:
         """Number of links incident to ``node``."""
-        adj = self._adj.get(node)
-        if adj is None:
-            raise TopologyError(f"node {node} not in overlay")
-        return len(adj)
+        return len(self.neighbors_view(node))
 
     @property
     def link_count(self) -> int:
@@ -163,37 +140,9 @@ class OverlayGraph:
             return 0.0
         return 2.0 * self._link_count / len(self._adj)
 
-    def neighbor_slab(self) -> Tuple[List[NodeId], Dict[NodeId, int], List[int], List[int]]:
-        """Flat CSR adjacency: ``(ids, index_of, offsets, targets)``.
-
-        ``ids[i]`` is the i-th node in insertion order, ``index_of`` its
-        inverse, and ``targets[offsets[i]:offsets[i+1]]`` the dense
-        indices of ``ids[i]``'s neighbours in link-insertion order —
-        the same order :meth:`neighbors` yields.  Cached until the next
-        structural mutation, so BFS-heavy consumers (topology metrics,
-        BLATANT convergence checks) traverse integer arrays instead of
-        hashing node ids through nested dicts.
-        """
-        slab = self._slab
-        if slab is not None and slab[0] == self._version:
-            return slab[1]
-        adj = self._adj
-        ids = list(adj)
-        index_of = {node: index for index, node in enumerate(ids)}
-        offsets = [0] * (len(ids) + 1)
-        targets: List[int] = []
-        extend = targets.extend
-        for index, node in enumerate(ids):
-            extend(map(index_of.__getitem__, adj[node]))
-            offsets[index + 1] = len(targets)
-        csr = (ids, index_of, offsets, targets)
-        self._slab = (self._version, csr)
-        return csr
-
     def copy(self) -> "OverlayGraph":
         """Deep copy (used by pruning checks and what-if analyses)."""
         clone = OverlayGraph()
-        clone._adj = {node: dict(adj) for node, adj in self._adj.items()}
+        clone._adj = {node: list(adj) for node, adj in self._adj.items()}
         clone._link_count = self._link_count
-        clone._views = {}
         return clone

@@ -12,6 +12,7 @@ import random
 from collections import deque
 from typing import Dict, Optional, Sequence
 
+from ..errors import TopologyError
 from ..types import NodeId
 from .graph import OverlayGraph
 
@@ -30,36 +31,24 @@ def bfs_distances(
     """Hop distances from ``source`` to every reachable node (BFS).
 
     ``max_depth`` bounds the search radius; nodes farther away are omitted.
-
-    Runs over the graph's flat CSR slab
-    (:meth:`~repro.overlay.graph.OverlayGraph.neighbor_slab`): the search
-    walks integer offsets and a flat distance array instead of hashing node
-    ids through nested dicts.  Visit order matches the adjacency insertion
-    order, so the returned dict is identical (contents *and* order) to a
-    dict-based BFS.
+    Visit order is adjacency order, so the returned dict's key order is
+    the order nodes were first reached.
     """
-    ids, index_of, offsets, targets = graph.neighbor_slab()
-    start = index_of.get(source)
-    if start is None:
-        from ..errors import TopologyError
-
+    adj = graph._adj
+    if source not in adj:
         raise TopologyError(f"node {source} not in overlay")
-    dist = [-1] * len(ids)
-    dist[start] = 0
-    order = [start]
-    frontier = deque((start,))
+    dist = {source: 0}
+    frontier = deque((source,))
     while frontier:
-        index = frontier.popleft()
-        depth = dist[index]
-        if max_depth is not None and depth >= max_depth:
+        node = frontier.popleft()
+        next_depth = dist[node] + 1
+        if max_depth is not None and next_depth > max_depth:
             continue
-        next_depth = depth + 1
-        for target in targets[offsets[index] : offsets[index + 1]]:
-            if dist[target] < 0:
+        for target in adj[node]:
+            if target not in dist:
                 dist[target] = next_depth
-                order.append(target)
                 frontier.append(target)
-    return {ids[index]: dist[index] for index in order}
+    return dist
 
 
 def hop_distance(
@@ -68,26 +57,20 @@ def hop_distance(
     """Hop distance between two nodes, or ``None`` if unreachable in bound."""
     if a == b:
         return 0
-    ids, index_of, offsets, targets = graph.neighbor_slab()
-    start = index_of.get(a)
-    if start is None:
-        from ..errors import TopologyError
-
+    adj = graph._adj
+    if a not in adj:
         raise TopologyError(f"node {a} not in overlay")
-    goal = index_of.get(b, -1)
-    dist = [-1] * len(ids)
-    dist[start] = 0
-    frontier = deque((start,))
+    dist = {a: 0}
+    frontier = deque((a,))
     while frontier:
-        index = frontier.popleft()
-        depth = dist[index]
-        if max_depth is not None and depth >= max_depth:
+        node = frontier.popleft()
+        next_depth = dist[node] + 1
+        if max_depth is not None and next_depth > max_depth:
             continue
-        next_depth = depth + 1
-        for target in targets[offsets[index] : offsets[index + 1]]:
-            if target == goal:
+        for target in adj[node]:
+            if target == b:
                 return next_depth
-            if dist[target] < 0:
+            if target not in dist:
                 dist[target] = next_depth
                 frontier.append(target)
     return None

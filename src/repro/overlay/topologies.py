@@ -54,8 +54,8 @@ def chordal_ring(
     The cycle guarantees connectivity; the random chords act as the
     shortcuts BLATANT-S's discovery ants would add, bringing the average
     path length down to O(log size) at average degree
-    ``2 + 2 * chords_per_node`` (≈ 4 for the default, matching the paper's
-    converged overlay).  Unlike :func:`random_regular` and
+    ``2 + 2 * chords_per_node`` (≈ 4 for the default, the degree the paper
+    reports for its converged overlay).  Unlike :func:`random_regular` and
     :func:`small_world` this needs no connectivity checks or retries, so it
     stays linear and is the stand-in used for 10k–100k-node overlays where
     ant convergence is infeasible.

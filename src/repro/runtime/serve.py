@@ -51,7 +51,7 @@ from typing import List, Optional, Tuple
 from ..errors import ConfigurationError
 from ..net.reliability import ReliabilityLayer
 from ..obs.trace import MemorySink, TraceConfig, Tracer
-from ..overlay.blatant import BlatantConfig, BlatantMaintainer
+from ..overlay.blatant import BlatantMaintainer
 from ..types import NodeId
 from ..experiments.assembly import RunResult, assemble, build_overlay
 from ..experiments.catalog import get_scenario
@@ -264,7 +264,7 @@ async def _run_live(
     chaos_tasks: List[asyncio.Task] = []
     if schedule_plan is not None and schedule_plan:
         maintainer = BlatantMaintainer(
-            graph, clock.streams.get("failures.overlay"), BlatantConfig()
+            graph, clock.streams.get("failures.overlay")
         )
         maintainer.start(clock)
         next_join_id = max(graph.nodes()) + 1

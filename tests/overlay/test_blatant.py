@@ -1,5 +1,6 @@
 """Tests for the BLATANT-S-style maintainer."""
 
+import hashlib
 import random
 
 import pytest
@@ -10,11 +11,13 @@ from repro.overlay import (
     BlatantMaintainer,
     OverlayGraph,
     average_path_length,
+    bfs_distances,
     build_blatant_overlay,
     is_connected,
     ring,
 )
 from repro.sim import Simulator
+from repro.sim.rng import derive_seed
 
 
 def test_config_validation():
@@ -115,3 +118,47 @@ def test_pruning_respects_min_degree():
         maintainer.tick()
     assert min(graph.degree(n) for n in graph.nodes()) >= cfg.min_degree
     assert is_connected(graph)
+
+
+@pytest.mark.parametrize(
+    "size,seed,digest",
+    [
+        (16, 0, "24d143b51767"),
+        (60, 0, "16650b1c983b"),
+        (60, 1, "7959a3c33b63"),
+        (150, 0, "1594b4098e46"),
+    ],
+)
+def test_converged_overlays_are_pinned(size, seed, digest):
+    """The overlay a run is built on, link order included: every golden
+    summary is a function of it.  (500 nodes, seeds 0-2, checked by hand:
+    e0d92f3575eb / 8ef69453141d / 8d834dc493f5 with 701 / 698 / 705 links.)"""
+    g = build_blatant_overlay(
+        size, random.Random(derive_seed(seed, "overlay.build"))
+    )
+    adjacency = repr([(n, g.neighbors(n)) for n in g.nodes()])
+    assert hashlib.sha256(adjacency.encode()).hexdigest()[:12] == digest
+
+
+@pytest.mark.parametrize("target", [2.0, 3.0, 3.5, 9.0])
+@pytest.mark.parametrize("isolated", [False, True])
+def test_beyond_target_fraction_equals_the_literal_count(target, isolated):
+    """The convergence check asks a bounded question (who is *not* within
+    ``int(target)`` hops); this is the unbounded one it stands for."""
+    graph = ring(20)
+    graph.add_link(0, 7)
+    if isolated:
+        graph.add_node(99)
+    maintainer = BlatantMaintainer(
+        graph, random.Random(0), BlatantConfig(target_path_length=target)
+    )
+    nodes = graph.nodes()
+    beyond = 0
+    for source in nodes:
+        distances = bfs_distances(graph, source)
+        beyond += sum(1 for d in distances.values() if d > target)
+        beyond += len(nodes) - len(distances)  # unreachable counts as far
+    assert beyond > 0
+    assert maintainer._beyond_target_fraction() == beyond / (
+        len(nodes) * (len(nodes) - 1)
+    )

@@ -1,6 +1,7 @@
 """Unit tests for selective-flooding helpers."""
 
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -76,3 +77,33 @@ def test_seen_cache_refreshes_on_hit():
 def test_seen_cache_capacity_validation():
     with pytest.raises(ConfigurationError):
         SeenCache(capacity=0)
+
+
+@pytest.mark.parametrize("capacity", [2, 512])
+def test_seen_cache_stays_exact_lru_through_100k_operations_at_capacity(capacity):
+    """The window is a plain dict that deletes and re-inserts on every hit
+    and evicts from the front, so the dict compacts itself over and over;
+    no compaction may lose or resurrect a key."""
+    rng = random.Random(capacity)
+    cache = SeenCache(capacity=capacity)
+    reference = OrderedDict()
+    hits = 0
+    for step in range(100_000):
+        # Uniform draws from a key space twice the window hit about half
+        # the time and keep asking for evicted ids again; the slow drift
+        # keeps new ids arriving.
+        key = rng.randrange(2 * capacity) + step // 100
+        expected = key in reference
+        if expected:
+            reference.move_to_end(key)
+        else:
+            reference[key] = None
+            if len(reference) > capacity:
+                reference.popitem(last=False)
+        assert cache.seen_before(key) is expected, step
+        hits += expected
+        if step % 1000 == 0:
+            assert list(cache._entries) == list(reference)
+    assert list(cache._entries) == list(reference)
+    assert len(cache) == capacity
+    assert 0.4 < hits / 100_000 < 0.6

@@ -120,3 +120,36 @@ def test_copy_is_independent():
 
 def test_has_link_on_unknown_node_is_false():
     assert not triangle().has_link(42, 1)
+
+
+def test_readding_a_link_moves_it_last_on_both_ends():
+    """The order ``PruningAnt`` leaves behind (it removes and re-adds a
+    link around every check), which every recorded run depends on."""
+    g = triangle()
+    g.add_node(4)
+    g.add_link(1, 4)
+    g.add_link(2, 4)
+    assert g.neighbors(1) == [2, 3, 4]
+    assert g.neighbors(2) == [1, 3, 4]
+    g.remove_link(1, 2)
+    g.add_link(1, 2)
+    assert g.neighbors(1) == [3, 4, 2]
+    assert g.neighbors(2) == [3, 4, 1]
+    assert g.neighbors(3) == [2, 1]  # bystanders keep their order
+    assert g.link_count == 5
+
+
+def test_neighbors_view_is_the_live_adjacency_and_neighbors_a_copy():
+    g = triangle()
+    g.add_node(4)
+    view = g.neighbors_view(1)
+    copy = g.neighbors(1)
+    g.add_link(1, 4)
+    assert list(view) == [2, 3, 4]  # a view taken earlier sees the link
+    assert copy == [2, 3]
+    copy.append(99)
+    g.neighbors(1).clear()
+    assert g.neighbors(1) == [2, 3, 4]
+    assert g.degree(1) == 3
+    g.remove_node(4)
+    assert list(view) == [2, 3]

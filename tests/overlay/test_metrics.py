@@ -83,3 +83,23 @@ def test_is_connected():
     g.add_node(99)
     assert not is_connected(g)
     assert is_connected(OverlayGraph())
+
+
+def test_bfs_visits_in_adjacency_order():
+    """Key order of the result is the order nodes were first reached:
+    level by level, each node's neighbours in link-insertion order."""
+    g = OverlayGraph()
+    for node in range(7):
+        g.add_node(node)
+    for a, b in ((0, 3), (0, 1), (0, 2), (1, 6), (3, 5), (3, 4), (2, 6), (5, 6)):
+        g.add_link(a, b)
+    assert list(bfs_distances(g, 0).items()) == [
+        (0, 0), (3, 1), (1, 1), (2, 1), (5, 2), (4, 2), (6, 2)
+    ]
+    assert list(bfs_distances(g, 0, max_depth=1)) == [0, 3, 1, 2]
+    assert list(bfs_distances(g, 0, max_depth=0)) == [0]
+    # Re-adding a link moves it last, and the search follows.
+    g.remove_link(0, 3)
+    g.add_link(0, 3)
+    assert list(bfs_distances(g, 0)) == [0, 1, 2, 3, 6, 5, 4]
+    assert list(bfs_distances(g, 6, max_depth=2)) == [6, 1, 2, 5, 0, 3]

@@ -149,6 +149,25 @@ def test_the_hot_path_is_written_once():
     )
 
 
+def test_the_overlay_is_held_once():
+    """One neighbour list per node is the only adjacency — no view cache,
+    no versioned CSR copy — and an ordered window is a plain dict unless
+    it reorders in the middle (``docs/PERFORMANCE.md``, "The overlay,
+    held once", says when a CSR may return)."""
+    package = ROOT / "src" / "repro"
+    for path in (package / "overlay").glob("*.py"):
+        text = path.read_text()
+        for gone in ("neighbor_slab", "_slab", "_views", "_version"):
+            assert gone not in text, (gone, path.name)
+    importers = sorted(
+        path.relative_to(package).as_posix()
+        for path in package.rglob("*.py")
+        if re.search(r"^\s*(from|import) .*\bOrderedDict\b", path.read_text(), re.M)
+    )
+    # The overlay cache calls move_to_end; the ack window was measured (PR 19).
+    assert importers == ["experiments/assembly.py", "net/reliability.py"]
+
+
 @pytest.mark.parametrize(
     "module,absent",
     [
