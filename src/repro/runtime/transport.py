@@ -34,15 +34,29 @@ surviving copy is then POSTed from a background task; when an injected
 latency model is configured (``transport.latency``, protocol seconds)
 the task sleeps the scaled wall delay first, which is how ``FaultPlan``
 delay spikes reach real sockets.  The sending handler never blocks on
-the network, mirroring the simulator's fire-and-forget sends.  A
-destination whose server cannot be reached before ``send_timeout``
-counts as ``lost``, exactly like a datagram into a dead link — which is
-also how a live *crashed* node manifests: its endpoint is torn down
-(:meth:`remove_endpoint`) while its directory entry goes stale, so
-in-flight traffic dies on connection refused.  Delivery to a node whose
-*handler* is unregistered (departed) still reaches its server and is
-dropped there with the usual ``dropped_detached`` / ``dropped_unknown``
-accounting.
+the network, mirroring the simulator's fire-and-forget sends.
+
+The POST travels over a kept-alive connection from the transport's
+:class:`~repro.runtime.http.ConnectionPool`: the task checks one out for
+the destination address (or opens one, counted in
+``net.connections_opened``), does one request/response exchange under
+``send_timeout`` and checks it back in, so concurrent sends to one peer
+each have a socket to themselves and the overlay's repeated traffic
+between the same neighbours pays for a TCP handshake once, not per
+message.  A destination that cannot be reached, or does not answer,
+before ``send_timeout`` counts as ``lost``, exactly like a datagram into
+a dead link — which is also how a live *crashed* node manifests: its
+endpoint is torn down (:meth:`remove_endpoint`), which closes the
+connections it had accepted, while its directory entry goes stale, so
+traffic in flight dies with its connection and later sends on
+connection refused.  A pooled connection that its peer closed while it
+idled is noticed when next used and replaced, once, by a new one — so a
+node restarted on the same port is reached by the very next send — and
+pooled connections to an address that left the directory (a graceful
+leave, a restart discovered on another port) are closed then and there.
+Delivery to a node whose *handler* is unregistered (departed) still
+reaches its server and is dropped there with the usual
+``dropped_detached`` / ``dropped_unknown`` accounting.
 
 Retries and acks for control-plane messages come from the standard
 :class:`~repro.net.ReliabilityLayer` attached on top — its timers run in
@@ -67,7 +81,7 @@ from ..obs.metrics import MetricsRegistry
 from ..net.traffic import TrafficMonitor
 from ..types import NodeId
 from .codec import decode_envelope, decode_job, encode_envelope
-from .http import HttpServer, http_get_json, http_post_json
+from .http import ConnectionPool, HttpServer, http_get_json
 
 __all__ = [
     "LiveTransport",
@@ -106,6 +120,8 @@ class LiveTransport(Transport):
         "_latency_rng",
         "_time_scale",
         "_rejected",
+        "_connections_opened",
+        "_pool",
         "_health",
         "_submit",
         "_metrics_provider",
@@ -149,6 +165,12 @@ class LiveTransport(Transport):
         #: Protocol seconds per wall second, for scaling injected delays.
         self._time_scale = float(getattr(clock, "time_scale", 1.0))
         self._rejected = self.registry.counter("net.rejected")
+        self._connections_opened = self.registry.counter(
+            "net.connections_opened"
+        )
+        #: Kept-alive outbound connections, idle ones per destination
+        #: address; closed by :meth:`close`.
+        self._pool = ConnectionPool(on_open=self._connections_opened.inc)
         #: Per-node health providers backing the ``/healthz`` route.
         self._health: Dict[NodeId, Callable[[], Dict[str, Any]]] = {}
         #: Per-node submission handlers backing the ``POST /submit``
@@ -217,14 +239,15 @@ class LiveTransport(Transport):
     async def remove_endpoint(
         self, node_id: NodeId, forget: bool = False
     ) -> None:
-        """Tear down ``node_id``'s HTTP server (its health provider goes
-        with it).
+        """Tear down ``node_id``'s HTTP server (its health provider and
+        every connection it had accepted go with it).
 
         With ``forget=False`` (a *crash*) the directory entry stays, so
         peers keep POSTing into a dead address and see ``lost`` — the
         live analogue of datagrams into a crashed host.  With
-        ``forget=True`` (a clean *departure*) the entry is removed and
-        subsequent sends drop as detached/unknown instead.
+        ``forget=True`` (a clean *departure*) the entry is removed,
+        pooled connections to it are closed, and subsequent sends drop
+        as detached/unknown instead.
         """
         server = self._servers.pop(node_id, None)
         self._health.pop(node_id, None)
@@ -232,7 +255,9 @@ class LiveTransport(Transport):
         if server is not None:
             await server.close()
         if forget:
-            self._directory.pop(node_id, None)
+            address = self._directory.pop(node_id, None)
+            if address is not None:
+                await self._pool.drop(*address)
 
     def agent_card(self, node_id: NodeId) -> Dict[str, Any]:
         """The agent card served at :data:`AGENT_CARD_PATH`.
@@ -410,7 +435,11 @@ class LiveTransport(Transport):
                 f"discovery failed for all {len(failures)} seed(s); "
                 f"first: {host}:{port} ({reason})"
             )
+        before = set(self._directory.values())
         self._directory.update(claimed)
+        for address in before.difference(self._directory.values()):
+            # Its node answers elsewhere now: nothing will be sent here.
+            await self._pool.drop(*address)
         return dict(self._directory)
 
     async def drain(self) -> None:
@@ -419,7 +448,9 @@ class LiveTransport(Transport):
             await asyncio.gather(*tuple(self._tasks), return_exceptions=True)
 
     async def close(self) -> None:
-        """Shut down every endpoint server (after :meth:`drain`)."""
+        """Close the pooled connections and shut down every endpoint
+        server (after :meth:`drain`)."""
+        await self._pool.close()
         for server in self._servers.values():
             await server.close()
         self._servers.clear()
@@ -561,6 +592,8 @@ class LiveTransport(Transport):
             # destination, with the same drop accounting.
             self._drop(dst, message)
             return
+        # Serialised once, however many copies the fault verdict asked for.
+        body = json.dumps(envelope, separators=(",", ":")).encode("utf-8")
         latency = self._latency
         for _ in range(copies):
             delay = 0.0
@@ -572,7 +605,7 @@ class LiveTransport(Transport):
                     / self._time_scale
                 )
             task = self._loop.create_task(
-                self._post_http(address, envelope, dst, message, delay)
+                self._post_http(address, body, src, dst, message, delay)
             )
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
@@ -580,7 +613,8 @@ class LiveTransport(Transport):
     async def _post_http(
         self,
         address: Tuple[str, int],
-        envelope: Dict[str, Any],
+        body: bytes,
+        src: NodeId,
         dst: NodeId,
         message: Message,
         delay: float = 0.0,
@@ -589,8 +623,8 @@ class LiveTransport(Transport):
             await asyncio.sleep(delay)
         host, port = address
         try:
-            await http_post_json(
-                host, port, MESSAGE_PATH, envelope, timeout=self._send_timeout
+            await self._pool.request(
+                host, port, "POST", MESSAGE_PATH, body, self._send_timeout
             )
         except (ConnectionError, OSError, asyncio.TimeoutError):
             # Unreachable endpoint: a datagram into a dead link.
@@ -599,7 +633,7 @@ class LiveTransport(Transport):
                 self._emit_msg(
                     "msg.lost",
                     message,
-                    src=envelope["src"],
+                    src=src,
                     dst=dst,
                     reason="unreachable",
                 )
@@ -613,7 +647,9 @@ class LiveTransport(Transport):
         return self._rejected.value
 
     def network_counters(self) -> Dict[str, int]:
-        """Base counters plus the live-only ``rejected`` count."""
+        """Base counters plus the live-only ``rejected`` and
+        ``connections_opened`` counts."""
         counters = super().network_counters()
         counters["rejected"] = self._rejected.value
+        counters["connections_opened"] = self._connections_opened.value
         return counters

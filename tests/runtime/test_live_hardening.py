@@ -240,3 +240,370 @@ async def _make_clock(loop):
 def test_wall_clock_requires_a_running_loop():
     with pytest.raises(ConfigurationError, match="running event loop"):
         WallClock()
+
+
+# ----------------------------------------------------------------------
+# Connections: kept alive per peer, and what crash / leave / restart do
+# to them
+# ----------------------------------------------------------------------
+def request_bytes(method, path, body=b"", extra=""):
+    return (
+        f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
+        f"Content-Length: {len(body)}\r\n{extra}\r\n"
+    ).encode("ascii") + body
+
+
+async def read_response(reader):
+    """``(status, headers, body)`` of one response on a raw socket."""
+    head = (await reader.readuntil(b"\r\n\r\n")).decode("latin-1")
+    lines = head.split("\r\n")
+    headers = dict(
+        (name.strip().lower(), value.strip())
+        for name, _, value in (line.partition(":") for line in lines[1:] if line)
+    )
+    body = await reader.readexactly(int(headers["content-length"]))
+    return int(lines[0].split(" ")[1]), headers, body
+
+
+async def settle(transport, delivered, count):
+    """Wait until ``count`` deliveries happened (or nothing is in flight)."""
+    for _ in range(200):
+        await transport.drain()
+        if len(delivered) >= count:
+            return
+        await asyncio.sleep(0.01)
+
+
+def idle_connections(transport, address):
+    return len(transport._pool._idle.get(address, ()))
+
+
+def test_one_connection_serves_many_requests_until_asked_to_close():
+    async def body(clock, transport):
+        host, port = await transport.add_endpoint(3)
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            for _ in range(2):
+                writer.write(request_bytes("GET", HEALTH_PATH))
+                status, headers, payload = await read_response(reader)
+                assert status == 200 and json.loads(payload)["node_id"] == 3
+                assert headers.get("connection") != "close"
+            writer.write(
+                request_bytes("GET", HEALTH_PATH, extra="Connection: close\r\n")
+            )
+            status, headers, _ = await read_response(reader)
+            assert status == 200 and headers["connection"] == "close"
+            assert await reader.read() == b""  # and the server hung up
+        finally:
+            writer.close()
+            await writer.wait_closed()
+
+    live(body)
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        b"POST /message HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        b"POST /message HTTP/1.1\r\nContent-Length: lots\r\n\r\n",
+        b"POST /message HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n",
+        b"POST /message HTTP/1.1\r\nX-Pad: " + b"x" * 20_000 + b"\r\n\r\n",
+        b"nonsense\r\n\r\n",
+    ],
+    ids=["negative", "non-numeric", "oversized-body", "oversized-head", "no-start"],
+)
+def test_bad_framing_is_answered_400_and_the_connection_closed(head):
+    async def body(clock, transport):
+        host, port = await transport.add_endpoint(1)
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            writer.write(head)
+            status, headers, _ = await read_response(reader)
+            assert status == 400 and headers["connection"] == "close"
+            assert await reader.read() == b""
+        finally:
+            writer.close()
+            await writer.wait_closed()
+
+    live(body)
+
+
+def test_a_rejected_envelope_keeps_its_connection():
+    # A handler-level 400 is a bad datagram on a well-framed stream: the
+    # next request on the same connection is served.
+    async def body(clock, transport):
+        host, port = await transport.add_endpoint(1)
+        delivered = []
+        transport.register(1, lambda src, msg: delivered.append(msg))
+        good = json.dumps(
+            encode_envelope("send", 0, 1, Probe(job_id=1, initiator=0))
+        ).encode("utf-8")
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            writer.write(request_bytes("POST", MESSAGE_PATH, b'{"kind":"teleport"}'))
+            status, headers, _ = await read_response(reader)
+            assert status == 400 and headers.get("connection") != "close"
+            writer.write(request_bytes("POST", MESSAGE_PATH, good))
+            status, _, _ = await read_response(reader)
+            assert status == 200 and len(delivered) == 1
+        finally:
+            writer.close()
+            await writer.wait_closed()
+        assert transport.rejected == 1
+
+    live(body)
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 99999999\r\n\r\n",
+        b"HTTP/1.1 fine OK\r\nContent-Length: 0\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort",
+    ],
+    ids=["negative", "oversized", "status", "truncated"],
+)
+def test_a_malformed_response_is_a_connection_error(head):
+    # A peer's response is outside input too: same limits as a request.
+    async def main():
+        async def lying(reader, writer):
+            await reader.readuntil(b"\r\n\r\n")
+            writer.write(head)
+            writer.close()
+
+        server = await asyncio.start_server(lying, "127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()[:2]
+        try:
+            with pytest.raises(ConnectionError):
+                await http_request(host, port, "GET", "/")
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    asyncio.run(main())
+
+
+async def rude_peer():
+    """A listener that hears a request out and hangs up without a word
+    (a clean FIN: the client reads EOF, not a reset)."""
+
+    async def hang_up(reader, writer):
+        await reader.readuntil(b"\r\n\r\n")
+        writer.close()
+
+    server = await asyncio.start_server(hang_up, "127.0.0.1", 0)
+    return server, server.sockets[0].getsockname()[:2]
+
+
+def test_a_peer_closing_mid_exchange_raises_a_connection_error():
+    # asyncio streams report it as IncompleteReadError, an EOFError that
+    # no caller's ``except (ConnectionError, OSError, TimeoutError)`` sees.
+    async def main():
+        server, (host, port) = await rude_peer()
+        try:
+            with pytest.raises(ConnectionError):
+                await http_request(host, port, "GET", HEALTH_PATH)
+            with pytest.raises(ConnectionError):
+                await http_get_json(host, port, HEALTH_PATH, retries=0)
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    asyncio.run(main())
+
+
+def test_a_send_to_a_peer_that_hangs_up_is_lost_and_traced():
+    from repro.obs import TraceConfig, Tracer
+
+    async def body(clock, transport):
+        failures = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: failures.append(context)
+        )
+        tracer = transport._trace = Tracer(
+            TraceConfig(level="transport", sink="memory")
+        )
+        server, address = await rude_peer()
+        transport._directory[9] = address
+        try:
+            transport.send(1, 9, Probe(job_id=1, initiator=1))
+            (task,) = transport._tasks
+            await transport.drain()
+        finally:
+            server.close()
+            await server.wait_closed()
+        assert task.exception() is None
+        assert transport.lost == 1
+        (lost,) = [e for e in tracer.events if e["ev"] == "msg.lost"]
+        assert (lost["src"], lost["dst"], lost["reason"]) == (1, 9, "unreachable")
+        assert failures == []
+
+    live(body)
+
+
+def test_a_crashed_endpoint_receives_nothing_over_a_kept_connection():
+    async def body(clock, transport):
+        await transport.add_endpoint(1)
+        delivered = []
+        transport.register(1, lambda src, msg: delivered.append(msg))
+        await transport.discover()
+        transport.send(0, 1, Probe(job_id=1, initiator=0))
+        await settle(transport, delivered, 1)
+        assert len(delivered) == 1
+        assert idle_connections(transport, transport._directory[1]) == 1
+        # Crash: the handler stays registered, only the server goes — a
+        # server that kept its accepted sockets would still deliver.
+        await transport.remove_endpoint(1)
+        transport.send(0, 1, Probe(job_id=2, initiator=0))
+        await settle(transport, delivered, 2)
+        assert len(delivered) == 1
+        assert transport.lost == 1
+
+    live(body)
+
+
+def test_a_departed_endpoint_leaves_no_pooled_connection():
+    async def body(clock, transport):
+        address = await transport.add_endpoint(1)
+        delivered = []
+        transport.register(1, lambda src, msg: delivered.append(msg))
+        await transport.discover()
+        transport.send(0, 1, Probe(job_id=1, initiator=0))
+        await settle(transport, delivered, 1)
+        assert idle_connections(transport, address) == 1
+        await transport.remove_endpoint(1, forget=True)
+        assert address not in transport._pool._idle
+        transport.send(0, 1, Probe(job_id=2, initiator=0))
+        await transport.drain()
+        assert len(delivered) == 1 and transport.lost == 0
+        assert transport.network_counters()["dropped_detached"] == 1
+
+    live(body)
+
+
+def test_restart_on_a_new_port_is_reached_after_rediscovery():
+    async def body(clock, transport):
+        old = await transport.add_endpoint(1)
+        delivered = []
+        transport.register(1, lambda src, msg: delivered.append(msg))
+        await transport.discover()
+        transport.send(0, 1, Probe(job_id=1, initiator=0))
+        await settle(transport, delivered, 1)
+        await transport.remove_endpoint(1)
+        new = await transport.add_endpoint(1)
+        assert new != old
+        assert idle_connections(transport, old) == 1  # dead, not yet known
+        await transport.discover([new])
+        assert old not in transport._pool._idle
+        transport.send(0, 1, Probe(job_id=2, initiator=0))
+        await settle(transport, delivered, 2)
+        assert len(delivered) == 2 and transport.lost == 0
+        assert idle_connections(transport, new) == 1
+
+    live(body)
+
+
+def test_restart_on_the_same_port_is_reached_without_rediscovery():
+    async def body(clock, transport):
+        address = await transport.add_endpoint(1, port=free_port())
+        delivered = []
+        transport.register(1, lambda src, msg: delivered.append(msg))
+        await transport.discover()
+        transport.send(0, 1, Probe(job_id=1, initiator=0))
+        await settle(transport, delivered, 1)
+        await transport.remove_endpoint(1)
+        assert await transport.add_endpoint(1, port=address[1]) == address
+        # The pooled connection died with the old server; the send
+        # notices and goes out, once, on a new one.
+        transport.send(0, 1, Probe(job_id=2, initiator=0))
+        await settle(transport, delivered, 2)
+        assert len(delivered) == 2 and transport.lost == 0
+        assert transport.network_counters()["connections_opened"] == 2
+
+    live(body)
+
+
+def test_a_reused_connection_that_fails_unanswered_is_retried_exactly_once():
+    # The peer closes a kept connection on its second request without a
+    # response byte, before the client could see the hang-up coming.
+    from repro.runtime.http import ConnectionPool
+
+    async def main():
+        seen = []
+
+        async def serve(reader, writer):
+            await reader.readuntil(b"\r\n\r\n")
+            seen.append("answered")
+            writer.write(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
+            await reader.readuntil(b"\r\n\r\n")
+            seen.append("hung up")
+            writer.close()
+
+        server = await asyncio.start_server(serve, "127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()[:2]
+        opened = []
+        pool = ConnectionPool(on_open=lambda: opened.append(1))
+        try:
+            assert await pool.request(host, port, "GET", "/") == (200, b"ok")
+            assert await pool.request(host, port, "GET", "/") == (200, b"ok")
+            assert seen == ["answered", "hung up", "answered"]
+            assert len(opened) == 2
+            # Once, not until it works: a *new* connection's failure is final.
+            server.close()
+            await server.wait_closed()
+            with pytest.raises(OSError):
+                await pool.request(host, port, "GET", "/")
+            assert seen == ["answered", "hung up", "answered", "hung up"]
+        finally:
+            await pool.close()
+            server.close()
+
+    asyncio.run(main())
+
+
+def test_a_burst_to_one_peer_is_delivered_and_leaves_at_most_the_cap_idle():
+    from repro.runtime.http import _MAX_IDLE_PER_PEER
+
+    async def body(clock, transport):
+        address = await transport.add_endpoint(1)
+        delivered = []
+        transport.register(1, lambda src, msg: delivered.append(msg.job_id))
+        await transport.discover()
+        for job_id in range(64):
+            transport.send(0, 1, Probe(job_id=job_id, initiator=0))
+        await settle(transport, delivered, 64)
+        assert sorted(delivered) == list(range(64)) and transport.lost == 0
+        assert 1 <= idle_connections(transport, address) <= _MAX_IDLE_PER_PEER
+        opened = transport.network_counters()["connections_opened"]
+        assert opened == transport.registry.snapshot()["net.connections_opened"]
+        # The next burst reuses what the first left behind.
+        for job_id in range(64, 64 + _MAX_IDLE_PER_PEER):
+            transport.send(0, 1, Probe(job_id=job_id, initiator=0))
+        await settle(transport, delivered, 64 + _MAX_IDLE_PER_PEER)
+        assert transport.network_counters()["connections_opened"] == opened
+
+    live(body)
+
+
+def test_close_leaves_no_connection_behind():
+    async def main():
+        loop = asyncio.get_running_loop()
+        clock = WallClock(loop, seed=0)
+        transport = LiveTransport(clock, loop=loop, send_timeout=2.0)
+        delivered = []
+        for node_id in (1, 2):
+            await transport.add_endpoint(node_id)
+            transport.register(node_id, lambda src, msg: delivered.append(msg))
+        await transport.discover()
+        transport.send(1, 2, Probe(job_id=1, initiator=1))
+        transport.send(2, 1, Probe(job_id=2, initiator=2))
+        await settle(transport, delivered, 2)
+        servers = list(transport._servers.values())
+        assert sum(len(server._accepted) for server in servers) == 2
+        clock.stop()
+        await transport.close()
+        assert transport._pool._idle == {}
+        assert all(server._accepted == set() for server in servers)
+
+    asyncio.run(main())

@@ -168,6 +168,36 @@ def test_the_overlay_is_held_once():
     assert importers == ["experiments/assembly.py", "net/reliability.py"]
 
 
+def test_the_wire_is_written_once():
+    """One function opens a connection, one reads a message (in either
+    direction) and one does the request/response exchange: the pooled
+    message path and the one-shot helpers differ only in where their
+    connection comes from and goes to (``docs/RUNTIME.md``,
+    "Connections"), and the transport's sends take the pooled one."""
+    package = ROOT / "src" / "repro"
+    sources = {
+        path.relative_to(package).as_posix(): path.read_text()
+        for path in package.rglob("*.py")
+    }
+    for needle, count in (
+        ("asyncio.open_connection(", 1),
+        (".readuntil(", 1),
+        ("def _exchange(", 1),
+        ("await _exchange(", 2),  # on a pooled connection, on a one-shot one
+        ("_read_request", 0),
+        ("_read_response", 0),
+    ):
+        found = {
+            name: text.count(needle)
+            for name, text in sources.items()
+            if needle in text
+        }
+        assert found == ({"runtime/http.py": count} if count else {}), needle
+    transport = sources["runtime/transport.py"]
+    assert "_pool.request(" in transport
+    assert "http_post_json" not in transport and "http_request" not in transport
+
+
 @pytest.mark.parametrize(
     "module,absent",
     [
