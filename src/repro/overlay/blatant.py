@@ -36,8 +36,8 @@ __all__ = ["BlatantConfig", "BlatantMaintainer", "build_blatant_overlay"]
 #: Offline convergence (:meth:`BlatantMaintainer.converge`) checks every
 #: ``_CONVERGE_CHECK_EVERY`` ticks whether at most
 #: ``_CONVERGE_BEYOND_TOLERANCE`` of the pairs seen from ``_CONVERGE_SOURCES``
-#: sampled BFS sources lie beyond the target, and gives up after
-#: ``_CONVERGE_MAX_ROUNDS`` ticks.
+#: sampled BFS sources lie beyond the target — stopping at the first source
+#: that settles "no" — and gives up after ``_CONVERGE_MAX_ROUNDS`` ticks.
 _CONVERGE_MAX_ROUNDS = 5000
 _CONVERGE_BEYOND_TOLERANCE = 0.05
 _CONVERGE_SOURCES = 24
@@ -148,27 +148,35 @@ class BlatantMaintainer:
     # ------------------------------------------------------------------
     # Offline convergence (scenario setup)
     # ------------------------------------------------------------------
-    def _beyond_target_fraction(self) -> float:
-        """Fraction of sampled ordered pairs farther apart than the target.
+    def _converged(self) -> bool:
+        """Whether at most ``_CONVERGE_BEYOND_TOLERANCE`` of the sampled
+        ordered pairs lie farther apart than the target.
 
         Hop counts are integers, so "farther than the target" is "not
         reached within ``int(target)`` hops" — unreachable nodes included —
         and the bounded search never computes the distances it would only
-        have compared.
+        have compared.  The whole sample is drawn first (the RNG stream
+        does not depend on the verdict); the count only grows, so the
+        check answers "no" at the first source that pushes it past the
+        tolerance, with the same expression the full count would use.
         """
         nodes = self.graph.nodes()
         if len(nodes) < 2:
-            return 0.0
+            return True
         if _CONVERGE_SOURCES < len(nodes):
             sample = self._rng.sample(nodes, _CONVERGE_SOURCES)
         else:
             sample = nodes
         bound = int(self.config.target_path_length)
-        beyond = sum(
-            len(nodes) - len(bfs_distances(self.graph, source, max_depth=bound))
-            for source in sample
-        )
-        return beyond / (len(sample) * (len(nodes) - 1))
+        pairs = len(sample) * (len(nodes) - 1)
+        beyond = 0
+        for source in sample:
+            beyond += len(nodes) - len(
+                bfs_distances(self.graph, source, max_depth=bound)
+            )
+            if not beyond / pairs <= _CONVERGE_BEYOND_TOLERANCE:
+                return False
+        return True
 
     def converge(self) -> float:
         """Run ticks until the path length is *bounded* by the target.
@@ -187,11 +195,10 @@ class BlatantMaintainer:
         if not is_connected(self.graph):
             raise TopologyError("cannot converge a disconnected overlay")
         for round_index in range(_CONVERGE_MAX_ROUNDS):
-            if round_index % _CONVERGE_CHECK_EVERY == 0:
-                if self._beyond_target_fraction() <= _CONVERGE_BEYOND_TOLERANCE:
-                    return average_path_length(
-                        self.graph, self._rng, sources=_CONVERGE_SOURCES
-                    )
+            if round_index % _CONVERGE_CHECK_EVERY == 0 and self._converged():
+                return average_path_length(
+                    self.graph, self._rng, sources=_CONVERGE_SOURCES
+                )
             self.tick()
         raise TopologyError(
             f"overlay did not converge within {_CONVERGE_MAX_ROUNDS} rounds "

@@ -9,7 +9,6 @@ large graphs.
 from __future__ import annotations
 
 import random
-from collections import deque
 from typing import Dict, Optional, Sequence
 
 from ..errors import TopologyError
@@ -31,48 +30,66 @@ def bfs_distances(
     """Hop distances from ``source`` to every reachable node (BFS).
 
     ``max_depth`` bounds the search radius; nodes farther away are omitted.
-    Visit order is adjacency order, so the returned dict's key order is
-    the order nodes were first reached.
+    The search runs level by level, each level's nodes in the order they
+    were reached and each node's neighbours in adjacency order, so the
+    returned dict's key order is the order nodes were first reached.
     """
     adj = graph._adj
     if source not in adj:
         raise TopologyError(f"node {source} not in overlay")
+    limit = len(adj) if max_depth is None else max_depth
     dist = {source: 0}
-    frontier = deque((source,))
-    while frontier:
-        node = frontier.popleft()
-        next_depth = dist[node] + 1
-        if max_depth is not None and next_depth > max_depth:
-            continue
-        for target in adj[node]:
-            if target not in dist:
-                dist[target] = next_depth
-                frontier.append(target)
+    frontier = [source]
+    depth = 0
+    while frontier and depth < limit:
+        depth += 1
+        reached = []
+        for node in frontier:
+            for target in adj[node]:
+                if target not in dist:
+                    dist[target] = depth
+                    reached.append(target)
+        frontier = reached
     return dist
 
 
 def hop_distance(
     graph: OverlayGraph, a: NodeId, b: NodeId, max_depth: Optional[int] = None
 ) -> Optional[int]:
-    """Hop distance between two nodes, or ``None`` if unreachable in bound."""
+    """Hop distance between two nodes, or ``None`` if unreachable in bound.
+
+    Searches from both ends, one level at a time, always growing the
+    smaller frontier.  Before a level is grown the two visited sets (every
+    node within its side's radius; the radii sum to ``r``) are disjoint,
+    so the ends lie more than ``r`` hops apart, and the first link the new
+    level finds into the other set closes a shortest path of ``r + 1``.
+    Raises :class:`TopologyError` if either node is not in the overlay.
+    """
+    adj = graph._adj
+    for node in (a, b):
+        if node not in adj:
+            raise TopologyError(f"node {node} not in overlay")
     if a == b:
         return 0
-    adj = graph._adj
-    if a not in adj:
-        raise TopologyError(f"node {a} not in overlay")
-    dist = {a: 0}
-    frontier = deque((a,))
-    while frontier:
-        node = frontier.popleft()
-        next_depth = dist[node] + 1
-        if max_depth is not None and next_depth > max_depth:
-            continue
-        for target in adj[node]:
-            if target == b:
-                return next_depth
-            if target not in dist:
-                dist[target] = next_depth
-                frontier.append(target)
+    limit = len(adj) if max_depth is None else max_depth
+    near, far = {a}, {b}
+    frontier, opposite = [a], [b]
+    hops = 0
+    while hops < limit:
+        if len(frontier) > len(opposite):
+            frontier, opposite, near, far = opposite, frontier, far, near
+        hops += 1
+        reached = []
+        for node in frontier:
+            for target in adj[node]:
+                if target not in near:
+                    if target in far:
+                        return hops
+                    near.add(target)
+                    reached.append(target)
+        if not reached:
+            return None
+        frontier = reached
     return None
 
 

@@ -2,6 +2,9 @@
 
 import random
 
+import pytest
+
+from repro.errors import TopologyError
 from repro.overlay import (
     OverlayGraph,
     average_path_length,
@@ -43,6 +46,14 @@ def test_hop_distance_unreachable():
     g = path_graph(3)
     g.add_node(99)
     assert hop_distance(g, 0, 99) is None
+
+
+def test_hop_distance_to_an_unknown_node_raises():
+    """An unknown end is an error on either side, not an unreachable pair."""
+    g = path_graph(3)
+    for a, b in ((0, 99), (99, 0), (99, 99)):
+        with pytest.raises(TopologyError):
+            hop_distance(g, a, b)
 
 
 def test_average_path_length_path3():

@@ -1,6 +1,7 @@
 """Property-based tests for the overlay substrate."""
 
 import random
+from collections import deque
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from repro.overlay import (
     OverlayGraph,
     SeenCache,
     bfs_distances,
+    build_blatant_overlay,
     choose_targets,
     hop_distance,
     is_connected,
@@ -73,6 +75,69 @@ def test_hop_distance_is_symmetric(graph, seed):
     rng = random.Random(seed)
     a, b = rng.sample(graph.nodes(), 2)
     assert hop_distance(graph, a, b) == hop_distance(graph, b, a)
+
+
+def reference_bfs(graph, source, max_depth=None):
+    """The one-sided deque BFS the overlay searched with before its
+    level-by-level and bidirectional searches, restated as the oracle."""
+    dist = {source: 0}
+    frontier = deque((source,))
+    while frontier:
+        node = frontier.popleft()
+        next_depth = dist[node] + 1
+        if max_depth is not None and next_depth > max_depth:
+            continue
+        for target in graph.neighbors(node):
+            if target not in dist:
+                dist[target] = next_depth
+                frontier.append(target)
+    return dist
+
+
+@st.composite
+def search_graphs(draw):
+    """A converged BLATANT overlay, or a graph in parts: random trees with
+    chords, single nodes among them, in a shuffled link order."""
+    rng = random.Random(draw(seeds))
+    if draw(st.booleans()):
+        # Below 20 nodes the ring is already converged.  At 20 and 21 it
+        # never converges: a non-backtracking 12-step walk ends 8 or 9
+        # hops from its nest, never beyond the 9-hop target, so no ant
+        # adds a link and the pairs 10 hops apart stay.
+        return build_blatant_overlay(
+            draw(st.integers(min_value=22, max_value=100)), rng
+        )
+    graph = OverlayGraph()
+    links = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        first = len(graph)
+        size = draw(st.integers(min_value=1, max_value=25))
+        for node in range(first, first + size):
+            graph.add_node(node)
+            if node > first:
+                links.append((node, rng.randrange(first, node)))
+        if size > 1:
+            for _ in range(draw(st.integers(min_value=0, max_value=size))):
+                links.append(tuple(rng.sample(range(first, first + size), 2)))
+    rng.shuffle(links)
+    for a, b in links:
+        graph.add_link(a, b)
+    return graph
+
+
+@given(search_graphs(), seeds)
+def test_searches_agree_with_the_deque_reference(graph, seed):
+    """Same distances, same bound, same key order — on every kind of
+    graph the searches meet, whether or not the ends are connected."""
+    rng = random.Random(seed)
+    nodes = graph.nodes()
+    for _ in range(4):
+        a, b = rng.choice(nodes), rng.choice(nodes)
+        for max_depth in (None, 0, 1, 3, 9):
+            expected = reference_bfs(graph, a, max_depth)
+            assert hop_distance(graph, a, b, max_depth) == expected.get(b)
+            found = bfs_distances(graph, a, max_depth)
+            assert list(found.items()) == list(expected.items())
 
 
 @given(random_graphs(), seeds, st.integers(min_value=1, max_value=6))

@@ -168,6 +168,22 @@ def test_the_overlay_is_held_once():
     assert importers == ["experiments/assembly.py", "net/reliability.py"]
 
 
+def test_the_overlay_searches_are_written_once():
+    """One breadth-first search and one pairwise distance, both level by
+    level over plain lists (``docs/PERFORMANCE.md``, "The overlay,
+    converged with less search"): no second BFS beside them, no deque."""
+    package = ROOT / "src" / "repro"
+    for search in ("def bfs_distances(", "def hop_distance("):
+        sites = {
+            path.relative_to(package).as_posix(): path.read_text().count(search)
+            for path in package.rglob("*.py")
+            if search in path.read_text()
+        }
+        assert sites == {"overlay/metrics.py": 1}, (search, sites)
+    for path in (package / "overlay").glob("*.py"):
+        assert "deque(" not in path.read_text(), path.name
+
+
 def test_the_wire_is_written_once():
     """One function opens a connection, one reads a message (in either
     direction) and one does the request/response exchange: the pooled
