@@ -14,10 +14,12 @@ constructors take the slots in order), with two typed special cases:
   bools, ``None``) — the codec refuses silently lossy encodings.
 
 The envelope wraps one encoded message with its routing metadata —
-source, destination, delivery kind (plain / reliability-tagged / ack),
+source, destination, delivery kind (plain / reliability-tagged),
 ``msg_id`` and incarnation ``stamp`` — the arguments of
-:meth:`~repro.net.Transport._deliver` (and ``_deliver_ack``), which is
-where a decoded envelope goes.
+:meth:`~repro.net.Transport._deliver`, which is where a decoded envelope
+goes.  A tagged envelope's acks come back as the response of the
+exchange that delivered it, a list of lean entries checked by
+:func:`_decode_acks` before they reach ``_deliver_ack``.
 
 Note the declared ``SIZE_BYTES`` wire sizes stay authoritative for
 traffic accounting even live: the JSON encoding is a convenience
@@ -26,13 +28,13 @@ format, not a claim about an optimized binary protocol.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Type
+import math
+from typing import Any, Dict, List, Type
 
 from ..core.messages import Accept, Assign, Done, Inform, Probe, ProbeReply, Request, Track
 from ..errors import ConfigurationError
 from ..grid.profiles import Architecture, JobRequirements, OperatingSystem
 from ..net.message import Message
-from ..net.reliability import Ack
 from ..workload.jobs import Job
 
 __all__ = [
@@ -45,10 +47,11 @@ __all__ = [
     "encode_message",
 ]
 
-#: Every message type the live wire can carry, by class name.
+#: Every message type the live wire can carry, by class name (not the
+#: reliability ``Ack``: it travels as an entry of a response).
 MESSAGE_TYPES: Dict[str, Type[Message]] = {
     cls.__name__: cls
-    for cls in (Request, Accept, Inform, Assign, Track, Probe, ProbeReply, Done, Ack)
+    for cls in (Request, Accept, Inform, Assign, Track, Probe, ProbeReply, Done)
 }
 
 
@@ -157,10 +160,9 @@ def encode_envelope(
 ) -> Dict[str, Any]:
     """Wrap one message with its routing metadata.
 
-    ``kind`` is ``"send"`` (plain datagram), ``"tagged"`` (reliable,
+    ``kind`` is ``"send"`` (plain datagram) or ``"tagged"`` (reliable,
     carries ``msg_id`` and optionally the incarnation ``stamp`` of the
-    original transmission) or ``"ack"`` (reliability ack, settles
-    ``msg_id`` at the receiver).
+    original transmission; its ack is the exchange's response).
 
     ``trace`` is the optional causal context — ``{"id", "hop",
     "sent_at"}`` — stamped on the wire when transport-level tracing is
@@ -168,7 +170,7 @@ def encode_envelope(
     event and continue the sender's trace chain.  Untraced runs omit the
     field entirely (the wire format is unchanged when tracing is off).
     """
-    if kind not in ("send", "tagged", "ack"):
+    if kind not in ("send", "tagged"):
         raise ConfigurationError(f"unknown envelope kind {kind!r}")
     envelope: Dict[str, Any] = {
         "kind": kind,
@@ -188,12 +190,12 @@ def encode_envelope(
 def decode_envelope(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Validate and decode an envelope; ``message`` becomes an object."""
     kind = payload.get("kind")
-    if kind not in ("send", "tagged", "ack"):
+    if kind not in ("send", "tagged"):
         raise ConfigurationError(f"malformed envelope kind {kind!r}")
     msg_id = payload.get("msg_id")
     if (msg_id is None) != (kind == "send"):
         # The kind and the tag must agree: delivery acks and dedups on
-        # msg_id alone, and an ack settles nothing without one.
+        # msg_id alone.
         raise ConfigurationError(
             f"{kind!r} envelope with msg_id {msg_id!r}"
         )
@@ -206,3 +208,33 @@ def decode_envelope(payload: Dict[str, Any]) -> Dict[str, Any]:
         "stamp": payload.get("stamp"),
         "trace": payload.get("trace"),
     }
+
+
+def _is_ack(entry: Any) -> bool:
+    if not (isinstance(entry, list) and len(entry) == 4):
+        return False
+    msg_id, stamp, delay, trace = entry
+    return (
+        type(msg_id) is int  # a bool is an int, but no msg_id
+        and (stamp is None or type(stamp) is int)
+        and type(delay) in (int, float)
+        and 0.0 <= delay < math.inf
+        and (
+            trace is None
+            or isinstance(trace, dict)
+            and trace.keys() == {"id", "hop", "sent_at"}
+            and isinstance(trace["id"], str)
+            and type(trace["hop"]) is int
+            and type(trace["sent_at"]) in (int, float)
+        )
+    )
+
+
+def _decode_acks(payload: Any) -> List[List[Any]]:
+    """Validate the acks a tagged exchange's response carries: a list of
+    ``[msg_id, stamp, delay, trace]`` — int, int or ``None``, wall
+    seconds (finite, ≥ 0), ``None`` or the ``{"id", "hop", "sent_at"}``
+    context; anything else raises :class:`ConfigurationError`."""
+    if not (isinstance(payload, list) and all(map(_is_ack, payload))):
+        raise ConfigurationError(f"malformed ack reply {payload!r}")
+    return payload

@@ -63,12 +63,21 @@ _BAD_REQUEST = (400, "Bad Request", b"")
 
 #: Idle connections a pool keeps per destination; one checked in beyond
 #: that is closed.  A sender needs as many as it has exchanges with one
-#: peer in flight at once: the measured peak is 4 on ``live_wire_plain``
-#: and on an 8-node ``repro serve``, and 5-6 on ``live_wire_acked`` for
-#: 1 exchange in 1 000, which then pays for its own connection as every
-#: message used to (docs/PERFORMANCE.md, "The live wire, connected
-#: once").
+#: peer in flight at once: the measured peak is 4 on ``live_wire_plain``,
+#: on ``live_wire_acked`` (its acks ride the responses, so it makes one
+#: exchange per message too) and on an 8-node ``repro serve``
+#: (docs/PERFORMANCE.md, "The ack rides the response").
 _MAX_IDLE_PER_PEER = 4
+
+#: Bytes a connection asks its socket for per read.  asyncio asks for
+#: 256 KiB and shrinks the buffer to what arrived (a few hundred bytes
+#: here); where earlier allocations left glibc's heap top, the freed tail
+#: is trimmed back to the kernel and faulted in again on every read —
+#: four page faults per message, a fifth of the wire's throughput, on or
+#: off with the length of a path (docs/PERFORMANCE.md, "The ack rides
+#: the response").  A 64 KiB read — the streams' own buffer limit — did
+#: not, in any of the 64 layouts measured.
+_READ_SIZE = 64 * 1024
 
 
 class _BadMessage(ConnectionError):
@@ -171,6 +180,7 @@ class HttpServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._accepted.add(writer)
+        writer.transport.max_size = _READ_SIZE
         try:
             # A connection accepted while close() ran is served nothing.
             keep = self._server is not None and self._server.is_serving()
@@ -215,7 +225,9 @@ class HttpServer:
 
 async def _connect(host: str, port: int) -> _Connection:
     """Open a connection; raises ``OSError`` when nobody listens."""
-    return await asyncio.open_connection(host, port)
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.transport.max_size = _READ_SIZE
+    return reader, writer
 
 
 def _encode_request(

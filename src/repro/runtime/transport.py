@@ -12,8 +12,9 @@ that serves three routes:
   (:mod:`repro.runtime.codec`) carrying a protocol message plus its
   delivery kind, reliability tag and incarnation stamp; the server
   decodes it and hands it to the same :meth:`~repro.net.Transport._deliver`
-  (``_deliver_ack`` for an ack) the simulated transport schedules, so
-  drop, staleness and dedup semantics are shared code.
+  the simulated transport schedules, so drop, staleness and dedup
+  semantics are shared code; a ``tagged`` envelope's ack is the response
+  (:meth:`LiveTransport.send_ack`).
   A body that fails to parse or decode — non-JSON, a truncated envelope,
   an unknown ``kind``, a ``kind`` that disagrees with ``msg_id`` — is
   answered with HTTP 400 and counted in the ``rejected`` counter instead
@@ -72,15 +73,16 @@ import json
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..clock import Clock
-from ..errors import ConfigurationError, ReproError
+from ..errors import ConfigurationError, ProtocolError, ReproError
 from ..net.latency import LatencyModel
 from ..net.message import Message
+from ..net.reliability import Ack
 from ..net.transport import Transport
 from ..obs.exposition import CONTENT_TYPE, render_prometheus
 from ..obs.metrics import MetricsRegistry
 from ..net.traffic import TrafficMonitor
 from ..types import NodeId
-from .codec import decode_envelope, decode_job, encode_envelope
+from .codec import _decode_acks, decode_envelope, decode_job, encode_envelope
 from .http import ConnectionPool, HttpServer, http_get_json
 
 __all__ = [
@@ -106,6 +108,9 @@ _REBIND_DELAY = 0.2
 #: Agent-card protocol tag; bump on wire-format changes.
 PROTOCOL_VERSION = "aria/1"
 
+#: The ``POST /message`` response that carries no ack.
+_OK = b'{"ok":true}'
+
 
 class LiveTransport(Transport):
     """HTTP+JSON transport between per-node asyncio servers."""
@@ -125,6 +130,7 @@ class LiveTransport(Transport):
         "_health",
         "_submit",
         "_metrics_provider",
+        "_reply",
         "last_discovery_failures",
     )
 
@@ -181,6 +187,9 @@ class LiveTransport(Transport):
         self._metrics_provider: Optional[
             Callable[[], Dict[str, float]]
         ] = None
+        #: The acks of the ``POST /message`` exchange being answered
+        #: (``None`` outside one); see :meth:`send_ack`.
+        self._reply: Optional[List[list]] = None
         #: ``(host, port, reason)`` for seeds the last :meth:`discover`
         #: round could not fetch a card from (after one retry).
         self.last_discovery_failures: List[Tuple[str, int, str]] = []
@@ -480,8 +489,21 @@ class LiveTransport(Transport):
                     # server bug — reject it and count it.
                     self._rejected.inc()
                     return 400, "Bad Request", b'{"ok":false}'
-                self._dispatch(envelope)
-                return 200, "OK", b'{"ok":true}'
+                src, dst, message = (
+                    envelope["src"], envelope["dst"], envelope["message"]
+                )
+                args = (src, dst, message, envelope["msg_id"], envelope["stamp"])
+                # The handler is synchronous: nothing else adds to this reply.
+                reply = self._reply = [] if envelope["kind"] == "tagged" else None
+                try:
+                    self._dispatch(
+                        envelope["trace"], src, dst, message, self._deliver, args
+                    )
+                finally:
+                    self._reply = None
+                if reply:
+                    return 200, "OK", json.dumps(reply).encode("utf-8")
+                return 200, "OK", _OK
             if method == "POST" and path == SUBMIT_PATH:
                 handler = self._submit.get(node_id)
                 if handler is None:
@@ -498,29 +520,30 @@ class LiveTransport(Transport):
                     # duplicate submission of a job some node already
                     # took): the submitter picks another entry point.
                     return 409, "Conflict", b'{"ok":false}'
-                return 200, "OK", b'{"ok":true}'
+                return 200, "OK", _OK
             return 404, "Not Found", b""
 
         return handle
 
-    def _dispatch(self, envelope: Dict[str, Any]) -> None:
-        """Hand one decoded envelope to the shared delivery door —
-        through :meth:`~repro.net.Transport._traced_dispatch` when the
-        envelope carries a ``trace`` stamp and tracing is on here too,
-        so the receiving process emits the paired ``net.recv`` event and
-        runs the handler under the sender's causal context.
+    def _dispatch(
+        self,
+        trace: Optional[Dict[str, Any]],
+        src: NodeId,
+        dst: NodeId,
+        message: Message,
+        callback: Callable,
+        args: tuple,
+    ) -> None:
+        """Run one arrival's delivery callback — ``_deliver`` for an
+        envelope, ``_deliver_ack`` for an ack — through
+        :meth:`~repro.net.Transport._traced_dispatch` when it carries a
+        ``trace`` stamp and tracing is on here too, so the receiving
+        process emits the paired ``net.recv`` event and runs it under the
+        sender's causal context.
         """
-        src = envelope["src"]
-        dst = envelope["dst"]
-        message = envelope["message"]
-        msg_id = envelope["msg_id"]
-        stamp = envelope["stamp"]
-        if envelope["kind"] == "ack":
-            callback, args = self._deliver_ack, (dst, msg_id, stamp)
+        if trace is None or self._trace is None:
+            callback(*args)
         else:
-            callback, args = self._deliver, (src, dst, message, msg_id, stamp)
-        trace = envelope.get("trace")
-        if trace is not None and self._trace is not None:
             self._traced_dispatch(
                 (trace["id"], trace["hop"]),
                 trace["sent_at"],
@@ -530,8 +553,6 @@ class LiveTransport(Transport):
                 callback,
                 args,
             )
-        else:
-            callback(*args)
 
     # ------------------------------------------------------------------
     # Send side (the Transport interface)
@@ -556,9 +577,43 @@ class LiveTransport(Transport):
         self._post_envelope("tagged", src, dst, message, msg_id, stamp)
 
     def send_ack(self, src: NodeId, dst: NodeId, message: Message, msg_id: int) -> None:
-        self._post_envelope(
-            "ack", src, dst, message, msg_id, self.incarnation_stamp(dst)
-        )
+        """Add the ack for ``msg_id`` to the reply of the exchange that
+        delivered it: accounted, traced, judged and delayed like any
+        message, each surviving copy is a ``[msg_id, stamp, delay,
+        trace]`` entry the sender settles from the response (an exchange
+        that fails after delivery loses it, like a lost ack).  Outside a
+        ``POST /message`` exchange there is nothing to answer: it raises.
+        """
+        reply = self._reply
+        if reply is None:
+            raise ProtocolError(f"ack for {msg_id} outside its exchange")
+        stamp = self.incarnation_stamp(dst)
+        copies, trace = self._judged(src, dst, message)
+        for _ in range(copies):
+            reply.append([msg_id, stamp, self._delay(src, dst), trace])
+
+    def _judged(
+        self, src: NodeId, dst: NodeId, message: Message
+    ) -> Tuple[int, Optional[Dict[str, Any]]]:
+        """Accounting and loss draw, the causal context ``_account`` just
+        stamped (as the wire field, ``None`` when transport tracing is
+        off) and the fault verdict: ``(surviving copies, trace)``."""
+        if not self._account(src, dst, message):
+            return 0, None
+        trace = None
+        if self._trace is not None:
+            tid, hop, sent_at = self._last_send_ctx
+            trace = {"id": tid, "hop": hop, "sent_at": sent_at}
+        copies = 1 if self.faults is None else self._judge(src, dst, message)
+        return copies, trace
+
+    def _delay(self, src: NodeId, dst: NodeId) -> float:
+        """One copy's injected delay in wall seconds (latency models
+        speak protocol seconds)."""
+        latency = self._latency
+        if latency is None:
+            return 0.0
+        return latency.sample(src, dst, self._latency_rng) / self._time_scale
 
     def _post_envelope(
         self,
@@ -569,21 +624,9 @@ class LiveTransport(Transport):
         msg_id: Optional[int],
         stamp: Optional[int],
     ) -> None:
-        """The wire path of every non-local message: accounting and loss
-        draw, fault verdict, then per surviving copy an injected delay
-        and a background POST."""
-        if not self._account(src, dst, message):
-            return
-        trace = None
-        if self._trace is not None:
-            # The causal context ``_account`` just stamped, as the
-            # envelope field (omitted when transport tracing is off).
-            tid, hop, sent_at = self._last_send_ctx
-            trace = {"id": tid, "hop": hop, "sent_at": sent_at}
-        envelope = encode_envelope(
-            kind, src, dst, message, msg_id=msg_id, stamp=stamp, trace=trace
-        )
-        copies = 1 if self.faults is None else self._judge(src, dst, message)
+        """The wire path of every non-local message: the judgment, then
+        per surviving copy an injected delay and a background POST."""
+        copies, trace = self._judged(src, dst, message)
         if not copies:
             return
         address = self._directory.get(dst)
@@ -592,20 +635,16 @@ class LiveTransport(Transport):
             # destination, with the same drop accounting.
             self._drop(dst, message)
             return
+        envelope = encode_envelope(
+            kind, src, dst, message, msg_id=msg_id, stamp=stamp, trace=trace
+        )
         # Serialised once, however many copies the fault verdict asked for.
         body = json.dumps(envelope, separators=(",", ":")).encode("utf-8")
-        latency = self._latency
         for _ in range(copies):
-            delay = 0.0
-            if latency is not None:
-                # Latency models speak protocol seconds; the POST task
-                # sleeps the equivalent wall time before touching the wire.
-                delay = (
-                    latency.sample(src, dst, self._latency_rng)
-                    / self._time_scale
-                )
             task = self._loop.create_task(
-                self._post_http(address, body, src, dst, message, delay)
+                self._post_http(
+                    address, body, src, dst, message, self._delay(src, dst)
+                )
             )
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
@@ -623,7 +662,7 @@ class LiveTransport(Transport):
             await asyncio.sleep(delay)
         host, port = address
         try:
-            await self._pool.request(
+            status, payload = await self._pool.request(
                 host, port, "POST", MESSAGE_PATH, body, self._send_timeout
             )
         except (ConnectionError, OSError, asyncio.TimeoutError):
@@ -637,6 +676,19 @@ class LiveTransport(Transport):
                     dst=dst,
                     reason="unreachable",
                 )
+            return
+        if payload == _OK or status != 200:
+            return  # no ack, or a peer that refused the message
+        try:
+            acks = _decode_acks(json.loads(payload))
+        except (ValueError, ConfigurationError):
+            self._rejected.inc()  # settles nothing: the sender retransmits
+            return
+        for msg_id, stamp, delay, trace in acks:
+            if delay > 0.0:
+                await asyncio.sleep(delay)  # the ack's own injected latency
+            args = (src, msg_id, stamp)
+            self._dispatch(trace, dst, src, Ack(msg_id), self._deliver_ack, args)
 
     # ------------------------------------------------------------------
     # Counters

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.net import ConstantLatency, PairwiseLogNormalLatency, UniformLatency
+from repro.net import latency as latency_module
 
 
 def test_constant_latency_returns_fixed_delay():
@@ -80,3 +81,44 @@ def test_lognormal_rejects_bad_parameters():
         PairwiseLogNormalLatency(sigma=-1.0)
     with pytest.raises(ConfigurationError):
         PairwiseLogNormalLatency(jitter=-0.1)
+
+
+def test_pair_cache_evicts_the_oldest_pair_first(monkeypatch):
+    # At the real cap (10^6 pairs) no run of this repo reaches the
+    # front-delete FIFO; a cap of three does.
+    monkeypatch.setattr(latency_module, "_MAX_PAIRS", 3)
+    model = PairwiseLogNormalLatency(jitter=0.0)
+    rng = random.Random(0)
+    first = {
+        tuple(sorted(pair)): model.sample(*pair, rng)
+        for pair in ((0, 1), (2, 0), (0, 3))
+    }
+    assert list(model._base) == [(0, 1), (0, 2), (0, 3)]
+    model.sample(4, 0, rng)
+    assert list(model._base) == [(0, 2), (0, 3), (0, 4)]  # (0, 1) went first
+    # A survivor keeps its base delay and its place in the queue.
+    assert model.sample(0, 2, rng) == first[(0, 2)]
+    assert list(model._base) == [(0, 2), (0, 3), (0, 4)]
+
+
+def test_an_evicted_pair_redraws_deterministically(monkeypatch):
+    monkeypatch.setattr(latency_module, "_MAX_PAIRS", 3)
+
+    def evict_then_redraw(rng):
+        model = PairwiseLogNormalLatency(jitter=0.0)
+        old = model.sample(0, 1, rng)
+        for dst in (2, 3, 4):
+            model.sample(0, dst, rng)
+        assert (0, 1) not in model._base
+        state = rng.getstate()
+        new = model.sample(1, 0, rng)
+        rng.setstate(state)
+        # The redraw is the next log-normal draw of the stream, and it
+        # evicts the next-oldest pair in turn.
+        assert new == rng.lognormvariate(model.mu, model.sigma)
+        assert list(model._base) == [(0, 3), (0, 4), (0, 1)]
+        return old, new
+
+    old, new = evict_then_redraw(random.Random(7))
+    assert evict_then_redraw(random.Random(7)) == (old, new)
+    assert new != old  # a fresh draw, not the forgotten base delay

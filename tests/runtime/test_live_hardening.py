@@ -13,8 +13,8 @@ import socket
 import pytest
 
 from repro.core.messages import Probe
-from repro.errors import ConfigurationError
-from repro.net.reliability import ReliabilityLayer
+from repro.errors import ConfigurationError, ProtocolError
+from repro.net.reliability import Ack, ReliabilityLayer
 from repro.runtime import HEALTH_PATH, LiveTransport, WallClock
 from repro.runtime.codec import encode_envelope
 from repro.runtime.http import http_get_json, http_post_json, http_request
@@ -586,6 +586,24 @@ def test_a_burst_to_one_peer_is_delivered_and_leaves_at_most_the_cap_idle():
     live(body)
 
 
+def test_both_ends_of_a_connection_read_in_bounded_chunks():
+    from repro.runtime.http import _READ_SIZE
+
+    async def body(clock, transport):
+        address = await transport.add_endpoint(1)
+        delivered = []
+        transport.register(1, lambda src, msg: delivered.append(msg))
+        await transport.discover()
+        transport.send(0, 1, Probe(job_id=1, initiator=0))
+        await settle(transport, delivered, 1)
+        ((_, pooled),) = transport._pool._idle[address]
+        (accepted,) = transport._servers[1]._accepted
+        # Not asyncio's 256 KiB: see _READ_SIZE for what that costs.
+        assert pooled.transport.max_size == accepted.transport.max_size == _READ_SIZE
+
+    live(body)
+
+
 def test_close_leaves_no_connection_behind():
     async def main():
         loop = asyncio.get_running_loop()
@@ -607,3 +625,180 @@ def test_close_leaves_no_connection_behind():
         assert all(server._accepted == set() for server in servers)
 
     asyncio.run(main())
+
+
+# ----------------------------------------------------------------------
+# The ack rides the response of the exchange that delivered its message
+# ----------------------------------------------------------------------
+def count_exchanges(transport, node_id):
+    """Wrap ``node_id``'s server handler; returns the list of requests
+    it answers from now on."""
+    server = transport._servers[node_id]
+    inner = server._handler
+    seen = []
+
+    def counting(method, path, body):
+        seen.append((method, path))
+        return inner(method, path, body)
+
+    server._handler = counting
+    return seen
+
+
+async def settle_reliable(transport, layer):
+    for _ in range(200):
+        await transport.drain()
+        if not layer._pending:
+            return
+        await asyncio.sleep(0.01)
+
+
+def test_n_reliable_sends_are_n_exchanges_and_no_ack_post():
+    async def body(clock, transport):
+        layer = ReliabilityLayer(transport)
+        delivered = []
+        for node_id in (1, 2):
+            await transport.add_endpoint(node_id)
+        transport.register(1, lambda src, msg: None)
+        transport.register(2, lambda src, msg: delivered.append(msg.job_id))
+        await transport.discover()
+        at_receiver = count_exchanges(transport, 2)
+        at_sender = count_exchanges(transport, 1)
+        for job_id in range(12):
+            layer.send(1, 2, Probe(job_id=job_id, initiator=1))
+        await settle_reliable(transport, layer)
+        assert sorted(delivered) == list(range(12))
+        assert layer.delivered == 12 and layer.retransmissions == 0
+        assert at_receiver == [("POST", MESSAGE_PATH)] * 12
+        assert at_sender == []  # nothing comes back but the responses
+        # The ack is still a counted 64-byte message; only its carrier moved.
+        assert transport.monitor.count_by_type == {"Probe": 12, "Ack": 12}
+
+    live(body)
+
+
+def test_a_posted_ack_envelope_is_rejected_and_counted():
+    async def body(clock, transport):
+        layer = ReliabilityLayer(transport)
+        host, port = await transport.add_endpoint(1)
+        transport.register(1, lambda src, msg: None)
+        ack = encode_envelope("tagged", 2, 1, Probe(job_id=5, initiator=2), msg_id=5)
+        ack["kind"] = "ack"
+        assert await http_post_json(host, port, MESSAGE_PATH, ack) == 400
+        assert transport.rejected == 1
+        assert layer.delivered == 0 and layer.acks_sent == 0
+
+    live(body)
+
+
+def test_send_ack_outside_an_exchange_raises():
+    async def body(clock, transport):
+        with pytest.raises(ProtocolError, match="outside its exchange"):
+            transport.send_ack(2, 1, Ack(msg_id=3), 3)
+        assert transport.monitor.count_by_type == {}  # raised before accounting
+
+    live(body)
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        b"not json",
+        b'{"ok":false}',
+        b'[["7",null,0.0,null]]',
+        b'[[0,"0",0.0,null]]',
+        b'[[0,null,-1.0,null]]',
+        b'[[0,null,0.0,"t1"]]',
+    ],
+    ids=["non-json", "object", "msg_id", "stamp", "delay", "trace"],
+)
+def test_a_malformed_ack_reply_settles_nothing_and_is_retransmitted(reply):
+    from repro.net.reliability import ReliabilityConfig
+
+    async def main(clock, transport):
+        layer = ReliabilityLayer(
+            transport,
+            ReliabilityConfig(
+                ack_timeout=0.05, max_timeout=0.05, max_retries=1, jitter=0.0
+            ),
+        )
+        answered = []
+
+        async def lying(reader, writer):
+            # A peer that takes every message and answers with ``reply``.
+            try:
+                while True:
+                    await reader.readuntil(b"\r\n\r\n")
+                    await reader.readexactly(len(encoded))
+                    answered.append(1)
+                    writer.write(
+                        b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n"
+                        % len(reply)
+                        + reply
+                    )
+            except (asyncio.IncompleteReadError, ConnectionError):
+                writer.close()  # the client closed its pooled connection
+
+        message = Probe(job_id=0, initiator=1)
+        encoded = json.dumps(
+            encode_envelope("tagged", 1, 9, message, msg_id=0),
+            separators=(",", ":"),
+        ).encode("utf-8")
+        server = await asyncio.start_server(lying, "127.0.0.1", 0)
+        transport._directory[9] = server.sockets[0].getsockname()[:2]
+        try:
+            layer.send(1, 9, message)
+            for _ in range(100):
+                await transport.drain()
+                if layer.gave_up:
+                    break
+                await asyncio.sleep(0.01)
+        finally:
+            server.close()
+            await transport.close()
+            await server.wait_closed()
+        assert len(answered) == 2  # the message and its one retransmission
+        assert transport.rejected == 2  # once per malformed body
+        assert layer.retransmissions == 1 and layer.gave_up == 1
+        assert layer.delivered == 0
+
+    live(main)
+
+
+def test_a_traced_ack_pairs_its_send_and_recv():
+    from repro.obs import TraceConfig, Tracer
+
+    async def body(clock, transport):
+        tracer = transport._trace = Tracer(
+            TraceConfig(level="transport", sink="memory")
+        )
+        layer = ReliabilityLayer(transport)
+        for node_id in (1, 2):
+            await transport.add_endpoint(node_id)
+            transport.register(node_id, lambda src, msg: None)
+        await transport.discover()
+        layer.send(1, 2, Probe(job_id=4, initiator=1))
+        await settle_reliable(transport, layer)
+        assert layer.delivered == 1
+
+        def one(event, kind):
+            (found,) = [
+                e for e in tracer.events
+                if e["ev"] == event and e["type"] == kind
+            ]
+            return found
+
+        probe, ack_sent, ack_recv = (
+            one("net.send", "Probe"), one("net.send", "Ack"), one("net.recv", "Ack")
+        )
+        assert (ack_sent["src"], ack_sent["dst"]) == (2, 1)
+        assert (ack_recv["src"], ack_recv["dst"]) == (2, 1)
+        assert (ack_recv["trace"], ack_recv["hop"]) == (
+            ack_sent["trace"], ack_sent["hop"]
+        )
+        # The ack continues the message's causal chain, one hop on.
+        assert (ack_sent["trace"], ack_sent["hop"]) == (
+            probe["trace"], probe["hop"] + 1
+        )
+
+    live(body)

@@ -14,7 +14,7 @@ import asyncio
 import pytest
 
 from repro.experiments import FaultPlan, apply_fault_plan
-from repro.net import ConstantLatency, Message, SimTransport
+from repro.net import ConstantLatency, Message, SimTransport, Transport
 from repro.net.reliability import ReliabilityConfig, ReliabilityLayer
 from repro.runtime import LiveTransport, WallClock
 from repro.runtime.codec import MESSAGE_TYPES
@@ -426,5 +426,130 @@ def test_duplicate_tagged_delivery_is_suppressed(backend_cls):
         assert got == ["dup"]
         counters = transport.network_counters()
         assert counters["reliable_duplicates_suppressed"] == 1
+
+    drive(case, backend_cls)
+
+
+# ----------------------------------------------------------------------
+# Reliable sends under faults: the ack is judged like any message, on
+# the simulator's modelled ack and on the live response alike
+# ----------------------------------------------------------------------
+#: Short, flat retransmission timers with a deep budget: an attempt
+#: needs the message *and* its ack through, so at 50 % loss three in
+#: four attempts fail, and 0.75 ** 41 leaves giving up out of reach.
+PERSISTENT = ReliabilityConfig(
+    ack_timeout=0.05, backoff=1.0, max_timeout=0.05, max_retries=40, jitter=0.0
+)
+
+
+async def settle_reliable(backend):
+    """Settle, then keep settling while retransmission timers (which
+    the live wire's task drain does not see) still have work to do."""
+    for _ in range(500):
+        await backend.settle()
+        if backend.transport.network_counters()["reliable_pending"] == 0:
+            return
+        await asyncio.sleep(0.01)
+    raise AssertionError("reliable sends never settled")
+
+
+def reliable_case(plan, config, sends=20):
+    """Send ``sends`` reliable Pings 1 -> 2 under ``plan``; returns the
+    tags the handler saw and the transport's counters."""
+
+    async def run(backend):
+        transport = backend.transport
+        apply_fault_plan(transport, plan)
+        reliability = ReliabilityLayer(transport, config)
+        got = []
+        transport.register(1, lambda src, msg: None)
+        transport.register(2, lambda src, msg: got.append(msg.tag))
+        await backend.ready(1, 2)
+        for n in range(sends):
+            reliability.send(1, 2, Ping(str(n)))
+        await settle_reliable(backend)
+        return got, transport.network_counters()
+
+    return run
+
+
+@both
+def test_reliable_sends_survive_heavy_loss_exactly_once(backend_cls):
+    async def case(backend):
+        got, counters = await reliable_case(
+            FaultPlan(loss=0.5, duplicate=0.0), PERSISTENT
+        )(backend)
+        assert sorted(got, key=int) == [str(n) for n in range(20)]
+        assert counters["reliable_retransmissions"] > 0
+        # Lost acks too: copies of delivered messages came again.
+        assert counters["reliable_duplicates_suppressed"] > 0
+        assert counters["reliable_delivered"] == 20
+        assert counters["reliable_gave_up"] == 0
+        assert counters["reliable_pending"] == 0
+
+    drive(case, backend_cls)
+
+
+@both
+def test_duplicated_acks_settle_nothing_twice(backend_cls, monkeypatch):
+    arrived = []
+    deliver_ack = Transport._deliver_ack
+
+    def counted(self, dst, msg_id, stamp=None):
+        arrived.append(msg_id)
+        deliver_ack(self, dst, msg_id, stamp)
+
+    monkeypatch.setattr(Transport, "_deliver_ack", counted)
+
+    async def case(backend):
+        got, counters = await reliable_case(
+            FaultPlan(loss=0.0, duplicate=0.9), RELIABILITY
+        )(backend)
+        assert sorted(got, key=int) == [str(n) for n in range(20)]
+        # Every copy of a message is acked, and acks are copied too ...
+        acks = counters["reliable_acks"]
+        copied_messages = acks - 20
+        assert copied_messages == counters["reliable_duplicates_suppressed"] > 0
+        copied_acks = counters["fault_duplicated"] - copied_messages
+        assert len(arrived) == acks + copied_acks > acks
+        # ... yet each send is confirmed once.
+        assert counters["reliable_delivered"] == 20
+        assert counters["reliable_retransmissions"] == 0
+        assert counters["reliable_pending"] == 0
+
+    drive(case, backend_cls)
+
+
+@both
+def test_delay_spiked_reliable_sends_all_settle(backend_cls):
+    async def case(backend):
+        got, counters = await reliable_case(
+            FaultPlan(
+                loss=0.0, duplicate=0.0, delay_spike=0.5, delay_spike_mean=0.02
+            ),
+            RELIABILITY,
+        )(backend)
+        assert sorted(got, key=int) == [str(n) for n in range(20)]
+        assert counters["reliable_delivered"] == 20
+        assert counters["reliable_pending"] == 0
+        assert counters["lost"] == 0
+
+    drive(case, backend_cls)
+
+
+@both
+def test_an_ack_takes_its_own_latency(backend_cls):
+    async def case(backend):
+        transport = backend.transport
+        transport.latency = ConstantLatency(0.05)
+        reliability = ReliabilityLayer(transport, RELIABILITY)
+        transport.register(1, lambda src, msg: None)
+        transport.register(2, lambda src, msg: None)
+        await backend.ready(1, 2)
+        reliability.send(1, 2, Ping())
+        await settle_reliable(backend)
+        assert reliability.delivered == 1
+        # There and back: the message's delay, then the ack's own.
+        assert reliability._ack_rtt.min >= 0.1 - 1e-9
 
     drive(case, backend_cls)

@@ -1,5 +1,6 @@
 """Documentation consistency checks."""
 
+import ast
 import importlib
 import os
 import re
@@ -212,6 +213,48 @@ def test_the_wire_is_written_once():
     transport = sources["runtime/transport.py"]
     assert "_pool.request(" in transport
     assert "http_post_json" not in transport and "http_request" not in transport
+
+
+def test_the_ack_rides_the_response():
+    """A reliable live send settles on its own exchange: no ``ack``
+    envelope kind, a message POST only from ``send`` / ``send_tagged``,
+    and one ``send_ack`` per transport (``docs/RUNTIME.md``, "The
+    transport abstraction")."""
+    package = ROOT / "src" / "repro"
+    sources = {
+        path.relative_to(package).as_posix(): path.read_text()
+        for path in package.rglob("*.py")
+    }
+    for name, text in sources.items():
+        if not name.startswith("runtime/"):
+            continue
+        for kinds in re.findall(r'[(\[{](?:\s*"\w+"\s*,?)+[)\]}]', text):
+            if '"send"' in kinds or '"tagged"' in kinds:
+                assert '"ack"' not in kinds, (name, kinds)
+    assert [name for name, text in sources.items() if "_post_envelope(" in text] == [
+        "runtime/transport.py"
+    ]
+    callers = sorted(
+        function.name
+        for function in ast.walk(ast.parse(sources["runtime/transport.py"]))
+        if isinstance(function, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_post_envelope"
+            for node in ast.walk(function)
+        )
+    )
+    assert callers == ["send", "send_tagged"]
+    send_acks = {
+        cls.name: [
+            node.name for node in cls.body if isinstance(node, ast.FunctionDef)
+        ].count("send_ack")
+        for text in sources.values()
+        for cls in ast.walk(ast.parse(text))
+        if isinstance(cls, ast.ClassDef) and cls.name.endswith("Transport")
+    }
+    assert send_acks == {"Transport": 1, "SimTransport": 1, "LiveTransport": 1}
 
 
 @pytest.mark.parametrize(
