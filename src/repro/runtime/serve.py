@@ -342,7 +342,7 @@ async def _run_live(
                 stop_event,
                 settled=lambda: (
                     metrics.completed_jobs >= config.jobs
-                    and not transport._tasks
+                    and not transport._in_flight
                     and all(task.done() for task in chaos_tasks)
                 ),
                 # Stop on the first confirmed violation.

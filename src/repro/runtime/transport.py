@@ -18,7 +18,7 @@ that serves three routes:
   A body that fails to parse or decode — non-JSON, a truncated envelope,
   an unknown ``kind``, a ``kind`` that disagrees with ``msg_id`` — is
   answered with HTTP 400 and counted in the ``rejected`` counter instead
-  of poisoning the request task.
+  of poisoning the connection.
 * ``GET /healthz`` — a liveness snapshot for operators and the soak
   harness: node id, protocol time, whether an inbox handler is attached,
   plus whatever the node's registered health provider reports (queue
@@ -31,25 +31,25 @@ loss draw); if a :class:`~repro.net.faults.FaultInjector` is attached it
 is consulted next — exactly where :class:`~repro.net.SimTransport`
 consults it — so loss bursts, duplication and partitions shape the real
 wire with the same model and the same RNG stream as the simulator.  Each
-surviving copy is then POSTed from a background task; when an injected
-latency model is configured (``transport.latency``, protocol seconds)
-the task sleeps the scaled wall delay first, which is how ``FaultPlan``
-delay spikes reach real sockets.  The sending handler never blocks on
-the network, mirroring the simulator's fire-and-forget sends.
+surviving copy is then POSTed without a task of its own: when an
+injected latency model is configured (``transport.latency``, protocol
+seconds) a timer fires after the scaled wall delay first, which is how
+``FaultPlan`` delay spikes reach real sockets.  The sending handler never
+blocks on the network, mirroring the simulator's fire-and-forget sends.
 
 The POST travels over a kept-alive connection from the transport's
-:class:`~repro.runtime.http.ConnectionPool`: the task checks one out for
-the destination address (or opens one, counted in
-``net.connections_opened``), does one request/response exchange under
-``send_timeout`` and checks it back in, so concurrent sends to one peer
-each have a socket to themselves and the overlay's repeated traffic
-between the same neighbours pays for a TCP handshake once, not per
-message.  A destination that cannot be reached, or does not answer,
-before ``send_timeout`` counts as ``lost``, exactly like a datagram into
-a dead link — which is also how a live *crashed* node manifests: its
-endpoint is torn down (:meth:`remove_endpoint`), which closes the
-connections it had accepted, while its directory entry goes stale, so
-traffic in flight dies with its connection and later sends on
+:class:`~repro.runtime.http.ConnectionPool`: written inside ``send`` on
+an idle one to the destination (only opening one, counted in
+``net.connections_opened``, takes a task) and settled from its
+``data_received`` callback, so concurrent sends to one peer each have a
+socket to themselves and the overlay's repeated traffic between the same
+neighbours pays for a TCP handshake once, not per message.  A
+destination that cannot be reached, or does not answer, before
+``send_timeout`` (connecting included) counts as ``lost``, exactly like
+a datagram into a dead link — which is also how a live *crashed* node
+manifests: its endpoint is torn down (:meth:`remove_endpoint`), which
+closes the connections it had accepted, while its directory entry goes
+stale, so traffic in flight dies with its connection and later sends on
 connection refused.  A pooled connection that its peer closed while it
 idled is noticed when next used and replaced, once, by a new one — so a
 node restarted on the same port is reached by the very next send — and
@@ -70,7 +70,8 @@ from __future__ import annotations
 import asyncio
 import errno
 import json
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..clock import Clock
 from ..errors import ConfigurationError, ProtocolError, ReproError
@@ -83,7 +84,7 @@ from ..obs.metrics import MetricsRegistry
 from ..net.traffic import TrafficMonitor
 from ..types import NodeId
 from .codec import _decode_acks, decode_envelope, decode_job, encode_envelope
-from .http import ConnectionPool, HttpServer, http_get_json
+from .http import ConnectionPool, HttpServer, Outcome, http_get_json
 
 __all__ = [
     "LiveTransport",
@@ -120,7 +121,8 @@ class LiveTransport(Transport):
         "_send_timeout",
         "_servers",
         "_directory",
-        "_tasks",
+        "_in_flight",
+        "_quiet",
         "_latency",
         "_latency_rng",
         "_time_scale",
@@ -158,12 +160,14 @@ class LiveTransport(Transport):
                     "event loop (or be handed one explicitly)"
                 ) from None
         self._loop = loop
-        #: Wall-clock seconds before an undeliverable POST counts as lost.
+        #: Wall-clock seconds before an unanswered POST counts as lost.
         self._send_timeout = send_timeout
         self._servers: Dict[NodeId, HttpServer] = {}
         #: Discovered node id -> (host, port), populated from agent cards.
         self._directory: Dict[NodeId, Tuple[str, int]] = {}
-        self._tasks: Set[asyncio.Task] = set()
+        #: Copies and ack entries not yet settled (``_quiet``: see drain).
+        self._in_flight = 0
+        self._quiet: Optional[asyncio.Future] = None
         #: Optional injected-delay model in *protocol* seconds (``None``
         #: means only what localhost TCP provides).
         self._latency: Optional[LatencyModel] = None
@@ -452,9 +456,13 @@ class LiveTransport(Transport):
         return dict(self._directory)
 
     async def drain(self) -> None:
-        """Wait for every in-flight outbound POST to settle."""
-        while self._tasks:
-            await asyncio.gather(*tuple(self._tasks), return_exceptions=True)
+        """Wait until every outbound copy has settled: its injected
+        delay, its exchange (connecting included) and its acks' delays."""
+        while self._in_flight:
+            if self._quiet is None:
+                self._quiet = self._loop.create_future()
+            # Shielded: a cancelled drain leaves the others waiting.
+            await asyncio.shield(self._quiet)
 
     async def close(self) -> None:
         """Close the pooled connections and shut down every endpoint
@@ -625,7 +633,7 @@ class LiveTransport(Transport):
         stamp: Optional[int],
     ) -> None:
         """The wire path of every non-local message: the judgment, then
-        per surviving copy an injected delay and a background POST."""
+        per surviving copy an injected delay (a timer) and a pooled POST."""
         copies, trace = self._judged(src, dst, message)
         if not copies:
             return
@@ -640,55 +648,64 @@ class LiveTransport(Transport):
         )
         # Serialised once, however many copies the fault verdict asked for.
         body = json.dumps(envelope, separators=(",", ":")).encode("utf-8")
-        for _ in range(copies):
-            task = self._loop.create_task(
-                self._post_http(
-                    address, body, src, dst, message, self._delay(src, dst)
-                )
-            )
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
-
-    async def _post_http(
-        self,
-        address: Tuple[str, int],
-        body: bytes,
-        src: NodeId,
-        dst: NodeId,
-        message: Message,
-        delay: float = 0.0,
-    ) -> None:
-        if delay > 0.0:
-            await asyncio.sleep(delay)
         host, port = address
-        try:
-            status, payload = await self._pool.request(
-                host, port, "POST", MESSAGE_PATH, body, self._send_timeout
+        for _ in range(copies):
+            self._launch(
+                self._delay(src, dst), self._pool.exchange, host, port, "POST",
+                MESSAGE_PATH, body, self._send_timeout,
+                partial(self._settle, src, dst, message),
             )
-        except (ConnectionError, OSError, asyncio.TimeoutError):
-            # Unreachable endpoint: a datagram into a dead link.
-            self._lost.inc()
-            if self._trace is not None:
-                self._emit_msg(
-                    "msg.lost",
-                    message,
-                    src=src,
-                    dst=dst,
-                    reason="unreachable",
-                )
-            return
-        if payload == _OK or status != 200:
-            return  # no ack, or a peer that refused the message
+
+    def _launch(self, delay: float, callback: Callable, *args: Any) -> None:
+        """Count a copy or ack entry in flight; start it after ``delay``."""
+        self._in_flight += 1
+        if delay > 0.0:
+            self._loop.call_later(delay, callback, *args)
+        else:
+            callback(*args)
+
+    def _settle(
+        self, src: NodeId, dst: NodeId, message: Message, outcome: Outcome
+    ) -> None:
+        """One copy's exchange is over: count it lost, or settle the
+        acks its response carries, each after its own injected delay."""
         try:
-            acks = _decode_acks(json.loads(payload))
-        except (ValueError, ConfigurationError):
-            self._rejected.inc()  # settles nothing: the sender retransmits
-            return
-        for msg_id, stamp, delay, trace in acks:
-            if delay > 0.0:
-                await asyncio.sleep(delay)  # the ack's own injected latency
+            if isinstance(outcome, BaseException):
+                # Unreachable endpoint: a datagram into a dead link.
+                self._lost.inc()
+                if self._trace is not None:
+                    self._emit_msg(
+                        "msg.lost", message, src=src, dst=dst, reason="unreachable"
+                    )
+                return
+            status, payload = outcome
+            if payload == _OK or status != 200:
+                return  # no ack, or a peer that refused the message
+            try:
+                acks = _decode_acks(json.loads(payload))
+            except (ValueError, ConfigurationError):
+                self._rejected.inc()  # settles nothing: the sender retransmits
+                return
+            for entry in acks:
+                self._launch(entry[2], self._settle_ack, src, dst, entry)
+        finally:
+            self._landed()
+
+    def _settle_ack(self, src: NodeId, dst: NodeId, entry: tuple) -> None:
+        """Settle one ack entry of the response to ``src``'s send to ``dst``."""
+        try:
+            msg_id, stamp, _delay, trace = entry
             args = (src, msg_id, stamp)
             self._dispatch(trace, dst, src, Ack(msg_id), self._deliver_ack, args)
+        finally:
+            self._landed()
+
+    def _landed(self) -> None:
+        """One copy or ack entry settled; the last one wakes :meth:`drain`."""
+        self._in_flight -= 1
+        if not self._in_flight and self._quiet is not None:
+            self._quiet.set_result(None)
+            self._quiet = None
 
     # ------------------------------------------------------------------
     # Counters

@@ -254,8 +254,10 @@ def request_bytes(method, path, body=b"", extra=""):
 
 
 async def read_response(reader):
-    """``(status, headers, body)`` of one response on a raw socket."""
-    head = (await reader.readuntil(b"\r\n\r\n")).decode("latin-1")
+    """``(status, headers, body)`` of one response on a raw socket (a
+    server that never answers fails the test instead of hanging it)."""
+    head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), 5.0)
+    head = head.decode("latin-1")
     lines = head.split("\r\n")
     headers = dict(
         (name.strip().lower(), value.strip())
@@ -276,6 +278,43 @@ async def settle(transport, delivered, count):
 
 def idle_connections(transport, address):
     return len(transport._pool._idle.get(address, ()))
+
+
+async def hang_up(writers):
+    """Close a raw test peer's connections and wait for their sockets."""
+    for writer in writers:
+        writer.close()
+    for writer in writers:
+        try:
+            await writer.wait_closed()
+        except ConnectionError:
+            pass
+
+
+def test_a_connection_accepted_while_closing_is_served_nothing():
+    from functools import partial
+
+    from repro.runtime.http import HttpServer, _Served
+
+    async def main():
+        server = HttpServer(lambda method, path, body: (200, "OK", b"{}"))
+        await server.start()
+        server._server.close()  # close() has begun: the listener is shut
+        # A connection the listener had already taken in arrives now.
+        accepted, peer = socket.socketpair()
+        await asyncio.get_running_loop().connect_accepted_socket(
+            partial(_Served, server), accepted
+        )
+        reader, writer = await asyncio.open_connection(sock=peer)
+        try:
+            # Hung up on before a byte was asked for or answered.
+            assert await asyncio.wait_for(reader.read(), 5.0) == b""
+        finally:
+            await hang_up([writer])
+            await server.close()
+        assert server._accepted == set()
+
+    asyncio.run(main())
 
 
 def test_one_connection_serves_many_requests_until_asked_to_close():
@@ -309,8 +348,13 @@ def test_one_connection_serves_many_requests_until_asked_to_close():
         b"POST /message HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n",
         b"POST /message HTTP/1.1\r\nX-Pad: " + b"x" * 20_000 + b"\r\n\r\n",
         b"nonsense\r\n\r\n",
+        # "\xb2" is "²" in latin-1: isdigit() takes it, int() refuses it.
+        b"POST /message HTTP/1.1\r\nContent-Length: \xb2\r\n\r\n",
     ],
-    ids=["negative", "non-numeric", "oversized-body", "oversized-head", "no-start"],
+    ids=[
+        "negative", "non-numeric", "oversized-body", "oversized-head", "no-start",
+        "non-ascii-digit",
+    ],
 )
 def test_bad_framing_is_answered_400_and_the_connection_closed(head):
     async def body(clock, transport):
@@ -361,8 +405,13 @@ def test_a_rejected_envelope_keeps_its_connection():
         b"HTTP/1.1 200 OK\r\nContent-Length: 99999999\r\n\r\n",
         b"HTTP/1.1 fine OK\r\nContent-Length: 0\r\n\r\n",
         b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort",
+        b"HTTP/1.1 200 OK\r\nContent-Length: \xb9\r\n\r\n",
+        b"HTTP/1.1 \xb2 OK\r\nContent-Length: 0\r\n\r\n",
     ],
-    ids=["negative", "oversized", "status", "truncated"],
+    ids=[
+        "negative", "oversized", "status", "truncated",
+        "non-ascii-length", "non-ascii-status",
+    ],
 )
 def test_a_malformed_response_is_a_connection_error(head):
     # A peer's response is outside input too: same limits as a request.
@@ -427,8 +476,9 @@ def test_a_send_to_a_peer_that_hangs_up_is_lost_and_traced():
         server, address = await rude_peer()
         transport._directory[9] = address
         try:
+            before = asyncio.all_tasks()
             transport.send(1, 9, Probe(job_id=1, initiator=1))
-            (task,) = transport._tasks
+            (task,) = asyncio.all_tasks() - before  # it opens the connection
             await transport.drain()
         finally:
             server.close()
@@ -562,6 +612,40 @@ def test_a_reused_connection_that_fails_unanswered_is_retried_exactly_once():
     asyncio.run(main())
 
 
+def test_a_reused_connection_answered_malformed_is_not_retried():
+    # The peer did speak: the request reached it, so sending it again
+    # could deliver it twice.
+    from repro.runtime.http import ConnectionPool
+
+    async def main():
+        seen = []
+
+        async def serve(reader, writer):
+            await reader.readuntil(b"\r\n\r\n")
+            seen.append("answered")
+            writer.write(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
+            await reader.readuntil(b"\r\n\r\n")
+            seen.append("cut short")
+            writer.write(b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort")
+            writer.close()
+
+        server = await asyncio.start_server(serve, "127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()[:2]
+        opened = []
+        pool = ConnectionPool(on_open=lambda: opened.append(1))
+        try:
+            assert await pool.request(host, port, "GET", "/") == (200, b"ok")
+            with pytest.raises(ConnectionError):
+                await pool.request(host, port, "GET", "/")
+            assert seen == ["answered", "cut short"] and len(opened) == 1
+        finally:
+            await pool.close()
+            server.close()
+            await server.wait_closed()
+
+    asyncio.run(main())
+
+
 def test_a_burst_to_one_peer_is_delivered_and_leaves_at_most_the_cap_idle():
     from repro.runtime.http import _MAX_IDLE_PER_PEER
 
@@ -596,10 +680,31 @@ def test_both_ends_of_a_connection_read_in_bounded_chunks():
         await transport.discover()
         transport.send(0, 1, Probe(job_id=1, initiator=0))
         await settle(transport, delivered, 1)
-        ((_, pooled),) = transport._pool._idle[address]
+        (pooled,) = transport._pool._idle[address]
         (accepted,) = transport._servers[1]._accepted
         # Not asyncio's 256 KiB: see _READ_SIZE for what that costs.
         assert pooled.transport.max_size == accepted.transport.max_size == _READ_SIZE
+
+    live(body)
+
+
+def test_a_server_stops_reading_while_its_responses_back_up():
+    # The transport calls pause_writing() above its write buffer's
+    # high-water mark: the connection hears no more requests until
+    # resume_writing(), the back-pressure a stream's drain() applied.
+    async def body(clock, transport):
+        host, port = await transport.add_endpoint(1)
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            writer.write(request_bytes("GET", HEALTH_PATH))
+            await read_response(reader)
+            (accepted,) = transport._servers[1]._accepted
+            accepted.pause_writing()
+            assert not accepted.transport.is_reading()
+            accepted.resume_writing()
+            assert accepted.transport.is_reading()
+        finally:
+            await hang_up([writer])
 
     live(body)
 
@@ -625,6 +730,266 @@ def test_close_leaves_no_connection_behind():
         assert all(server._accepted == set() for server in servers)
 
     asyncio.run(main())
+
+
+# ----------------------------------------------------------------------
+# Framing in callbacks, and exchanges settled by them
+# ----------------------------------------------------------------------
+def response_bytes(body, extra=""):
+    return (
+        f"HTTP/1.1 200 OK\r\nContent-Length: {len(body)}\r\n{extra}\r\n"
+    ).encode("ascii") + body
+
+
+async def dribble(writer, data):
+    """Write ``data`` one byte at a time, each in a segment of its own."""
+    for index in range(len(data)):
+        writer.write(data[index:index + 1])
+        await writer.drain()
+        await asyncio.sleep(0.001)
+
+
+def test_a_request_written_byte_by_byte_is_framed():
+    async def body(clock, transport):
+        host, port = await transport.add_endpoint(1)
+        delivered = []
+        transport.register(1, lambda src, msg: delivered.append(msg.job_id))
+        envelope = json.dumps(
+            encode_envelope("send", 0, 1, Probe(job_id=7, initiator=0))
+        ).encode("utf-8")
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            await dribble(writer, request_bytes("POST", MESSAGE_PATH, envelope))
+            status, _, payload = await read_response(reader)
+        finally:
+            writer.close()
+            await writer.wait_closed()
+        assert (status, payload, delivered) == (200, b'{"ok":true}', [7])
+
+    live(body)
+
+
+def test_a_response_written_byte_by_byte_is_framed():
+    async def main():
+        connections = []
+
+        async def slow(reader, writer):
+            connections.append(writer)
+            await reader.readuntil(b"\r\n\r\n")
+            await dribble(writer, response_bytes(b'{"n":1}'))
+
+        server = await asyncio.start_server(slow, "127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()[:2]
+        try:
+            assert await http_get_json(host, port, "/") == {"n": 1}
+        finally:
+            server.close()
+            await hang_up(connections)
+            await server.wait_closed()
+
+    asyncio.run(main())
+
+
+def test_pipelined_requests_are_answered_in_order_on_one_connection():
+    from repro.runtime.transport import AGENT_CARD_PATH
+
+    async def body(clock, transport):
+        host, port = await transport.add_endpoint(3)
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            writer.write(
+                request_bytes("GET", HEALTH_PATH)
+                + request_bytes("GET", AGENT_CARD_PATH)
+            )
+            _, _, health = await read_response(reader)
+            _, _, card = await read_response(reader)
+        finally:
+            writer.close()
+            await writer.wait_closed()
+        assert "inbox_registered" in json.loads(health)
+        assert json.loads(card)["protocol"] == "aria/1"
+        assert len(transport._servers[3]._accepted) == 1
+
+    live(body)
+
+
+@pytest.mark.parametrize("excess", [0, 1], ids=["at-the-limit", "one-over"])
+def test_a_head_is_accepted_up_to_the_limit(excess):
+    from repro.runtime.http import _MAX_HEADER_BYTES
+
+    async def body(clock, transport):
+        host, port = await transport.add_endpoint(3)
+        bare = request_bytes("GET", HEALTH_PATH, extra="X-Pad: \r\n")
+        pad = _MAX_HEADER_BYTES - len(bare) + excess
+        head = request_bytes("GET", HEALTH_PATH, extra=f"X-Pad: {'x' * pad}\r\n")
+        assert len(head) == _MAX_HEADER_BYTES + excess
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            writer.write(head)
+            status, headers, _ = await read_response(reader)
+            if excess:
+                assert status == 400 and headers["connection"] == "close"
+                assert await reader.read() == b""
+            else:
+                assert status == 200 and headers.get("connection") != "close"
+        finally:
+            writer.close()
+            await writer.wait_closed()
+
+    live(body)
+
+
+def test_a_body_at_the_limit_is_accepted():
+    from repro.runtime.http import _MAX_BODY_BYTES, HttpServer
+
+    async def main():
+        server = HttpServer(lambda method, path, body: (200, "OK", b"%d" % len(body)))
+        await server.start()
+        try:
+            answer = await http_request(
+                server.host, server.port, "POST", "/", body=b"x" * _MAX_BODY_BYTES
+            )
+        finally:
+            await server.close()
+        assert answer == (200, b"%d" % _MAX_BODY_BYTES)
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize("pause", [0.0, 0.05], ids=["behind-it", "while-idle"])
+def test_bytes_after_a_response_retire_its_connection(pause):
+    # A peer answers the first request twice, in the same write or after
+    # a pause: the stray answer must never be read as the next one's.
+    from repro.runtime.http import ConnectionPool
+
+    async def main():
+        connections = []
+
+        async def twice(reader, writer):
+            connections.append(writer)
+            try:
+                while True:
+                    await reader.readuntil(b"\r\n\r\n")
+                    if len(connections) > 1:
+                        writer.write(response_bytes(b"fresh"))
+                        continue
+                    writer.write(response_bytes(b"first"))
+                    await asyncio.sleep(pause)
+                    writer.write(response_bytes(b"stale"))
+            except (asyncio.IncompleteReadError, ConnectionError):
+                writer.close()
+
+        server = await asyncio.start_server(twice, "127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()[:2]
+        opened = []
+        pool = ConnectionPool(on_open=lambda: opened.append(1))
+        try:
+            assert await pool.request(host, port, "GET", "/") == (200, b"first")
+            await asyncio.sleep(2 * pause)
+            assert await pool.request(host, port, "GET", "/") == (200, b"fresh")
+            assert len(opened) == 2
+        finally:
+            await pool.close()
+            server.close()
+            await hang_up(connections)
+            await server.wait_closed()
+
+    asyncio.run(main())
+
+
+def test_a_timed_out_exchange_is_lost_once_and_its_late_answer_unread():
+    async def main():
+        connections = []
+
+        async def slow_second(reader, writer):
+            # Answers at once, except the second request on a connection,
+            # which it answers after 0.3 s with that request's path.
+            connections.append(writer)
+            try:
+                for count in range(1_000):
+                    head = await reader.readuntil(b"\r\n\r\n")
+                    await reader.readexactly(
+                        int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+                    )
+                    if count == 1:
+                        await asyncio.sleep(0.3)
+                    writer.write(response_bytes(head.split(b" ")[1]))
+            except (asyncio.IncompleteReadError, ConnectionError):
+                writer.close()
+
+        loop = asyncio.get_running_loop()
+        clock = WallClock(loop, seed=0)
+        transport = LiveTransport(clock, loop=loop, send_timeout=0.1)
+        server = await asyncio.start_server(slow_second, "127.0.0.1", 0)
+        address = server.sockets[0].getsockname()[:2]
+        transport._directory[9] = address
+        try:
+            transport.send(1, 9, Probe(job_id=1, initiator=1))
+            await transport.drain()
+            assert idle_connections(transport, address) == 1
+            transport.send(1, 9, Probe(job_id=2, initiator=1))  # reuses it
+            await transport.drain()
+            assert transport.lost == 1
+            assert idle_connections(transport, address) == 0
+            await asyncio.sleep(0.4)  # its answer has been written by now
+            answer = await transport._pool.request(*address, "GET", "/fresh")
+            assert answer == (200, b"/fresh")
+            assert transport.lost == 1
+            assert transport.network_counters()["connections_opened"] == 2
+        finally:
+            clock.stop()
+            await transport.drain()
+            await transport.close()
+            server.close()
+            await hang_up(connections)
+            await server.wait_closed()
+
+    asyncio.run(main())
+
+
+def test_sends_over_a_warm_pool_take_no_task_and_one_exchange_each():
+    async def body(clock, transport):
+        for node_id in (1, 2):
+            await transport.add_endpoint(node_id)
+        delivered = []
+        transport.register(2, lambda src, msg: delivered.append(msg.job_id))
+        await transport.discover()
+        transport.send(1, 2, Probe(job_id=0, initiator=1))  # opens one
+        await settle(transport, delivered, 1)
+        opened = transport.network_counters()["connections_opened"]
+        seen = count_exchanges(transport, 2)
+        tasks = asyncio.all_tasks()
+        for job_id in range(1, 21):
+            transport.send(1, 2, Probe(job_id=job_id, initiator=1))
+            assert asyncio.all_tasks() == tasks  # written inside send
+            await settle(transport, delivered, job_id + 1)
+        assert delivered == list(range(21))
+        assert seen == [("POST", MESSAGE_PATH)] * 20
+        assert transport.network_counters()["connections_opened"] == opened
+
+    live(body)
+
+
+def test_drain_waits_for_exchanges_settled_by_callbacks():
+    from repro.net import ConstantLatency
+
+    async def body(clock, transport):
+        layer = ReliabilityLayer(transport)
+        for node_id in (1, 2):
+            await transport.add_endpoint(node_id)
+            transport.register(node_id, lambda src, msg: None)
+        await transport.discover()
+        # A delayed copy, its exchange, then its ack's own delay: one
+        # drain() covers all three.
+        transport.latency = ConstantLatency(0.05)
+        layer.send(1, 2, Probe(job_id=1, initiator=1))
+        assert transport._in_flight == 1 and layer._pending
+        await transport.drain()
+        assert transport._in_flight == 0
+        assert layer.delivered == 1 and not layer._pending
+        assert idle_connections(transport, transport._directory[2]) == 1
+
+    live(body)
 
 
 # ----------------------------------------------------------------------

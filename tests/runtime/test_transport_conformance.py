@@ -96,12 +96,12 @@ class LiveBackend:
         await self.transport.discover()
 
     async def settle(self):
-        # Outbound POSTs spawn tasks; handlers may send follow-ups (acks),
-        # so drain repeatedly until a full idle pass.
+        # Handlers and retransmission timers may send follow-ups, so
+        # drain repeatedly until a full idle pass.
         for _ in range(100):
             await self.transport.drain()
             await asyncio.sleep(0.01)
-            if not self.transport._tasks:
+            if not self.transport._in_flight:
                 return
         raise AssertionError("live transport never went quiet")
 

@@ -186,23 +186,22 @@ def test_the_overlay_searches_are_written_once():
 
 
 def test_the_wire_is_written_once():
-    """One function opens a connection, one reads a message (in either
-    direction) and one does the request/response exchange: the pooled
-    message path and the one-shot helpers differ only in where their
-    connection comes from and goes to (``docs/RUNTIME.md``,
-    "Connections"), and the transport's sends take the pooled one."""
+    """One framer cuts messages out of the bytes in either direction, one
+    call opens a connection, and the message path schedules no task and
+    no ``wait_for`` per message: a task only opens a connection
+    (``docs/RUNTIME.md``, "Connections"), and the transport's sends take
+    the pooled exchange."""
     package = ROOT / "src" / "repro"
     sources = {
         path.relative_to(package).as_posix(): path.read_text()
         for path in package.rglob("*.py")
     }
     for needle, count in (
-        ("asyncio.open_connection(", 1),
-        (".readuntil(", 1),
-        ("def _exchange(", 1),
-        ("await _exchange(", 2),  # on a pooled connection, on a one-shot one
-        ("_read_request", 0),
-        ("_read_response", 0),
+        ("class _Framer", 1),
+        ("create_connection(", 1),
+        ("def _read_message", 0),
+        ("def _exchange(", 0),
+        ("_post_http", 0),
     ):
         found = {
             name: text.count(needle)
@@ -210,8 +209,30 @@ def test_the_wire_is_written_once():
             if needle in text
         }
         assert found == ({"runtime/http.py": count} if count else {}), needle
+    for name, text in sources.items():
+        if name.startswith("runtime/"):
+            for streams in ("readuntil(", "StreamReader", "open_connection("):
+                assert streams not in text, (name, streams)
+
+    def callers(name, attribute):
+        """The functions of ``name`` that call ``*.attribute(...)``."""
+        return sorted(
+            function.name
+            for function in ast.walk(ast.parse(sources[name]))
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == attribute
+        )
+
+    assert callers("runtime/transport.py", "wait_for") == []
+    assert callers("runtime/http.py", "wait_for") == ["http_request"]
+    assert callers("runtime/transport.py", "create_task") == []
+    assert callers("runtime/http.py", "create_task") == ["open"]
+    assert callers("runtime/http.py", "_connect_and_use") == ["open"]
     transport = sources["runtime/transport.py"]
-    assert "_pool.request(" in transport
+    assert "self._pool.exchange" in transport
     assert "http_post_json" not in transport and "http_request" not in transport
 
 
