@@ -78,12 +78,12 @@ class AriaConfig:
     adoption: bool = False
     #: How many silent probe windows an assignee waits before adopting.
     adoption_windows: int = 3
-    #: Per-agent flood-dedup window size (entries per SeenCache).  The
-    #: default is generous for paper-scale grids; large-grid runs lower
-    #: it — a node only needs to remember the floods that can concurrently
-    #: pass through it, and 100k nodes × two 4096-entry caches would cost
-    #: tens of GB of RSS for dedup state that is > 99 % expired.
-    seen_cache_capacity: int = 4096
+    #: Per-agent flood-dedup window size: ids per SeenCache generation,
+    #: so a window remembers its last N to 2N - 1 first-seen ids.  Every
+    #: duplicate measured, at every scale and under chaos, arrived while
+    #: its id was among the last 7 (docs/PERFORMANCE.md, "The dedup
+    #: windows, sized by their reuse distance"); 64 is ≥ 8× that.
+    seen_cache_capacity: int = 64
     #: Straggler defense: when > 0, an assignee gives every accepted job
     #: an execution deadline of ``estimate × slack`` and, once overdue,
     #: advertises the job with a cost penalty that grows with the delay,

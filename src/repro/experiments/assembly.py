@@ -87,18 +87,10 @@ _OVERLAY_CACHE_SIZE = 8
 #: O(nodes^2) — 67 s at 2 000 nodes and growing — while the ring builds
 #: in O(nodes) at the paper's average degree 4, denser than the ≈ 2.8
 #: this repo's BLATANT converges to, with a logarithmic diameter; both
-#: measured in EXPERIMENTS.md), and per-agent dedup caches are trimmed so
-#: aggregate memory stays proportional to the grid, not to the paper-scale
-#: defaults times 10^5 nodes.  Every stock preset up to ``paper`` (500
-#: nodes) sits below the threshold, so their seeded runs are unchanged.
+#: measured in EXPERIMENTS.md), and REQUEST floods are capped in hops.
+#: Every stock preset up to ``paper`` (500 nodes) sits below the
+#: threshold, so their seeded runs are unchanged.
 _LARGE_GRID_NODES = 2_000
-
-#: SeenCache capacity used for grids above ``_LARGE_GRID_NODES`` (unless
-#: explicitly overridden).  Floods reach a few thousand nodes, so each
-#: agent sees a small slice of all broadcasts; 512 remembered broadcast
-#: keys per cache keeps duplicate suppression effective while bounding
-#: the worst case at ~10^3 entries per node instead of ~10^4.
-_LARGE_GRID_SEEN_CAPACITY = 512
 
 #: REQUEST flood hop bound for grids above ``_LARGE_GRID_NODES``.  The
 #: paper's ≤9 hops / fanout 4 (§IV-E) floods the *entire* 500-node
@@ -176,7 +168,6 @@ def derive_config(
     if nodes > _LARGE_GRID_NODES:
         config = dataclasses.replace(
             config,
-            seen_cache_capacity=_LARGE_GRID_SEEN_CAPACITY,
             request_flood=FloodPolicy(
                 max_hops=_LARGE_GRID_REQUEST_HOPS,
                 fanout=config.request_flood.fanout,

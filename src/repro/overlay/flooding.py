@@ -66,39 +66,44 @@ def choose_targets(
 
 
 class SeenCache:
-    """Bounded LRU set of message identifiers for duplicate suppression.
+    """Duplicate suppression over a node's most recent first-seen ids.
 
-    A plain dict in least-recently-seen-first order: a hit deletes and
-    re-inserts its key, overflow deletes the first key.  At paper scale
-    these windows hold over a million ids, so an entry costs a dict slot
-    and nothing else.
+    Two generations of ids: a miss enters the new one, which becomes the
+    old one (dropping the previous old one) once it holds ``capacity``
+    ids.  A hit is ``key in new or key in old`` and does not extend the
+    id's life, so an id is remembered while it is among the window's
+    last ``capacity`` first-seen ids and forgotten before it is
+    ``2 * capacity`` back; ``len()`` stays below ``2 * capacity``.  A
+    duplicate reaches a node while its id is among the last few
+    (``scripts/flood_census.py``), so a small window answers exactly
+    what an unbounded one would.
     """
 
-    __slots__ = ("_capacity", "_entries")
+    __slots__ = ("_capacity", "_new", "_old")
 
-    def __init__(self, capacity: int = 4096) -> None:
+    def __init__(self, capacity: int = 64) -> None:
         if capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         self._capacity = capacity
-        self._entries: Dict[Hashable, None] = {}
+        self._new: Set[Hashable] = set()
+        self._old: Set[Hashable] = set()
 
     def seen_before(self, key: Hashable) -> bool:
-        """Record ``key``; return ``True`` if it had been recorded already."""
-        entries = self._entries
-        if key in entries:
-            del entries[key]
-            entries[key] = None
+        """Record ``key``; return ``True`` if it is still remembered."""
+        new = self._new
+        if key in new or key in self._old:
             return True
-        entries[key] = None
-        if len(entries) > self._capacity:
-            del entries[next(iter(entries))]
+        new.add(key)
+        if len(new) >= self._capacity:
+            self._old = new
+            self._new = set()
         return False
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
+        return key in self._new or key in self._old
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._new) + len(self._old)
 
 
 class FloodReach:

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import SCALES, run
+from repro.experiments import SCALES, RunOptions, get_scenario, run
+from repro.experiments.runner import run_grid
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -44,6 +45,44 @@ def test_summary_matches_golden_file(scenario, scale_name, seed):
         f"summary in {golden_path} — a hot-path change altered simulated "
         f"outcomes"
     )
+
+
+@pytest.mark.parametrize("scenario,scale_name,seed", PAIRS)
+def test_an_eight_id_dedup_window_reproduces_the_golden_file(
+    scenario, scale_name, seed
+):
+    """Every duplicate of these runs reaches a node while its id is among
+    the node's last 8 first-seen ids (``scripts/flood_census.py`` measures
+    at most 7 at every scale), so a window of 8 answers as the default
+    does."""
+    golden_path = GOLDEN_DIR / f"{scenario}_{scale_name}_seed{seed}.json"
+    options = RunOptions(config_overrides={"seen_cache_capacity": 8})
+    summary = run(
+        scenario, SCALES[scale_name](), seed=seed, options=options
+    ).summary()
+    assert _canonical(summary.to_dict()) == golden_path.read_text()
+
+
+@pytest.mark.parametrize("scenario", ["iMixed", "iDeadline"])
+def test_an_undersized_dedup_window_costs_traffic_not_correctness(scenario):
+    """A window of one id forgets duplicates that are still arriving: they
+    are relayed again, so more messages go out, but every invariant the
+    post-run sweep checks still holds."""
+    counts = {}
+    for capacity in (64, 1):
+        result = run_grid(
+            get_scenario(scenario),
+            SCALES["small"](),
+            0,
+            config_overrides={"seen_cache_capacity": capacity},
+            check=True,
+        )
+        summary = result.summary()
+        assert summary.violations == []
+        assert summary.duplicate_executions == 0
+        counts[capacity] = summary.traffic_counts
+    assert counts[1]["Inform"] > counts[64]["Inform"]
+    assert sum(counts[1].values()) > sum(counts[64].values())
 
 
 def test_golden_files_are_canonical():

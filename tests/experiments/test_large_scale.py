@@ -1,12 +1,12 @@
 """Smoke tests for the large-grid build path (> 2000 nodes).
 
 Grids above ``_LARGE_GRID_NODES`` assemble differently: a chordal-ring
-overlay instead of the O(nodes^2) BLATANT convergence, trimmed per-agent
-dedup caches, a bounded REQUEST flood, slab-backed aggregate state behind
-the samplers, and memory-bounded time series.  The fast tier exercises
-all of that with a scaled-down job count on a just-above-threshold grid;
-the full 10k-node ``large`` preset run is opt-in via ``ARIA_RUN_LARGE=1``
-(it takes minutes; the benchmark's ``sim_large_smoke`` workload, see
+overlay instead of the O(nodes^2) BLATANT convergence, a bounded REQUEST
+flood, slab-backed aggregate state behind the samplers, and
+memory-bounded time series.  The fast tier exercises all of that with a
+scaled-down job count on a just-above-threshold grid; the full 10k-node
+``large`` preset run is opt-in via ``ARIA_RUN_LARGE=1`` (it takes
+minutes; the benchmark's ``sim_large_smoke`` workload, see
 ``bench/README.md``, measures this path at 2 500 nodes).
 """
 
@@ -14,11 +14,11 @@ import os
 
 import pytest
 
+from repro.core import AriaConfig
 from repro.experiments import ScenarioScale, build_grid, run
 from repro.experiments.assembly import (
     _LARGE_GRID_NODES,
     _LARGE_GRID_REQUEST_HOPS,
-    _LARGE_GRID_SEEN_CAPACITY,
 )
 from repro.experiments.catalog import get_scenario
 from repro.sim.sampler import DEFAULT_MAX_SAMPLES
@@ -37,7 +37,8 @@ def _scenario(name: str):
 def test_large_grid_build_adapts_config_and_overlay():
     setup = build_grid(_scenario("iMixed"), _smoke_scale(), seed=0)
     config = setup.agents[0].config
-    assert config.seen_cache_capacity == _LARGE_GRID_SEEN_CAPACITY
+    # One dedup window size at every scale.
+    assert config.seen_cache_capacity == AriaConfig().seen_cache_capacity
     assert config.request_flood.max_hops == _LARGE_GRID_REQUEST_HOPS
     # Chordal ring: every node present, average degree ~4 like BLATANT.
     assert len(setup.graph) == setup.scale.nodes

@@ -61,3 +61,34 @@ def make_node(
         accuracy=accuracy,
     )
     return sim, node
+
+
+class TwoGenerations:
+    """Reference model of :class:`repro.overlay.SeenCache`, stated over the
+    window's first-seen ids instead of two sets: they are cut into blocks
+    of ``capacity``, and the window remembers the last full block plus the
+    one being filled.  A forgotten id that comes back is first-seen again.
+    """
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.first_seen = 0  # first-seen ids so far
+        self.index = {}  # id -> its (latest) first-seen number
+
+    def _oldest_remembered(self):
+        n = self.first_seen
+        return max(n - n % self.capacity - self.capacity, 0)
+
+    def __contains__(self, key):
+        index = self.index.get(key)
+        return index is not None and index >= self._oldest_remembered()
+
+    def __len__(self):
+        return self.first_seen - self._oldest_remembered()
+
+    def seen_before(self, key):
+        if key in self:
+            return True
+        self.index[key] = self.first_seen
+        self.first_seen += 1
+        return False

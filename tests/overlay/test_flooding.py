@@ -1,12 +1,13 @@
 """Unit tests for selective-flooding helpers."""
 
 import random
-from collections import OrderedDict
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.overlay import FloodPolicy, SeenCache, choose_targets, ring
+
+from ..helpers import TwoGenerations
 
 
 def test_flood_policy_validation():
@@ -54,56 +55,64 @@ def test_seen_cache_detects_duplicates():
     assert "a" in cache
 
 
-def test_seen_cache_evicts_oldest():
-    cache = SeenCache(capacity=2)
-    cache.seen_before("a")
-    cache.seen_before("b")
-    cache.seen_before("c")  # evicts "a"
-    assert "a" not in cache
-    assert "b" in cache
-    assert len(cache) == 2
-
-
-def test_seen_cache_refreshes_on_hit():
-    cache = SeenCache(capacity=2)
-    cache.seen_before("a")
-    cache.seen_before("b")
-    cache.seen_before("a")  # refresh "a" so "b" is now oldest
-    cache.seen_before("c")
-    assert "a" in cache
-    assert "b" not in cache
-
-
 def test_seen_cache_capacity_validation():
     with pytest.raises(ConfigurationError):
         SeenCache(capacity=0)
 
 
+@pytest.mark.parametrize("capacity", [1, 2, 3, 8, 64])
+def test_seen_cache_remembers_an_id_among_its_last_capacity_ids(capacity):
+    """Wherever an id lands in its generation, it outlives ``capacity - 1``
+    later first-seen ids and is gone before ``2 * capacity``: every
+    lifetime in between occurs for some position."""
+    lifetimes = set()
+    for position in range(capacity):
+        cache = SeenCache(capacity=capacity)
+        for filler in range(position):
+            cache.seen_before(("filler", filler))
+        cache.seen_before("x")
+        later = 0
+        while "x" in cache and later < 2 * capacity:
+            later += 1
+            assert not cache.seen_before(("later", later))
+        lifetimes.add(later)
+    assert lifetimes == set(range(capacity, 2 * capacity))
+
+
+def test_seen_cache_hit_does_not_extend_an_ids_life():
+    capacity = 4
+    cache = SeenCache(capacity=capacity)
+    assert not cache.seen_before("x")
+    for later in range(2 * capacity - 1):
+        assert cache.seen_before("x")  # a duplicate copy; no refresh
+        cache.seen_before(later)
+    assert "x" not in cache
+    assert not cache.seen_before("x")  # forgotten, so first-seen again
+
+
 @pytest.mark.parametrize("capacity", [2, 512])
-def test_seen_cache_stays_exact_lru_through_100k_operations_at_capacity(capacity):
-    """The window is a plain dict that deletes and re-inserts on every hit
-    and evicts from the front, so the dict compacts itself over and over;
-    no compaction may lose or resurrect a key."""
+def test_seen_cache_agrees_with_two_generations_over_100k_operations(
+    capacity,
+):
+    """Every answer and every length against the block model in
+    ``tests/helpers.py``, across tens of thousands of generation swaps;
+    the window never holds ``2 * capacity`` ids, and does reach one less."""
     rng = random.Random(capacity)
     cache = SeenCache(capacity=capacity)
-    reference = OrderedDict()
-    hits = 0
+    reference = TwoGenerations(capacity)
+    hits = longest = 0
     for step in range(100_000):
-        # Uniform draws from a key space twice the window hit about half
-        # the time and keep asking for evicted ids again; the slow drift
-        # keeps new ids arriving.
+        # Uniform draws from a key space twice the window hit often and
+        # keep asking for forgotten ids again; the slow drift keeps new
+        # ids arriving.
         key = rng.randrange(2 * capacity) + step // 100
-        expected = key in reference
-        if expected:
-            reference.move_to_end(key)
-        else:
-            reference[key] = None
-            if len(reference) > capacity:
-                reference.popitem(last=False)
+        expected = reference.seen_before(key)
         assert cache.seen_before(key) is expected, step
+        assert len(cache) == len(reference) < 2 * capacity, step
         hits += expected
+        longest = max(longest, len(cache))
         if step % 1000 == 0:
-            assert list(cache._entries) == list(reference)
-    assert list(cache._entries) == list(reference)
-    assert len(cache) == capacity
-    assert 0.4 < hits / 100_000 < 0.6
+            for probe in range(step // 100, step // 100 + 2 * capacity):
+                assert (probe in cache) == (probe in reference)
+    assert longest == 2 * capacity - 1
+    assert 0.5 < hits / 100_000 < 0.9

@@ -20,6 +20,8 @@ from repro.overlay import (
     small_world,
 )
 
+from ..helpers import TwoGenerations
+
 sizes = st.integers(min_value=4, max_value=40)
 seeds = st.integers(min_value=0, max_value=1000)
 
@@ -155,20 +157,14 @@ def test_choose_targets_returns_distinct_neighbors(graph, seed, fanout):
     st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=200),
     st.integers(min_value=1, max_value=16),
 )
-def test_seen_cache_agrees_with_reference_lru(keys, capacity):
+def test_seen_cache_agrees_with_reference_generations(keys, capacity):
     cache = SeenCache(capacity=capacity)
-    reference = []  # most recent last
+    reference = TwoGenerations(capacity)
     for key in keys:
-        expected_seen = key in reference
-        if expected_seen:
-            reference.remove(key)
-        reference.append(key)
-        if len(reference) > capacity:
-            reference.pop(0)
-        assert cache.seen_before(key) == expected_seen
-    assert len(cache) == len(reference)
-    for key in reference:
-        assert key in cache
+        assert cache.seen_before(key) == reference.seen_before(key)
+        assert len(cache) == len(reference) < 2 * capacity
+    for key in range(31):
+        assert (key in cache) == (key in reference)
 
 
 @given(st.integers(min_value=10, max_value=40), seeds)
