@@ -39,7 +39,7 @@ class BaselineRunResult:
     scale: object = None
     executed_events: int = 0
 
-    def summary(self, validate: bool = True):
+    def summary(self):
         """Condense this run into a picklable
         :class:`~repro.experiments.summary.RunSummary` (the unified
         hand-off consumed by the batch engine and its cache)."""
@@ -57,7 +57,7 @@ class BaselineRunResult:
             traffic=self.traffic,
             final_node_count=self.traffic.node_count,
             executed_events=self.executed_events,
-            violations=validate_run(self) if validate else (),
+            violations=validate_run(self),
             extras={"revoked_copies": float(self.revoked_copies)},
         )
 

@@ -326,14 +326,7 @@ def _cmd_run(args) -> int:
     ]
     for message_type, total in sorted(summary.traffic_bytes.items()):
         rows.append([f"traffic {message_type}", f"{total / 1e6:.2f} MB"])
-    title = scenario.name
-    if args.failure_model is not None:
-        title += "+failures"
-    if args.faults is not None:
-        title += "+faults"
     if chaos:
-        if not args.no_reliability:
-            title += "+reliable"
         import statistics
 
         net_keys = sorted(
@@ -343,7 +336,7 @@ def _cmd_run(args) -> int:
             mean = statistics.fmean(s.extras.get(key, 0.0) for s in summaries)
             rows.append([key, f"{mean:.1f}"])
     print(
-        f"{title} @ {args.scale} "
+        f"{summaries[0].name} @ {args.scale} "
         f"({scale.nodes} nodes, {scale.jobs} jobs), seeds {seeds}"
     )
     print(render_table(["metric", "value"], rows))

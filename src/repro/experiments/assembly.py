@@ -306,16 +306,16 @@ class RunResult:
     #: graceful-shutdown path); always ``False`` for simulated runs.
     interrupted: bool = False
 
-    def summary(self, validate: bool = True) -> RunSummary:
+    def summary(self) -> RunSummary:
         """Condense this run into a picklable :class:`RunSummary`.
 
         This is the documented hand-off point between a live run (agents,
         simulator, per-job records) and everything downstream — figures,
         sweeps, comparisons, the batch engine and its on-disk cache all
-        consume summaries.  With ``validate=True`` (the default) the
+        consume summaries.  The
         :func:`~repro.experiments.validation.validate_run` verdict is
-        captured in :attr:`RunSummary.violations` (plus any
-        :attr:`extra_violations` from the invariant checker).
+        captured in :attr:`RunSummary.violations`, followed by any
+        :attr:`extra_violations` from the invariant checker.
 
         Nonzero network counters surface as ``net_``-prefixed
         :attr:`RunSummary.extras` entries; zero counters are omitted so
@@ -323,7 +323,7 @@ class RunResult:
         """
         from .validation import validate_run
 
-        violations = list(validate_run(self)) if validate else []
+        violations = list(validate_run(self))
         violations.extend(self.extra_violations)
         extras = {
             f"net_{key}": float(value)

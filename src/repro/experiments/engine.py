@@ -14,7 +14,8 @@ seed.  This module is the single entry point for all of it:
   :class:`~repro.experiments.faults.FaultPlan`.  Returns the full live
   result object (``RunResult`` / ``BaselineRunResult``).
 * :func:`run_batch` — the same spec fanned over many seeds, optionally
-  across a spawn-safe process pool, returning picklable
+  across spawned worker processes that each hold one work unit at a
+  time, returning picklable
   :class:`~repro.experiments.summary.RunSummary` objects in a
   :class:`BatchResult`.  The parallel path survives crashed and hung
   worker processes: each work unit gets an optional ``seed_timeout`` and
@@ -418,16 +419,38 @@ def _inject_worker_fault(spec: str, seed: int) -> None:
 
 
 def _execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker entry point: run one unit, return ``RunSummary.to_dict()``.
+    """Run one unit, return ``RunSummary.to_dict()``.
 
-    Module-level (picklable by reference) and dict-in / dict-out, so the
-    serial path and the process-pool path traverse the exact same code —
-    the basis of the bit-identical determinism guarantee.
+    Dict-in / dict-out, and called both in-process by the serial path and
+    by :func:`_worker_loop` in a worker process, so both paths traverse
+    the exact same code — the basis of the bit-identical determinism
+    guarantee.
     """
     fault = os.environ.get("ARIA_TEST_WORKER_FAULT")
     if fault:
         _inject_worker_fault(fault, payload["seed"])
     return _run_payload(payload).summary().to_dict()
+
+
+def _worker_loop(conn) -> None:
+    """Body of one batch worker process: run units until told to stop.
+
+    Receives one payload at a time over ``conn`` and replies ``(True,
+    summary dict)`` or ``(False, "Type: message")``; ``None`` ends the
+    loop.  Holding a single unit at a time is what lets the parent blame
+    a dead or wedged worker on exactly that unit.  Ctrl-C is left to the
+    parent, which stops every worker on its way out.
+    """
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    with conn:
+        for payload in iter(conn.recv, None):
+            try:
+                reply = (True, _execute_payload(payload))
+            except Exception as exc:
+                reply = (False, f"{type(exc).__name__}: {exc}")
+            conn.send(reply)
 
 
 def _resolve_parallel(parallel: Optional[int], pending: int) -> int:
@@ -561,19 +584,6 @@ class BatchResult(List[RunSummary]):
         return not self.errors
 
 
-def _kill_pool(pool) -> None:
-    """Forcibly tear down a process pool, hung workers included.
-
-    ``shutdown()`` alone joins workers, which never returns while one is
-    wedged in an infinite loop — so the worker processes are killed first.
-    """
-    for process in list(
-        (getattr(pool, "_processes", None) or {}).values()
-    ):
-        process.kill()
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
 def run_batch(
     spec: ExperimentSpec,
     scale: Optional[ScenarioScale] = None,
@@ -603,17 +613,15 @@ def run_batch(
     hits count immediately); a ``callback(done, total)`` receives the
     same notifications.
 
-    The parallel path is hardened against misbehaving workers: a work
-    unit whose worker process dies, raises, or (with ``seed_timeout``
-    set, in wall-clock seconds) fails to finish in time is retried once
-    on a fresh pool; a second strike records the seed in
+    The parallel path is hardened against misbehaving workers.  Each
+    worker holds one unit at a time, so a unit that raises, whose worker
+    dies, or that runs past ``seed_timeout`` (wall-clock seconds; that
+    one worker is killed) is charged alone and retried once alongside
+    the others.  A second strike records the seed in
     ``BatchResult.errors`` instead of raising, so the surviving seeds'
-    summaries still come back.  A dying worker breaks the whole pool and
-    fails every in-flight future with it, so when more than one unit is
-    implicated none of them is charged an attempt — they are quarantined
-    and re-run one at a time, where the next failure attributes exactly.
-    On the serial path (``workers <= 1``) exceptions propagate as
-    before — ``seed_timeout`` needs a killable worker process to
+    summaries still come back.  No worker outlives the call, Ctrl-C
+    included.  On the serial path (``workers <= 1``) exceptions propagate
+    as before — ``seed_timeout`` needs a killable worker process to
     enforce.
 
     Summaries come back in ``seeds`` order and are bit-identical
@@ -662,126 +670,89 @@ def run_batch(
         else:
             import multiprocessing
             import time
-            from concurrent.futures import (
-                FIRST_COMPLETED,
-                BrokenExecutor,
-                ProcessPoolExecutor,
-            )
-            from concurrent.futures import wait as futures_wait
+            from collections import deque
+            from multiprocessing.connection import wait
 
             context = multiprocessing.get_context("spawn")
-            max_attempts = 2  # one automatic retry per work unit
             attempts = [0] * len(pending)
-            queue = list(range(len(pending)))
-            suspects: List[int] = []  # re-run one at a time
-            errors_at: Dict[int, str] = {}  # position → reason
+            queue = deque(range(len(pending)))
+            spawned: List[tuple] = []  # every (process, conn) started
+            idle: List[tuple] = []  # (process, conn) awaiting a unit
+            busy: Dict[Any, tuple] = {}  # conn → (process, position, start)
 
-            def settle(position: int, reason: str) -> None:
-                """Retry a definitively-failed unit, or record it."""
+            def finish(position: int, ok: bool, output) -> None:
+                """Keep a summary, or retry a failure once, or record it."""
                 nonlocal done
-                if attempts[position] < max_attempts:
-                    suspects.append(position)
+                if not ok and attempts[position] < 2:
+                    queue.append(position)
                     return
-                errors_at[position] = reason
+                if ok:
+                    outputs[position] = output
+                else:
+                    failures[seeds[pending[position][0]]] = output
                 done += 1
                 if report is not None:
                     report(done, len(seeds))
 
-            pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-            futures: Dict[Any, int] = {}  # future → position
-            deadlines: Dict[Any, float] = {}
-
-            def submit(position: int) -> None:
-                attempts[position] += 1
-                future = pool.submit(_execute_payload, pending[position][2])
-                futures[future] = position
-                if seed_timeout is not None:
-                    deadlines[future] = time.monotonic() + seed_timeout
-
             try:
-                while queue or suspects or futures:
-                    # Keep at most ``workers`` units in flight (the pool
-                    # never buffers work, minimizing the blast radius of
-                    # a dying worker); suspects run strictly solo so
-                    # their failures attribute exactly.
-                    if queue:
-                        while queue and len(futures) < workers:
-                            submit(queue.pop(0))
-                    elif suspects and not futures:
-                        submit(suspects.pop(0))
-                    timeout = None
-                    if deadlines:
-                        timeout = max(
-                            0.0, min(deadlines.values()) - time.monotonic()
-                        )
-                    finished, _ = futures_wait(
-                        set(futures),
-                        timeout=timeout,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    victims: List[int] = []
-                    for future in finished:
-                        position = futures.pop(future)
-                        deadlines.pop(future, None)
-                        try:
-                            outputs[position] = future.result()
-                        except BrokenExecutor:
-                            victims.append(position)
-                            continue
-                        except Exception as exc:
-                            settle(
-                                position, f"{type(exc).__name__}: {exc}"
+                while queue or busy:
+                    while queue and len(busy) < workers:
+                        if idle:
+                            process, conn = idle.pop()
+                        else:
+                            conn, child = context.Pipe()
+                            process = context.Process(
+                                target=_worker_loop, args=(child,)
                             )
-                            continue
-                        done += 1
-                        if report is not None:
-                            report(done, len(seeds))
-                    timed_out: List[int] = []
-                    if deadlines:
-                        now = time.monotonic()
-                        for future in [
-                            f for f, d in deadlines.items() if d <= now
-                        ]:
-                            timed_out.append(futures.pop(future))
-                            del deadlines[future]
-                    for position in timed_out:
-                        settle(
-                            position,
-                            f"timed out after {seed_timeout:.0f}s",
-                        )
-                    if len(victims) == 1 and not futures and not timed_out:
-                        # Nothing else was in flight: the crash is this
-                        # unit's own doing.
-                        settle(
-                            victims[0],
-                            "worker process died (BrokenProcessPool)",
-                        )
-                    elif victims:
-                        # The dying worker failed every in-flight future
-                        # with it — no telling which unit crashed, so
-                        # quarantine them all, uncharged, for solo
-                        # re-runs.
-                        for position in victims:
-                            attempts[position] -= 1
-                        suspects.extend(victims)
-                    if victims or timed_out:
-                        # The pool is broken (crash) or owned by a hung
-                        # worker (timeout); survivors in flight are
-                        # quarantined uncharged too.
-                        for position in futures.values():
-                            attempts[position] -= 1
-                            suspects.append(position)
-                        futures.clear()
-                        deadlines.clear()
-                        _kill_pool(pool)
-                        pool = ProcessPoolExecutor(
-                            max_workers=workers, mp_context=context
-                        )
+                            process.start()
+                            child.close()
+                            spawned.append((process, conn))
+                        try:
+                            conn.send(pending[queue[0]][2])
+                        except OSError:
+                            continue  # died while idle: replace, no charge
+                        position = queue.popleft()
+                        attempts[position] += 1
+                        busy[conn] = (process, position, time.monotonic())
+                    timeout = None
+                    if seed_timeout is not None:
+                        oldest = min(start for _, _, start in busy.values())
+                        timeout = max(0.0, oldest + seed_timeout - time.monotonic())
+                    for conn in wait(list(busy), timeout):
+                        process, position, _ = busy.pop(conn)
+                        try:
+                            reply = conn.recv()
+                        except EOFError:
+                            process.join()
+                            reply = (
+                                False,
+                                f"worker process died "
+                                f"(exit code {process.exitcode})",
+                            )
+                        else:
+                            idle.append((process, conn))
+                        finish(position, *reply)
+                    if seed_timeout is None:
+                        continue
+                    cutoff = time.monotonic() - seed_timeout
+                    for conn, (process, position, start) in list(busy.items()):
+                        if start <= cutoff:
+                            del busy[conn]
+                            process.kill()
+                            reason = f"timed out after {seed_timeout:.0f}s"
+                            finish(position, False, reason)
             finally:
-                _kill_pool(pool)
-            for position, reason in errors_at.items():
-                index = pending[position][0]
-                failures[seeds[index]] = reason
+                for process, conn in spawned:
+                    if conn in busy:
+                        process.kill()
+                    else:
+                        try:
+                            conn.send(None)
+                        except OSError:
+                            pass  # already dead
+                for process, conn in spawned:
+                    process.join()
+                    conn.close()
         for (index, key, payload), output in zip(pending, outputs):
             if output is None:
                 continue

@@ -10,13 +10,16 @@ properties an unreliable network is most likely to break:
   legitimately still in flight (held/queued/being rediscovered somewhere).
   A job in none of those is *stranded* — the classic symptom of a dropped
   ASSIGN.
-* **No double execution** — no job completed twice, and no job sits in
-  two live nodes' queues at once (the precursor, caused by duplicated or
-  raced delegations).  The check spans *incarnations*: a job executed by
-  incarnation 1 of a node and again by incarnation 2 after a
-  crash-restart is double execution like any other, which is what the
-  durable completion journal and incarnation-stamped messages exist to
-  prevent.
+* **No double execution** — no job ran under two execution identities,
+  and no job sits in two live nodes' queues at once (the precursor,
+  caused by duplicated or raced delegations).  The check spans
+  *incarnations*: a job executed by incarnation 1 of a node and again by
+  incarnation 2 after a crash-restart is double execution like any
+  other, which is what the durable completion journal and
+  incarnation-stamped messages exist to prevent.  The completion count
+  itself (a job finished twice, or finished and unschedulable) is
+  ``validate_run``'s, which every run summary carries, so it is not
+  repeated here.
 * **No phantom loss** — in a crash-free run, no job may be recorded as
   lost with a crashing node.
 * **Tracking quiescence** — long after a tracked job completed, no live
@@ -99,12 +102,6 @@ def check_invariants(
     # ------------------------------------------------------------------
     # Per-record terminal-state checks
     # ------------------------------------------------------------------
-    if metrics.duplicate_executions:
-        violations.append(
-            f"{metrics.duplicate_executions} duplicate execution(s): some "
-            f"job completed more than once"
-        )
-
     # Cross-incarnation execution identity: every completion is logged as
     # (job, node, incarnation); two different identities for one job mean
     # it ran twice — including the resurrection case where both runs
@@ -131,10 +128,6 @@ def check_invariants(
             )
 
     for job_id, record in sorted(records.items()):
-        if record.completed and record.unschedulable:
-            violations.append(
-                f"job {job_id} both completed and unschedulable"
-            )
         if record.lost_count and not allow_lost:
             violations.append(
                 f"job {job_id} recorded as crash-lost "

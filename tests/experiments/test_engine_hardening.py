@@ -5,10 +5,13 @@ These tests drive ``run_batch``'s parallel path through the
 a worker that hard-exits or wedges for one designated seed must cost at
 most that seed — after one automatic retry the failure is recorded in
 ``BatchResult.errors`` while every other seed's summary still comes
-back, bit-identical to a serial run.
+back, bit-identical to a serial run.  No worker process outlives the
+call, whatever happened to it.
 """
 
-from repro.experiments import BatchResult, ScenarioScale, run_batch
+import multiprocessing
+
+from repro.experiments import BatchResult, RunOptions, ScenarioScale, run_batch
 
 TINY = ScenarioScale.tiny()
 
@@ -36,6 +39,7 @@ def test_crashed_worker_is_retried_once_and_recovers(monkeypatch, tmp_path):
     marker = tmp_path / "first-strike"
     monkeypatch.setenv("ARIA_TEST_WORKER_FAULT", f"crash_once:1:{marker}")
     result = tiny_batch([0, 1, 2], parallel=2)
+    assert multiprocessing.active_children() == []
     assert marker.exists()  # the first attempt did die
     assert result.ok
     assert [summary.seed for summary in result] == [0, 1, 2]
@@ -44,6 +48,7 @@ def test_crashed_worker_is_retried_once_and_recovers(monkeypatch, tmp_path):
 def test_persistently_crashing_seed_degrades_to_an_error(monkeypatch):
     monkeypatch.setenv("ARIA_TEST_WORKER_FAULT", "crash:1")
     result = tiny_batch([0, 1, 2], parallel=2)
+    assert multiprocessing.active_children() == []
     assert not result.ok
     assert list(result.errors) == [1]
     assert "worker process died" in result.errors[1]
@@ -56,6 +61,7 @@ def test_persistently_crashing_seed_degrades_to_an_error(monkeypatch):
 def test_hung_worker_is_timed_out_and_recorded(monkeypatch):
     monkeypatch.setenv("ARIA_TEST_WORKER_FAULT", "hang:2")
     result = tiny_batch([0, 1, 2], parallel=2, seed_timeout=10.0)
+    assert multiprocessing.active_children() == []
     assert list(result.errors) == [2]
     assert "timed out after 10s" in result.errors[2]
     assert [summary.seed for summary in result] == [0, 1]
@@ -63,5 +69,20 @@ def test_hung_worker_is_timed_out_and_recorded(monkeypatch):
 
 def test_seed_timeout_leaves_healthy_batches_alone():
     result = tiny_batch([0, 1], parallel=2, seed_timeout=120.0)
+    assert multiprocessing.active_children() == []
     assert result.ok
     assert [summary.seed for summary in result] == [0, 1]
+
+
+def test_raising_unit_is_retried_and_recorded_with_its_text():
+    result = tiny_batch(
+        [0, 1],
+        parallel=2,
+        options=RunOptions(config_overrides={"accept_wait": -1.0}),
+    )
+    assert multiprocessing.active_children() == []
+    assert len(result) == 0
+    assert result.errors == {
+        0: "ConfigurationError: accept_wait must be positive",
+        1: "ConfigurationError: accept_wait must be positive",
+    }

@@ -135,13 +135,23 @@ def test_dead_nodes_do_not_count_as_holders():
     assert check_invariants(setup, expected_jobs=1) == []
 
 
-def test_duplicate_execution_is_flagged():
-    setup = FakeSetup([FakeAgent(0)])
-    job = make_job(1)
-    submit_and_finish(setup, job)
-    setup.metrics.job_finished(job.job_id, 1, 200.0)  # second completion
-    violations = check_invariants(setup, expected_jobs=1)
-    assert any("duplicate execution" in v for v in violations)
+def test_duplicate_execution_is_flagged(monkeypatch):
+    """A job finished twice is one defect and one violation string in the
+    run's summary: the ``validate_run`` count, not repeated by the
+    invariant sweep that ``check=True`` folds in beside it."""
+    from repro.experiments import runner
+
+    def finish_one_job_twice(setup, **kwargs):
+        job_id, node, incarnation = setup.metrics.execution_log[0]
+        setup.metrics.job_finished(
+            job_id, node, setup.scale.duration, incarnation
+        )
+        return check_invariants(setup, **kwargs)
+
+    monkeypatch.setattr(runner, "check_invariants", finish_one_job_twice)
+    result = runner.run_grid(get_scenario("iMixed"), TINY, 0, check=True)
+    assert result.metrics.duplicate_executions == 1
+    assert result.summary().violations == ["1 duplicate executions"]
 
 
 def test_crash_loss_flagged_only_in_crash_free_mode():

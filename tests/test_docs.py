@@ -278,6 +278,22 @@ def test_the_ack_rides_the_response():
     assert send_acks == {"Transport": 1, "SimTransport": 1, "LiveTransport": 1}
 
 
+def test_the_batch_workers_are_written_once():
+    """``run_batch`` drives its own worker processes, one unit each
+    (``docs/ENGINE.md``, "Misbehaving workers"): no executor pool, and
+    no reaching into one's private process table."""
+    package = ROOT / "src" / "repro" / "experiments"
+    for path in package.rglob("*.py"):
+        text = path.read_text()
+        for gone in (
+            "ProcessPoolExecutor",
+            "concurrent.futures",
+            "BrokenExecutor",
+            "._processes",
+        ):
+            assert gone not in text, (gone, path.name)
+
+
 @pytest.mark.parametrize(
     "module,absent",
     [
