@@ -54,8 +54,8 @@ class BaselineScheduler:
             wire_node_metrics(node, metrics)
 
     def matching_nodes(self, job: Job) -> List[GridNode]:
-        """Nodes whose profile can host ``job``."""
-        return [node for node in self.nodes if node.can_execute(job)]
+        """Nodes whose hosting rule admits ``job``."""
+        return [node for node in self.nodes if node.can_host(job)]
 
     def submit(self, job: Job) -> None:
         """Schedule one submitted job (implemented by each baseline)."""

@@ -64,11 +64,6 @@ class MultiRequestScheduler(BaselineScheduler):
             return
         ranked = sorted(candidates, key=lambda n: (n.cost_for(job), n.node_id))
         chosen = ranked[: self.k]
-        # Record the nominally best node as the assignment; execution may
-        # end up on any of the k copies.
-        self.metrics.job_assigned(
-            job.job_id, chosen[0].node_id, self.sim.now, reschedule=False
-        )
         # Copies are delivered as separate (zero-delay) events: enqueueing a
         # copy on an idle node starts it *synchronously*, and the resulting
         # revocation must be able to see — and cancel — the deliveries that
@@ -96,6 +91,11 @@ class MultiRequestScheduler(BaselineScheduler):
             raise ProtocolError(
                 f"job {job_id} started twice under multi-request scheduling"
             )
+        # The job's one assignment is the copy that commenced execution,
+        # which need not be the nominally cheapest of the k.
+        self.metrics.job_assigned(
+            job_id, node.node_id, self.sim.now, reschedule=False
+        )
         for other in holders:
             if other is node:
                 continue

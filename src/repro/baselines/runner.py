@@ -14,6 +14,8 @@ from ..errors import ConfigurationError
 from ..grid.performance import AccuracyModel
 from ..metrics.collector import GridMetrics
 from ..net.traffic import TrafficReport
+from ..scheduling.base import DEADLINE
+from ..scheduling.registry import make_scheduler
 from ..sim import Simulator
 from ..workload.submission import SubmissionProcess
 from .centralized import CentralizedMetaScheduler
@@ -80,6 +82,14 @@ def _run_baseline(
         raise ConfigurationError(
             f"unknown baseline {baseline!r}; known: {BASELINE_NAMES}"
         )
+    # The baselines' workload is Mixed's, batch jobs only: a deadline
+    # scheduler could host none of them (GridNode.can_host).
+    for policy in policies:
+        if make_scheduler(policy).kind == DEADLINE:
+            raise ConfigurationError(
+                f"baseline {baseline!r} cannot run policy {policy!r}: it is "
+                "a deadline scheduler and baseline workloads are batch-only"
+            )
     # Every field left at its default is the Mixed scenario's value, so
     # the shared assembly draws the node pool and workload an ARiA run
     # with the same seed gets.

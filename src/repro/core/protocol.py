@@ -45,7 +45,6 @@ from ..net.message import Message
 from ..net.transport import Transport
 from ..overlay.flooding import SeenCache, choose_targets
 from ..overlay.graph import OverlayGraph
-from ..scheduling.base import DEADLINE
 from ..types import JobId, NodeId
 from ..workload.jobs import Job
 from .completion import CompletionLog
@@ -67,13 +66,6 @@ __all__ = ["AriaAgent"]
 #: A cost offer: (cost, offering node) — tuple order gives deterministic
 #: minimum selection with node id as tie-breaker.
 Offer = Tuple[float, NodeId]
-
-
-#: Bound of the per-agent static host-match cache (job ids seen by
-#: REQUEST/INFORM floods).  Pure memoization — a full cache is cleared and
-#: re-warms, so results never change; the bound keeps per-agent memory
-#: independent of how many jobs flood past over a run's lifetime.
-_MATCH_CACHE_LIMIT = 4096
 
 
 class _PendingRequest:
@@ -188,7 +180,6 @@ class AriaAgent:
         "leaving",
         "departed",
         "_depart_timer",
-        "_match_cache",
         "_dispatch",
         "grid_state",
     )
@@ -258,11 +249,6 @@ class AriaAgent:
         self.leaving = False
         self.departed = False
         self._depart_timer: Optional[TimerHandle] = None
-        #: Static host-match cache.  Scheduler family and profile matching
-        #: are pure functions of the (frozen) job descriptor and this
-        #: node's fixed profile/scheduler, so the verdict is computed once
-        #: per job id; liveness (leaving/failed) stays outside the cache.
-        self._match_cache: Dict[JobId, bool] = {}
         #: Optional :class:`~repro.grid.state.GridState` this agent mirrors
         #: its live bit into (assigned by the grid builder; ``None`` costs
         #: one check per membership transition).
@@ -758,46 +744,16 @@ class AriaAgent:
         """A tracked job finished remotely: stop tracking it."""
         self._untrack(message.job_id)
 
-    def _hosts_family(self, job: Job) -> bool:
-        """Scheduler-family match: deadline jobs on deadline schedulers,
-        batch jobs on batch schedulers (§III-C — "deadline scheduling
-        offers are not mixed with batch ones"; EDF cannot order a job that
-        has no deadline), and advance reservations only on policies that
-        honour them."""
-        if job.has_deadline != (self.node.scheduler.kind == DEADLINE):
-            return False
-        if job.not_before is not None:
-            return self.node.scheduler.supports_reservations
-        return True
-
-    def _static_match(self, job: Job) -> bool:
-        """Cached family + profile verdict for ``job`` on this node.
-
-        Both inputs are immutable (jobs and :class:`NodeProfile` are frozen
-        dataclasses; a node's scheduler is fixed at construction), so the
-        result is memoised per job id.
-        """
-        cached = self._match_cache.get(job.job_id)
-        if cached is None:
-            cached = self._hosts_family(job) and self.node.can_execute(job)
-            if len(self._match_cache) >= _MATCH_CACHE_LIMIT:
-                # Pure memoization: dropping entries only costs re-derival,
-                # so a flush-and-rewarm keeps memory bounded over runs that
-                # flood hundreds of thousands of job ids past each node.
-                self._match_cache.clear()
-            self._match_cache[job.job_id] = cached
-        return cached
-
     def _can_host(self, job: Job) -> bool:
         """Whether this node may *offer* to execute ``job`` right now.
 
-        Requires the profile and scheduler-family match, and that the node
+        The node's hosting rule (:meth:`GridNode.can_host`), and the node
         is neither leaving nor failed (a departing node sheds load, it does
         not attract more).
         """
         if self.leaving or self.failed:
             return False
-        return self._static_match(job)
+        return self.node.can_host(job)
 
     # ------------------------------------------------------------------
     # Phase 2: acceptance
@@ -1026,7 +982,7 @@ class AriaAgent:
     # ------------------------------------------------------------------
     def _handle_assign(self, src: NodeId, message: Assign) -> None:
         job = message.job
-        if not self._static_match(job):
+        if not self.node.can_host(job):
             raise ProtocolError(
                 f"node {self.node_id} received job {job.job_id} it cannot "
                 "host — nodes may not decline accepted jobs (§III-A)"
@@ -1114,9 +1070,7 @@ class AriaAgent:
         # the announcement — never the memory that the job already ran.
         self._completed.add(job_id, self.sim.now, self.incarnation)
         initiator = self._release(job_id)
-        self.metrics.job_finished(
-            job_id, node.node_id, self.sim.now, incarnation=self.incarnation
-        )
+        self.metrics.job_finished(job_id, node.node_id, self.sim.now)
         if self._trace is not None:
             self._emit(
                 "job.finished", job=job_id, incarnation=self.incarnation

@@ -10,16 +10,13 @@ properties an unreliable network is most likely to break:
   legitimately still in flight (held/queued/being rediscovered somewhere).
   A job in none of those is *stranded* — the classic symptom of a dropped
   ASSIGN.
-* **No double execution** — no job ran under two execution identities,
-  and no job sits in two live nodes' queues at once (the precursor,
-  caused by duplicated or raced delegations).  The check spans
-  *incarnations*: a job executed by incarnation 1 of a node and again by
-  incarnation 2 after a crash-restart is double execution like any
-  other, which is what the durable completion journal and
-  incarnation-stamped messages exist to prevent.  The completion count
-  itself (a job finished twice, or finished and unschedulable) is
-  ``validate_run``'s, which every run summary carries, so it is not
-  repeated here.
+* **No double execution** — no job sits in two live nodes' queues at
+  once (the precursor, caused by duplicated or raced delegations).  A job
+  that *finished* twice — on two nodes, or on two incarnations of one
+  node after a crash-restart — is ``validate_run``'s
+  ``duplicate_executions`` count, which every run summary carries, so it
+  is not repeated here; a traced run also names both executions in the
+  online checker's "finished twice" violation.
 * **No phantom loss** — in a crash-free run, no job may be recorded as
   lost with a crashing node.
 * **Tracking quiescence** — long after a tracked job completed, no live
@@ -102,31 +99,6 @@ def check_invariants(
     # ------------------------------------------------------------------
     # Per-record terminal-state checks
     # ------------------------------------------------------------------
-    # Cross-incarnation execution identity: every completion is logged as
-    # (job, node, incarnation); two different identities for one job mean
-    # it ran twice — including the resurrection case where both runs
-    # happened on the *same physical node* before and after a restart.
-    executions: Dict[JobId, List[tuple]] = {}
-    for job_id, node_id, incarnation in getattr(
-        metrics, "execution_log", ()
-    ):
-        executions.setdefault(job_id, []).append((node_id, incarnation))
-    for job_id, identities in sorted(executions.items()):
-        if len(set(identities)) <= 1:
-            continue
-        nodes = {node_id for node_id, _ in identities}
-        if len(nodes) == 1:
-            violations.append(
-                f"job {job_id} executed by multiple incarnations of node "
-                f"{next(iter(nodes))} ({sorted(set(identities))}): "
-                f"resurrection double-execution"
-            )
-        else:
-            violations.append(
-                f"job {job_id} executed under multiple identities "
-                f"({sorted(set(identities))}): cross-node double-execution"
-            )
-
     for job_id, record in sorted(records.items()):
         if record.lost_count and not allow_lost:
             violations.append(

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional
 
 from ..clock import Clock
 from ..errors import SchedulingError
-from ..scheduling.base import LocalScheduler, QueuedJob
+from ..scheduling.base import DEADLINE, LocalScheduler, QueuedJob
 from ..types import JobId, NodeId
 from .performance import AccuracyModel, scaled_ert
 from .profiles import NodeProfile
@@ -139,9 +139,22 @@ class GridNode:
     # ------------------------------------------------------------------
     # Matching and cost quoting
     # ------------------------------------------------------------------
-    def can_execute(self, job: "Job") -> bool:
-        """Whether this node's profile satisfies the job's requirements."""
-        return self.profile.satisfies(job.requirements)
+    def can_host(self, job: "Job") -> bool:
+        """The hosting rule: whether this node may ever hold ``job``.
+
+        The profile must satisfy the job's requirements; deadline jobs go
+        only to deadline schedulers and batch jobs only to batch ones
+        (§III-C — "deadline scheduling offers are not mixed with batch
+        ones"; EDF cannot order a job that has no deadline); and an
+        advance reservation goes only to a policy that honours it.  The
+        profile test runs first because it refuses most pairs.
+        """
+        if not self.profile.satisfies(job.requirements):
+            return False
+        scheduler = self.scheduler
+        if job.has_deadline != (scheduler.kind == DEADLINE):
+            return False
+        return job.not_before is None or scheduler.supports_reservations
 
     def ertp(self, job: "Job") -> float:
         """The job's estimated running time scaled to this node (ERTp)."""
@@ -168,14 +181,10 @@ class GridNode:
             raise SchedulingError(
                 f"node {self.node_id} is crashed and cannot accept jobs"
             )
-        if not self.can_execute(job):
+        if not self.can_host(job):
             raise SchedulingError(
-                f"node {self.node_id} assigned job {job.job_id} it cannot run"
-            )
-        if job.not_before is not None and not self.scheduler.supports_reservations:
-            raise SchedulingError(
-                f"node {self.node_id} ({self.scheduler.name}) cannot honour "
-                f"the advance reservation of job {job.job_id}"
+                f"node {self.node_id} ({self.scheduler.name}) assigned job "
+                f"{job.job_id} it cannot host"
             )
         self.scheduler.enqueue(job, self.ertp(job), self.sim.now)
         self._maybe_start()

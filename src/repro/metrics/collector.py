@@ -14,7 +14,7 @@ surfaced as ``RunSummary.telemetry``; the historical attribute names
 from __future__ import annotations
 
 import statistics
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import ReproError
 from ..obs.metrics import MetricsRegistry
@@ -51,11 +51,6 @@ class GridMetrics:
         self.completion_series = self.registry.series(
             "job.completion_time.series"
         )
-        #: Every completion as ``(job, node, incarnation)`` — including
-        #: duplicates the records above refuse to double-book.  The
-        #: invariant checker reads this to prove no job ran under two
-        #: different (node, incarnation) identities.
-        self.execution_log: List[Tuple[JobId, NodeId, int]] = []
 
     @property
     def completed_jobs(self) -> int:
@@ -150,11 +145,8 @@ class GridMetrics:
         record.start_time = time
         record.start_node = node
 
-    def job_finished(
-        self, job_id: JobId, node: NodeId, time: float, incarnation: int = 0
-    ) -> None:
+    def job_finished(self, job_id: JobId, node: NodeId, time: float) -> None:
         """Record a completion (duplicates are counted, not double-booked)."""
-        self.execution_log.append((job_id, node, incarnation))
         record = self._record(job_id)
         if record.finish_time is not None:
             # A fail-safe resubmission can race recovery and execute a job

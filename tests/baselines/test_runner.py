@@ -47,3 +47,22 @@ def test_centralized_is_deterministic():
         a.metrics.average_completion_time()
         == b.metrics.average_completion_time()
     )
+
+
+@pytest.mark.parametrize(
+    "name", ["centralized", "multirequest", "random", "gossip"]
+)
+def test_a_clean_baseline_run_validates_clean(name):
+    """Every job ran on its recorded assignee — for multirequest, the copy
+    that started first, not the nominally cheapest of the k."""
+    assert run(name, TINY, seed=4).summary().violations == []
+
+
+@pytest.mark.parametrize(
+    "name", ["centralized", "multirequest", "random", "gossip"]
+)
+def test_baselines_reject_a_deadline_policy_up_front(name):
+    """The baselines' workload is batch-only, so a deadline scheduler in
+    the mix could host none of it: refused before anything is built."""
+    with pytest.raises(ConfigurationError, match="'EDF'"):
+        run(name, TINY, options=RunOptions(policies=("FCFS", "EDF")))

@@ -138,20 +138,31 @@ def test_dead_nodes_do_not_count_as_holders():
 def test_duplicate_execution_is_flagged(monkeypatch):
     """A job finished twice is one defect and one violation string in the
     run's summary: the ``validate_run`` count, not repeated by the
-    invariant sweep that ``check=True`` folds in beside it."""
+    invariant sweep that ``check=True`` folds in beside it — whether it
+    finished again on its own node, or on a second node and then once
+    more on the first."""
     from repro.experiments import runner
 
-    def finish_one_job_twice(setup, **kwargs):
-        job_id, node, incarnation = setup.metrics.execution_log[0]
-        setup.metrics.job_finished(
-            job_id, node, setup.scale.duration, incarnation
-        )
-        return check_invariants(setup, **kwargs)
+    for offsets in ((0,), (1, 0)):
 
-    monkeypatch.setattr(runner, "check_invariants", finish_one_job_twice)
-    result = runner.run_grid(get_scenario("iMixed"), TINY, 0, check=True)
-    assert result.metrics.duplicate_executions == 1
-    assert result.summary().violations == ["1 duplicate executions"]
+        def finish_one_job_again(setup, **kwargs):
+            record = next(
+                r for r in setup.metrics.records.values() if r.completed
+            )
+            for offset in offsets:
+                setup.metrics.job_finished(
+                    record.job.job_id,
+                    (record.start_node + offset) % len(setup.agents),
+                    setup.scale.duration,
+                )
+            return check_invariants(setup, **kwargs)
+
+        monkeypatch.setattr(runner, "check_invariants", finish_one_job_again)
+        result = runner.run_grid(get_scenario("iMixed"), TINY, 0, check=True)
+        assert result.metrics.duplicate_executions == len(offsets)
+        assert result.summary().violations == [
+            f"{len(offsets)} duplicate executions"
+        ]
 
 
 def test_crash_loss_flagged_only_in_crash_free_mode():

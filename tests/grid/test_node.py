@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SchedulingError
 from repro.grid import AccuracyModel, Architecture, NodeProfile, OperatingSystem
-from repro.scheduling import SJFScheduler
+from repro.scheduling import EDFScheduler, SJFScheduler
 from repro.types import HOUR
 
 from ..helpers import make_job, make_node
@@ -58,6 +58,25 @@ def test_cannot_accept_unmatching_job():
     sim, node = make_node(profile=profile)
     with pytest.raises(SchedulingError):
         node.accept_job(make_job(1))
+
+
+@pytest.mark.parametrize(
+    "scheduler,job",
+    [
+        (None, make_job(1, deadline=4 * HOUR)),
+        (EDFScheduler(), make_job(1)),
+        (None, make_job(1, not_before=HOUR)),
+    ],
+    ids=["deadline-on-batch", "batch-on-deadline", "reservation-on-fcfs"],
+)
+def test_cannot_accept_a_job_outside_the_hosting_rule(scheduler, job):
+    """``accept_job`` holds the same rule the agents offer by: the profile
+    matches here, the scheduler family or reservation support does not."""
+    sim, node = make_node(scheduler=scheduler)
+    assert not node.can_host(job)
+    with pytest.raises(SchedulingError):
+        node.accept_job(job)
+    assert node.is_idle
 
 
 def test_withdraw_waiting_job():

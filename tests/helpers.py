@@ -92,3 +92,21 @@ class TwoGenerations:
         self.index[key] = self.first_seen
         self.first_seen += 1
         return False
+
+
+def reference_can_host(node, job):
+    """Reference model of :meth:`repro.grid.GridNode.can_host`, spelled
+    field by field and in the order the protocol agent once checked it:
+    scheduler family, then advance reservations, then the profile."""
+    scheduler = node.scheduler
+    if (job.deadline is not None) != (scheduler.kind == "deadline"):
+        return False
+    if job.not_before is not None and not scheduler.supports_reservations:
+        return False
+    profile, wanted = node.profile, job.requirements
+    return (
+        profile.architecture == wanted.architecture
+        and profile.os == wanted.os
+        and profile.memory_gb >= wanted.memory_gb
+        and profile.disk_gb >= wanted.disk_gb
+    )

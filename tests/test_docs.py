@@ -108,6 +108,27 @@ def test_the_cost_fold_is_written_once():
         assert sites == ["scheduling/costs.py"], (fold, sites)
 
 
+def test_the_hosting_rule_is_written_once():
+    """Which node may hold which job is ``GridNode.can_host``, computed
+    per call (``docs/PERFORMANCE.md``, "The hosting rule, computed"): no
+    memo beside it, no older partial copy, and outside the schedulers
+    only the node reads whether a policy honours reservations."""
+    package = ROOT / "src" / "repro"
+    for path in package.rglob("*.py"):
+        text = path.read_text()
+        name = path.relative_to(package).as_posix()
+        for gone in (
+            "_match_cache",
+            "_MATCH_CACHE_LIMIT",
+            "can_execute",
+            "_hosts_family",
+            "_static_match",
+        ):
+            assert gone not in text, (gone, name)
+        if not name.startswith("scheduling/") and name != "grid/node.py":
+            assert "supports_reservations" not in text, name
+
+
 def test_the_hot_path_is_written_once():
     """One delivery door (plus its ack sibling), one fault verdict, one
     agent-side emitter and no traced twin of the dispatch loop —
