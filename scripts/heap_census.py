@@ -10,20 +10,27 @@ most of what is left (MiB and blocks), plus the traced total and peak::
     PYTHONPATH=/other/checkout/src python scripts/heap_census.py iMixed paper
 
 The package comes from ``PYTHONPATH`` (this checkout's ``src/`` is only the
-fallback), so the one file measures any two trees against each other; a
+fallback), so the one file measures any two trees that have
+``GridSetup.close`` against each other; a
 size that is no ``SCALES`` preset is run by importing :func:`census`.
 Tracing slows the run several times over and adds its own bookkeeping to
 RSS, so the census names holders and their sizes, not ``peak_rss_mb``.
 A claim that some structure is the heap's largest holder
 (``docs/PERFORMANCE.md``, "The hosting rule, computed") starts here.
+
+After the snapshot the grid is closed (``GridSetup.close``) and dropped,
+and one collection counts what reference counting could not free; the
+script exits 1 when that is not zero ("A finished run frees its grid").
 """
 
 from __future__ import annotations
 
+import gc
 import linecache
 import os
 import sys
 import tracemalloc
+from typing import Tuple
 
 sys.path.append(
     os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -38,8 +45,9 @@ TOP = 12
 MIB = 1024.0 * 1024.0
 
 
-def census(scenario, scale, seed: int = 0) -> str:
-    """Run ``scenario`` once under ``tracemalloc``; the report as text."""
+def census(scenario, scale, seed: int = 0) -> Tuple[str, int]:
+    """Run ``scenario`` once under ``tracemalloc``; the report as text
+    and the number of objects the closed grid left in cycles."""
     package = os.path.dirname(repro.__file__)
     tracemalloc.start()
     setup = build_grid(scenario, scale, seed)
@@ -47,6 +55,13 @@ def census(scenario, scale, seed: int = 0) -> str:
     snapshot = tracemalloc.take_snapshot()
     traced, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
+    setup.close()
+    del setup
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    gc.collect()
+    left = len(gc.garbage)
+    gc.garbage.clear()
+    gc.set_debug(0)
     ours = snapshot.filter_traces(
         [tracemalloc.Filter(True, os.path.join(package, "*"))]
     ).statistics("lineno")
@@ -65,7 +80,8 @@ def census(scenario, scale, seed: int = 0) -> str:
             f"{stat.size / MIB:8.2f} {stat.count:9d}  "
             f"{where}:{frame.lineno}  {source}"
         )
-    return "\n".join(lines)
+    lines.append(f"left behind after close: {left} objects in cycles")
+    return "\n".join(lines), left
 
 
 def main(argv) -> int:
@@ -78,11 +94,11 @@ def main(argv) -> int:
         return 2
     scenario = get_scenario(argv[1])
     seed = int(argv[3]) if len(argv) == 4 else 0
-    report = census(scenario, SCALES[argv[2]](), seed)
+    report, left = census(scenario, SCALES[argv[2]](), seed)
     print(f"{scenario.name} @ {argv[2]}, seed {seed}")
     print(f"repro from           {os.path.dirname(repro.__file__)}")
     print(report)
-    return 0
+    return 1 if left else 0
 
 
 if __name__ == "__main__":

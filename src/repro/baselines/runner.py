@@ -147,7 +147,7 @@ def _run_baseline(
         rng=sim.streams.get("submission"),
     )
     sim.run_until(scale.duration)
-    return BaselineRunResult(
+    result = BaselineRunResult(
         baseline=baseline,
         seed=seed,
         metrics=metrics,
@@ -158,3 +158,11 @@ def _run_baseline(
         scale=scale,
         executed_events=sim.executed_events,
     )
+    # The end of life ``GridSetup.close`` gives an ARiA grid: no cycle
+    # outlives the run, so reference counting frees it on return.
+    sim.close()
+    if baseline == "gossip":
+        transport.close()
+    for node in nodes:
+        node.close()
+    return result

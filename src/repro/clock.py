@@ -136,7 +136,12 @@ class Recurrence:
         """One tick: run the callback, then arm the next — also when the
         callback raised, so one bad round on the live wire (where the
         event loop logs the exception and carries on) does not silence a
-        node's periodic duties for good."""
+        node's periodic duties for good.
+
+        The handle is dropped first: the entry running now is no longer
+        pending, so a ``stop`` from inside the callback must not cancel
+        it."""
+        self._handle = None
         try:
             self._callback(*self._args)
         finally:
@@ -151,7 +156,13 @@ class Recurrence:
 
     def stop(self) -> None:
         """Stop the recurrence; safe to call more than once, and from
-        inside the callback."""
+        inside the callback.
+
+        The callback and its args are dropped: their owner usually holds
+        this stop function, and a stopped recurrence must not keep that
+        owner alive in a reference cycle."""
         self._stopped = True
+        self._callback, self._args = None, ()
         if self._handle is not None:
             self._clock.cancel(self._handle)
+            self._handle = None

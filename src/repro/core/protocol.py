@@ -180,7 +180,6 @@ class AriaAgent:
         "leaving",
         "departed",
         "_depart_timer",
-        "_dispatch",
         "grid_state",
     )
 
@@ -253,18 +252,6 @@ class AriaAgent:
         #: its live bit into (assigned by the grid builder; ``None`` costs
         #: one check per membership transition).
         self.grid_state = None
-        #: Message dispatch by exact type — one dict lookup per delivery
-        #: instead of an isinstance chain.
-        self._dispatch = {
-            Request: self._handle_request,
-            Accept: self._handle_accept,
-            Inform: self._handle_inform,
-            Assign: self._handle_assign,
-            Track: self._handle_track,
-            Probe: self._handle_probe,
-            ProbeReply: self._handle_probe_reply,
-            Done: self._handle_done,
-        }
         transport.register(node.node_id, self._on_message)
         node.on_job_started.append(self._on_job_started)
         node.on_job_finished.append(self._on_job_finished)
@@ -698,10 +685,10 @@ class AriaAgent:
     # Message dispatch
     # ------------------------------------------------------------------
     def _on_message(self, src: NodeId, message: Message) -> None:
-        handler = self._dispatch.get(message.__class__)
+        handler = _HANDLERS.get(message.__class__)
         if handler is None:  # pragma: no cover - defensive
             raise ProtocolError(f"unexpected message {message!r}")
-        handler(src, message)
+        handler(self, src, message)
 
     def _handle_probe(self, src: NodeId, message: Probe) -> None:
         """Answer a fail-safe liveness probe.
@@ -1226,3 +1213,19 @@ class AriaAgent:
         if self._trace is not None:
             self._emit("job.resubmitted", job=job_id)
         self._begin_discovery(job)
+
+
+#: Message dispatch by exact type — one dict lookup per delivery instead
+#: of an isinstance chain.  One table of plain functions for every agent:
+#: a per-agent table of bound methods would make each agent a reference
+#: cycle with itself.
+_HANDLERS = {
+    Request: AriaAgent._handle_request,
+    Accept: AriaAgent._handle_accept,
+    Inform: AriaAgent._handle_inform,
+    Assign: AriaAgent._handle_assign,
+    Track: AriaAgent._handle_track,
+    Probe: AriaAgent._handle_probe,
+    ProbeReply: AriaAgent._handle_probe_reply,
+    Done: AriaAgent._handle_done,
+}

@@ -491,10 +491,11 @@ class GridSetup:
         dies by refcount).  ``gc.freeze`` moves the built graph to the
         permanent generation so those passes stay cheap (``build_grid``
         ended on a full collection, so it is not garbage that freezes);
-        ``unfreeze`` in the ``finally`` restores normal collection so a
-        long-lived process reclaims the grid afterwards.  GC never changes
-        simulated outcomes — it only reclaims unreachable objects — and
-        the gate keeps golden-scale runs entirely untouched.
+        ``unfreeze`` in the ``finally`` hands them back to the collector.
+        Reclaiming the grid is not the collector's job: :meth:`close`
+        breaks its cycles and reference counting frees it.  GC never
+        changes simulated outcomes — it only reclaims unreachable
+        objects — and the gate keeps golden-scale runs entirely untouched.
         """
         freeze = self.scale.nodes > _LARGE_GRID_NODES
         if freeze:
@@ -509,6 +510,24 @@ class GridSetup:
         if self.tracer is not None and self.obs.sink == "memory":
             return self.result(trace_events=self.tracer.events)
         return self.result()
+
+    def close(self) -> None:
+        """End a simulated grid's life: break every reference cycle the
+        run built, so the grid is freed by reference counting as soon as
+        its last outside reference goes, not at some later full
+        collection.  Cancels the pending events and stops the
+        recurrences (:meth:`Simulator.close
+        <repro.sim.Simulator.close>`), unregisters every handler and
+        detaches the reliability and fault layers
+        (:meth:`SimTransport.close <repro.net.SimTransport.close>`) and
+        drops the nodes' job callbacks.  The :class:`RunResult` already
+        taken stays valid; the grid cannot run any further.  Calling it
+        twice is a no-op.  Live drivers keep their own shutdown.
+        """
+        self.sim.close()
+        self.transport.close()
+        for node in self.nodes:
+            node.close()
 
 
 def assemble(

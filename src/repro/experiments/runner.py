@@ -125,7 +125,9 @@ def run_grid(
     runs post-horizon and lands in ``RunResult.extra_violations`` (and
     from there in ``RunSummary.violations``) — crash-lost records are
     tolerated when ``failures`` crashes nodes, but stranding, double-holds
-    and cross-incarnation double executions are not.
+    and cross-incarnation double executions are not.  The grid is closed
+    (:meth:`GridSetup.close`) before the result is returned, so it is
+    freed the moment this function returns.
     """
     scenario = dataclasses.replace(scenario, name=f"{scenario.name}{suffix}")
     overrides = dict(config_overrides or {})
@@ -166,6 +168,7 @@ def run_grid(
             and (failures.crash_fraction > 0.0 or failures.restart_fraction > 0.0),
             settle=settle,
         )
+    setup.close()
     return result
 
 

@@ -247,6 +247,7 @@ class GridNode:
         if finished is None:  # pragma: no cover - defensive
             raise SchedulingError(f"node {self.node_id}: completion while idle")
         self.running = None
+        self._completion_event = None
         self.completed_jobs += 1
         for callback in self.on_job_finished:
             callback(self, finished)
@@ -302,6 +303,13 @@ class GridNode:
                 f"slowdown factor {factor} must be >= 1 (got a speedup?)"
             )
         self.slowdown_factor = factor
+
+    def close(self) -> None:
+        """End the run: drop the job callbacks, which are bound methods
+        of the agent (or scheduler) that holds this node.  Calling it
+        twice is a no-op."""
+        self.on_job_started.clear()
+        self.on_job_finished.clear()
 
     # ------------------------------------------------------------------
     # State probes (metrics)

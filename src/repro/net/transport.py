@@ -609,6 +609,19 @@ class SimTransport(Transport):
             (dst, msg_id, self.incarnation_stamp(dst)),
         )
 
+    def close(self) -> None:
+        """End the run: unregister every handler and detach the
+        reliability layer and the fault injector.
+
+        Handlers are the agents' bound methods and the reliability layer
+        points back at this transport, so each is a reference cycle until
+        ``close`` breaks it.  Calling it twice is a no-op.  (The live
+        transport has its own, asynchronous, shutdown.)
+        """
+        self._handlers.clear()
+        self.reliability = None
+        self.faults = None
+
     def _post(
         self,
         src: NodeId,

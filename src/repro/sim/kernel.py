@@ -30,7 +30,7 @@ from typing import Any, Callable, Optional
 
 from ..clock import Recurrence
 from ..errors import SimulationError
-from .events import Event, EventQueue
+from .events import CALLBACK, Event, EventQueue
 from .rng import RandomStreams
 
 __all__ = ["Simulator"]
@@ -223,6 +223,23 @@ class Simulator:
     def stop(self) -> None:
         """Stop :meth:`run`/:meth:`run_until` after the current event."""
         self._stopped = True
+
+    def close(self) -> None:
+        """End the run: cancel every pending event and stop every
+        recurrence whose tick was pending.
+
+        A pending entry holds its owner's bound method and the owner
+        holds this clock, so a finished grid is one reference cycle per
+        owner until ``close`` breaks them; after it the grid is freed by
+        reference counting.  Calling it twice is a no-op.
+        """
+        queue = self._queue
+        for entry in queue._heap:
+            owner = getattr(entry[CALLBACK], "__self__", None)
+            if owner.__class__ is Recurrence:
+                owner.stop()
+            queue.cancel(entry)
+        queue._heap.clear()
 
     @property
     def pending_events(self) -> int:

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.obs import TraceConfig, Tracer
 from repro.sim import Simulator
+from repro.sim.events import ARGS, is_cancelled
 
 
 def test_clock_starts_at_zero():
@@ -125,6 +126,43 @@ def test_every_stop_function_halts_recurrence():
     sim.call_at(3.5, stop)
     sim.run_until(10.0)
     assert times == [1.0, 2.0, 3.0]
+
+
+def test_every_stopped_from_its_own_tick_keeps_the_pending_count():
+    # The running tick is already off the heap: stopping must not cancel
+    # it a second time and count the other event as gone.
+    sim = Simulator()
+    ticks, later = [], []
+    stop = None
+
+    def tick():
+        ticks.append(sim.now)
+        stop()
+
+    stop = sim.every(1.0, tick)
+    sim.call_at(5.0, lambda: later.append(sim.now))
+    sim.run_until(1.5)
+    assert ticks == [1.0]
+    assert sim.pending_events == 1
+    sim.run_until(10.0)
+    assert ticks == [1.0] and later == [5.0]
+    assert sim.pending_events == 0
+
+
+def test_close_cancels_pending_events_and_stops_recurrences():
+    sim = Simulator()
+    seen = []
+    handle = sim.call_at(5.0, seen.append, "event")
+    sim.every(1.0, seen.append, "tick")
+    sim.run_until(2.5)
+    assert seen == ["tick", "tick"]
+    sim.close()
+    assert sim.pending_events == 0
+    assert is_cancelled(handle) and handle[ARGS] == ()  # no owner kept
+    sim.close()  # idempotent
+    sim.run_until(10.0)
+    assert seen == ["tick", "tick"]
+    assert sim.pending_events == 0
 
 
 def test_every_rejects_non_positive_interval():
