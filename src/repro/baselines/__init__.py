@@ -1,20 +1,12 @@
 """Comparison meta-schedulers: centralized, multi-request, random."""
 
-from .base import BaselineScheduler, wire_node_metrics
-from .centralized import CentralizedMetaScheduler
-from .gossip import GossipAgent, GossipConfig
-from .multirequest import MultiRequestScheduler
-from .randomassign import RandomAssignScheduler
-from .runner import BASELINE_NAMES, BaselineRunResult
+from .._exports import lazy_exports
 
-__all__ = [
-    "BASELINE_NAMES",
-    "BaselineRunResult",
-    "BaselineScheduler",
-    "CentralizedMetaScheduler",
-    "GossipAgent",
-    "GossipConfig",
-    "MultiRequestScheduler",
-    "RandomAssignScheduler",
-    "wire_node_metrics",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": ("BaselineScheduler", "wire_node_metrics"),
+    ".centralized": ("CentralizedMetaScheduler",),
+    ".gossip": ("GossipAgent", "GossipConfig"),
+    ".multirequest": ("MultiRequestScheduler",),
+    ".randomassign": ("RandomAssignScheduler",),
+    ".runner": ("BASELINE_NAMES", "BaselineRunResult"),
+})

@@ -1,31 +1,14 @@
 """The ARiA protocol: messages, configuration, and per-node agents."""
 
-from .config import AriaConfig
-from .journal import DurableJournal
-from .messages import (
-    Accept,
-    Assign,
-    Done,
-    Inform,
-    Probe,
-    ProbeReply,
-    Request,
-    Track,
-)
-from .protocol import AriaAgent
-from .selection import select_inform_candidates
+from .._exports import lazy_exports
 
-__all__ = [
-    "Accept",
-    "AriaAgent",
-    "AriaConfig",
-    "Assign",
-    "Done",
-    "DurableJournal",
-    "Inform",
-    "Probe",
-    "ProbeReply",
-    "Request",
-    "Track",
-    "select_inform_candidates",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".config": ("AriaConfig",),
+    ".journal": ("DurableJournal",),
+    ".messages": (
+        "Accept", "Assign", "Done", "Inform", "Probe", "ProbeReply",
+        "Request", "Track",
+    ),
+    ".protocol": ("AriaAgent",),
+    ".selection": ("select_inform_candidates",),
+})

@@ -1,48 +1,20 @@
 """Grid substrate: resource profiles, performance model, grid nodes."""
 
-from .node import GridNode, RunningJob
-from .performance import (
-    ACCURACY_25,
-    ACCURACY_BAD,
-    BASELINE_10,
-    PRECISE,
-    AccuracyModel,
-    scaled_ert,
-)
-from .profiles import (
-    CAPACITY_CHOICES,
-    Architecture,
-    JobRequirements,
-    NodeProfile,
-    OperatingSystem,
-)
-from .resources import (
-    ARCHITECTURE_DISTRIBUTION,
-    OS_DISTRIBUTION,
-    random_job_requirements,
-    random_node_profile,
-    random_performance_index,
-    weighted_choice,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "ACCURACY_25",
-    "ACCURACY_BAD",
-    "ARCHITECTURE_DISTRIBUTION",
-    "AccuracyModel",
-    "Architecture",
-    "BASELINE_10",
-    "CAPACITY_CHOICES",
-    "GridNode",
-    "JobRequirements",
-    "NodeProfile",
-    "OS_DISTRIBUTION",
-    "OperatingSystem",
-    "PRECISE",
-    "RunningJob",
-    "random_job_requirements",
-    "random_node_profile",
-    "random_performance_index",
-    "scaled_ert",
-    "weighted_choice",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".node": ("GridNode", "RunningJob"),
+    ".performance": (
+        "ACCURACY_25", "ACCURACY_BAD", "BASELINE_10", "PRECISE",
+        "AccuracyModel", "scaled_ert",
+    ),
+    ".profiles": (
+        "CAPACITY_CHOICES", "Architecture", "JobRequirements", "NodeProfile",
+        "OperatingSystem",
+    ),
+    ".resources": (
+        "ARCHITECTURE_DISTRIBUTION", "OS_DISTRIBUTION",
+        "random_job_requirements", "random_node_profile",
+        "random_performance_index", "weighted_choice",
+    ),
+})

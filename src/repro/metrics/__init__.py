@@ -1,6 +1,8 @@
 """Metrics: per-job records, grid-wide collection, run aggregation."""
 
-from .collector import GridMetrics
-from .records import JobRecord
+from .._exports import lazy_exports
 
-__all__ = ["GridMetrics", "JobRecord"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".collector": ("GridMetrics",),
+    ".records": ("JobRecord",),
+})

@@ -5,33 +5,16 @@ injection, and reliable delivery.
 The live (asyncio, HTTP+JSON) implementation lives in
 :mod:`repro.runtime`."""
 
-from .faults import FaultInjector
-from .latency import (
-    ConstantLatency,
-    LatencyModel,
-    PairwiseLogNormalLatency,
-    SpikeLatency,
-    UniformLatency,
-)
-from .message import Message, wire_size
-from .reliability import Ack, ReliabilityConfig, ReliabilityLayer
-from .traffic import TrafficMonitor, TrafficReport
-from .transport import SimTransport, Transport
+from .._exports import lazy_exports
 
-__all__ = [
-    "Ack",
-    "ConstantLatency",
-    "FaultInjector",
-    "LatencyModel",
-    "Message",
-    "PairwiseLogNormalLatency",
-    "ReliabilityConfig",
-    "ReliabilityLayer",
-    "SimTransport",
-    "SpikeLatency",
-    "TrafficMonitor",
-    "TrafficReport",
-    "Transport",
-    "UniformLatency",
-    "wire_size",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".faults": ("FaultInjector",),
+    ".latency": (
+        "ConstantLatency", "LatencyModel", "PairwiseLogNormalLatency",
+        "SpikeLatency", "UniformLatency",
+    ),
+    ".message": ("Message", "wire_size"),
+    ".reliability": ("Ack", "ReliabilityConfig", "ReliabilityLayer"),
+    ".traffic": ("TrafficMonitor", "TrafficReport"),
+    ".transport": ("SimTransport", "Transport"),
+})

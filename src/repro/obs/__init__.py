@@ -19,51 +19,19 @@ could not provide (see ``docs/OBSERVABILITY.md``):
   behind ``scripts/validate_trace.py``.
 """
 
-from .exposition import CONTENT_TYPE, parse_prometheus, render_prometheus
-from .metrics import BoundedSeries, Counter, Gauge, Histogram, MetricsRegistry
-from .timeline import JobTimeline, explain_job
-from .trace import (
-    EVENTS,
-    LEVELS,
-    JsonlSink,
-    MemorySink,
-    PerfettoSink,
-    TraceConfig,
-    Tracer,
-    iter_job_events,
-    load_trace,
-    merge_perfetto_traces,
-    message_job_id,
-    read_trace,
-    rotated_trace_paths,
-    validate_event,
-)
-from .validate import validate_trace_file
+from .._exports import lazy_exports
 
-__all__ = [
-    "BoundedSeries",
-    "CONTENT_TYPE",
-    "Counter",
-    "EVENTS",
-    "Gauge",
-    "Histogram",
-    "JobTimeline",
-    "JsonlSink",
-    "LEVELS",
-    "MemorySink",
-    "MetricsRegistry",
-    "PerfettoSink",
-    "TraceConfig",
-    "Tracer",
-    "explain_job",
-    "iter_job_events",
-    "load_trace",
-    "merge_perfetto_traces",
-    "message_job_id",
-    "parse_prometheus",
-    "read_trace",
-    "render_prometheus",
-    "rotated_trace_paths",
-    "validate_event",
-    "validate_trace_file",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".exposition": ("CONTENT_TYPE", "parse_prometheus", "render_prometheus"),
+    ".metrics": (
+        "BoundedSeries", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+    ),
+    ".timeline": ("JobTimeline", "explain_job"),
+    ".trace": (
+        "EVENTS", "LEVELS", "JsonlSink", "MemorySink", "PerfettoSink",
+        "TraceConfig", "Tracer", "iter_job_events", "load_trace",
+        "merge_perfetto_traces", "message_job_id", "read_trace",
+        "rotated_trace_paths", "validate_event",
+    ),
+    ".validate": ("validate_trace_file",),
+})

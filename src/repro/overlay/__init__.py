@@ -1,44 +1,18 @@
 """Peer-to-peer overlay substrate: graph, BLATANT-S maintenance, flooding."""
 
-from .ants import DiscoveryAnt, PruningAnt, random_walk
-from .blatant import BlatantConfig, BlatantMaintainer, build_blatant_overlay
-from .flooding import FloodPolicy, FloodReach, SeenCache, choose_targets
-from .graph import OverlayGraph
-from .metrics import (
-    average_path_length,
-    bfs_distances,
-    estimated_diameter,
-    hop_distance,
-    is_connected,
-)
-from .topologies import (
-    TOPOLOGY_BUILDERS,
-    random_regular,
-    ring,
-    scale_free,
-    small_world,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "BlatantConfig",
-    "BlatantMaintainer",
-    "DiscoveryAnt",
-    "FloodPolicy",
-    "FloodReach",
-    "OverlayGraph",
-    "PruningAnt",
-    "SeenCache",
-    "TOPOLOGY_BUILDERS",
-    "average_path_length",
-    "bfs_distances",
-    "build_blatant_overlay",
-    "choose_targets",
-    "estimated_diameter",
-    "hop_distance",
-    "is_connected",
-    "random_regular",
-    "random_walk",
-    "ring",
-    "scale_free",
-    "small_world",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".ants": ("DiscoveryAnt", "PruningAnt", "random_walk"),
+    ".blatant": ("BlatantConfig", "BlatantMaintainer", "build_blatant_overlay"),
+    ".flooding": ("FloodPolicy", "FloodReach", "SeenCache", "choose_targets"),
+    ".graph": ("OverlayGraph",),
+    ".metrics": (
+        "average_path_length", "bfs_distances", "estimated_diameter",
+        "hop_distance", "is_connected",
+    ),
+    ".topologies": (
+        "TOPOLOGY_BUILDERS", "random_regular", "ring", "scale_free",
+        "small_world",
+    ),
+})

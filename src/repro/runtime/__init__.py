@@ -27,62 +27,21 @@ crash recovery and durable journals — real process deaths, real
 recovery from disk and wire.
 """
 
-from .clock import WallClock
-from .codec import (
-    decode_envelope,
-    decode_job,
-    decode_message,
-    encode_envelope,
-    encode_job,
-    encode_message,
-)
-from .proc import (
-    ProcRunConfig,
-    ProcRunResult,
-    ProcessFailureSchedule,
-    Supervisor,
-    WorkerSpec,
-    run_procs,
-    worker_main,
-)
-from .serve import LiveFailureSchedule, LiveRunConfig, run_live
-from .telemetry import (
-    NodeSample,
-    TelemetryCollector,
-    render_dashboard,
-    sparkline,
-)
-from .transport import (
-    HEALTH_PATH,
-    METRICS_PATH,
-    SUBMIT_PATH,
-    LiveTransport,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "HEALTH_PATH",
-    "METRICS_PATH",
-    "SUBMIT_PATH",
-    "LiveFailureSchedule",
-    "LiveRunConfig",
-    "LiveTransport",
-    "NodeSample",
-    "ProcRunConfig",
-    "ProcRunResult",
-    "ProcessFailureSchedule",
-    "Supervisor",
-    "TelemetryCollector",
-    "WallClock",
-    "WorkerSpec",
-    "decode_envelope",
-    "decode_job",
-    "decode_message",
-    "encode_envelope",
-    "encode_job",
-    "encode_message",
-    "render_dashboard",
-    "run_live",
-    "run_procs",
-    "sparkline",
-    "worker_main",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".clock": ("WallClock",),
+    ".codec": (
+        "decode_envelope", "decode_job", "decode_message", "encode_envelope",
+        "encode_job", "encode_message",
+    ),
+    ".proc": (
+        "ProcRunConfig", "ProcRunResult", "ProcessFailureSchedule",
+        "Supervisor", "WorkerSpec", "run_procs", "worker_main",
+    ),
+    ".serve": ("LiveFailureSchedule", "LiveRunConfig", "run_live"),
+    ".telemetry": (
+        "NodeSample", "TelemetryCollector", "render_dashboard", "sparkline",
+    ),
+    ".transport": ("HEALTH_PATH", "METRICS_PATH", "SUBMIT_PATH", "LiveTransport"),
+})

@@ -1,35 +1,16 @@
 """Local scheduling policies and the paper's ETTC / NAL cost functions."""
 
-from .base import BATCH, DEADLINE, LocalScheduler, QueuedJob
-from .batch import BatchScheduler, FCFSScheduler, LJFScheduler, SJFScheduler
-from .costs import completion_times, ettc, nal
-from .edf import EDFScheduler
-from .priority import AgingPriorityScheduler, PriorityScheduler
-from .registry import SCHEDULER_FACTORIES, make_scheduler
-from .reservation import (
-    BackfillScheduler,
-    ReservationScheduler,
-    reservation_completion_times,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "AgingPriorityScheduler",
-    "BATCH",
-    "BackfillScheduler",
-    "ReservationScheduler",
-    "reservation_completion_times",
-    "BatchScheduler",
-    "DEADLINE",
-    "EDFScheduler",
-    "FCFSScheduler",
-    "LJFScheduler",
-    "LocalScheduler",
-    "PriorityScheduler",
-    "QueuedJob",
-    "SCHEDULER_FACTORIES",
-    "SJFScheduler",
-    "completion_times",
-    "ettc",
-    "make_scheduler",
-    "nal",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": ("BATCH", "DEADLINE", "LocalScheduler", "QueuedJob"),
+    ".batch": ("BatchScheduler", "FCFSScheduler", "LJFScheduler", "SJFScheduler"),
+    ".costs": ("completion_times", "ettc", "nal"),
+    ".edf": ("EDFScheduler",),
+    ".priority": ("AgingPriorityScheduler", "PriorityScheduler"),
+    ".registry": ("SCHEDULER_FACTORIES", "make_scheduler"),
+    ".reservation": (
+        "BackfillScheduler", "ReservationScheduler",
+        "reservation_completion_times",
+    ),
+})

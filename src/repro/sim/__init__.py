@@ -5,17 +5,11 @@ deterministic event-list simulator (:class:`Simulator`), cancellable events,
 periodic callbacks, named random streams and time-series samplers.
 """
 
-from .events import Event, EventQueue
-from .kernel import Simulator
-from .rng import RandomStreams, derive_seed
-from .sampler import PeriodicSampler, TimeSeries
+from .._exports import lazy_exports
 
-__all__ = [
-    "Event",
-    "EventQueue",
-    "Simulator",
-    "RandomStreams",
-    "derive_seed",
-    "PeriodicSampler",
-    "TimeSeries",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".events": ("Event", "EventQueue"),
+    ".kernel": ("Simulator",),
+    ".rng": ("RandomStreams", "derive_seed"),
+    ".sampler": ("PeriodicSampler", "TimeSeries"),
+})

@@ -1,20 +1,11 @@
 """Workload: job descriptors, random generation, submission schedules."""
 
-from .generator import ERT_DISTRIBUTION, BoundedNormal, JobGenerator
-from .jobs import Job
-from .jsdl import parse_jsdl, parse_jsdl_file
-from .submission import SubmissionProcess, SubmissionSchedule
-from .traces import TraceEntry, WorkloadTrace
+from .._exports import lazy_exports
 
-__all__ = [
-    "BoundedNormal",
-    "ERT_DISTRIBUTION",
-    "Job",
-    "JobGenerator",
-    "parse_jsdl",
-    "parse_jsdl_file",
-    "SubmissionProcess",
-    "SubmissionSchedule",
-    "TraceEntry",
-    "WorkloadTrace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".generator": ("ERT_DISTRIBUTION", "BoundedNormal", "JobGenerator"),
+    ".jobs": ("Job",),
+    ".jsdl": ("parse_jsdl", "parse_jsdl_file"),
+    ".submission": ("SubmissionProcess", "SubmissionSchedule"),
+    ".traces": ("TraceEntry", "WorkloadTrace"),
+})

@@ -129,6 +129,32 @@ def test_the_hosting_rule_is_written_once():
             assert "supports_reservations" not in text, name
 
 
+def test_each_export_is_written_once():
+    """A package re-exports through one ``lazy_exports`` table, with
+    ``__all__`` derived from it (``docs/PERFORMANCE.md``, "Import only
+    what runs"): no ``from .x import`` block beside a hand-kept list.
+    ``repro.experiments`` stays eager — importing it is the run path."""
+    package = ROOT / "src" / "repro"
+    for path in sorted(package.glob("*/__init__.py")):
+        if path.parent.name == "experiments":
+            continue
+        tree = ast.parse(path.read_text())
+        assert ast.get_docstring(tree), path
+        body = tree.body
+        imports = [
+            ast.unparse(node)
+            for node in body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        ]
+        assert imports == ["from .._exports import lazy_exports"], path
+        (table,) = [node for node in body if isinstance(node, ast.Assign)]
+        assert [t.id for t in table.targets[0].elts] == [
+            "__getattr__", "__dir__", "__all__",
+        ], path
+        assert table.value.func.id == "lazy_exports", path
+        assert len(body) == 3, path
+
+
 def test_the_hot_path_is_written_once():
     """One delivery door (plus its ack sibling), one fault verdict, one
     agent-side emitter and no traced twin of the dispatch loop —
