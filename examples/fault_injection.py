@@ -9,7 +9,13 @@ invariants (job conservation, no double execution, tracking quiescence)
 show the difference.  Run with ``python examples/fault_injection.py``.
 """
 
-from repro.experiments import FaultPlan, RunOptions, ScenarioScale, run
+from repro.experiments import (
+    FaultPlan,
+    RunOptions,
+    ScenarioScale,
+    run,
+    validate_run,
+)
 
 
 def main() -> None:
@@ -36,13 +42,13 @@ def main() -> None:
         )
         print(
             f"{label:<28} {result.metrics.completed_jobs:>9} "
-            f"{len(result.extra_violations):>10}"
+            f"{len(validate_run(result)):>10}"
         )
 
     unreliable = results[False]
-    if unreliable.extra_violations:
+    if validate_run(unreliable):
         print("\nwhat broke without the reliability layer:")
-        for violation in unreliable.extra_violations:
+        for violation in validate_run(unreliable):
             print(f"  - {violation}")
 
     reliable = results[True]
@@ -56,7 +62,7 @@ def main() -> None:
         "\nA dropped ASSIGN silently strands a job; a duplicated one can"
         "\nexecute it twice. Per-message acks, bounded retransmission and"
         "\nreceiver-side dedup make the control plane idempotent, and the"
-        "\ninvariant checker proves the workload survives the chaos."
+        "\ninvariant oracle proves the workload survives the chaos."
     )
 
 

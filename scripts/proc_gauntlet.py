@@ -8,7 +8,7 @@ supervisor) across several seeds, each run under the full chaos stack:
 * the representative everything-on wire-fault plan
   (``FaultPlan.chaos``: loss, bursts, duplication, delay spikes);
 * per-process rotated traces merged post-run and streamed through the
-  invariant checker.
+  invariant oracle's trace feed.
 
 The gauntlet passes only if every seed holds **zero invariant
 violations** over the merged cross-process trace AND at least one seed

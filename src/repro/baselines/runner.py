@@ -48,7 +48,6 @@ class BaselineRunResult:
         import dataclasses
 
         from ..experiments.summary import RunSummary
-        from ..experiments.validation import validate_run
 
         return RunSummary.from_metrics(
             kind="baseline",
@@ -59,7 +58,6 @@ class BaselineRunResult:
             traffic=self.traffic,
             final_node_count=self.traffic.node_count,
             executed_events=self.executed_events,
-            violations=validate_run(self),
             extras={"revoked_copies": float(self.revoked_copies)},
         )
 

@@ -397,7 +397,7 @@ def _wire_fields(args, soak: bool, schedule_type) -> dict:
 def _cmd_procs(args, soak: bool) -> int:
     """The ``--procs`` branch shared by ``serve`` and ``soak``: the
     process-isolated overlay under the supervisor."""
-    from .experiments import OnlineInvariantChecker
+    from .metrics import Oracle
     from .runtime import ProcRunConfig, ProcessFailureSchedule, run_procs
 
     config = ProcRunConfig(
@@ -409,7 +409,7 @@ def _cmd_procs(args, soak: bool) -> int:
         seed_violation=getattr(args, "seed_violation", False),
         merged_trace_path=args.trace,
     )
-    checker = OnlineInvariantChecker(
+    oracle = Oracle(
         on_violation=lambda text: print(
             f"VIOLATION (merged trace): {text}", file=sys.stderr
         )
@@ -433,7 +433,7 @@ def _cmd_procs(args, soak: bool) -> int:
         ),
         file=sys.stderr,
     )
-    result = run_procs(config, online_checker=checker)
+    result = run_procs(config, oracle=oracle)
     rows = [
         ["jobs submitted", str(result.submitted)],
         ["jobs completed", str(result.completed)],
@@ -518,7 +518,6 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_soak(args) -> int:
-    from .experiments import OnlineInvariantChecker
     from .obs import TraceConfig
     from .runtime import run_live
 
@@ -531,27 +530,17 @@ def _cmd_soak(args) -> int:
         path=args.trace,
         rotate_bytes=int(args.rotate_mb * 1024 * 1024),
     )
-    checker = OnlineInvariantChecker(
-        on_violation=lambda text: print(
-            f"VIOLATION (online): {text}", file=sys.stderr
-        )
-    )
     print(
         f"soak: {config.nodes} HTTP nodes, {config.jobs} jobs over "
         f"~{args.wall_seconds:.0f}s wall, scenario {config.scenario_name}, "
         f"time scale {config.time_scale:.0f}x, trace -> {args.trace} "
-        f"(rotate at {args.rotate_mb} MB), online invariant checker armed"
+        f"(rotate at {args.rotate_mb} MB), invariant oracle armed"
         + (", faults on" if config.fault_plan is not None else "")
         + (", lifecycle chaos on" if args.chaos else "")
         + (", SEEDED VIOLATION (self-test)" if args.seed_violation else ""),
         file=sys.stderr,
     )
-    result = run_live(
-        config,
-        obs=trace,
-        online_checker=checker,
-        seed_violation=args.seed_violation,
-    )
+    result = run_live(config, obs=trace, seed_violation=args.seed_violation)
     summary = result.summary()
     metrics = result.metrics
     rows = [
@@ -560,7 +549,6 @@ def _cmd_soak(args) -> int:
         ["reschedules", str(metrics.reschedules)],
         ["final node count", str(result.final_node_count)],
         ["timer events", str(result.executed_events)],
-        ["events checked online", str(checker.checked)],
     ]
     for key, value in sorted(result.network.items()):
         rows.append([f"net {key}", str(value)])
@@ -575,7 +563,7 @@ def _cmd_soak(args) -> int:
         for violation in summary.violations:
             print(f"VIOLATION: {violation}")
         return 1
-    print("invariants: OK (online + post-run)")
+    print("invariants: OK (every transition + end of run)")
     return 0
 
 
@@ -883,8 +871,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         trace_level=(
             "transport",
-            "trace detail level (default transport, which the online "
-            "stale-delivery check needs)",
+            "trace detail level (default transport; with --procs the "
+            "merged trace's stale-delivery check needs it)",
         ),
     )
     soak_parser.add_argument(
@@ -905,9 +893,10 @@ def build_parser() -> argparse.ArgumentParser:
     soak_parser.add_argument(
         "--seed-violation",
         action="store_true",
-        help="self-test: forge a duplicate job.finished mid-run (with "
-        "--procs: from two worker processes) and verify the online "
-        "checker flags it (the run exits nonzero)",
+        help="self-test: forge a second completion of a finished job "
+        "mid-run (with --procs: a job.finished from two worker "
+        "processes) and verify the invariant oracle flags it (the run "
+        "exits nonzero)",
     )
     soak_parser.set_defaults(func=_cmd_soak)
 

@@ -6,10 +6,11 @@ and :func:`run_batch` (many seeds, cached + parallel, returning
 to either may be a :class:`Scenario`, a baseline name, a
 :class:`CrashPlan`, a :class:`FailureModel` (composed crash-stop /
 crash-restart / fail-slow node failures), a :class:`ChurnPlan`, or a
-:class:`FaultPlan` (network fault injection with the
-:mod:`~repro.experiments.invariants` chaos checker).
+:class:`FaultPlan` (network fault injection, judged by the invariant
+oracle of :mod:`repro.metrics.oracle`).
 """
 
+from ..metrics.oracle import validate_run
 from ..obs.trace import TraceConfig
 from .aggregate import ScenarioSummary, average_series, summarize_runs
 from .catalog import SCENARIOS, get_scenario, scenario_names, with_rescheduling
@@ -17,15 +18,12 @@ from .churn import ChurnPlan
 from .engine import BatchResult, ResultCache, run, run_batch
 from .failures import CrashPlan, FailureModel
 from .faults import FaultPlan, apply_fault_plan
-from .invariants import check_invariants
-from .invariants_online import OnlineInvariantChecker
 from .options import RunOptions
 from .report import fmt_hours, fmt_opt, render_series, render_table
 from .runner import GridSetup, RunResult, build_grid
 from .scale import SCALES, ScenarioScale, bench_scale_from_env
 from .scenario import Scenario
 from .summary import RunSummary
-from .validation import validate_run
 
 __all__ = [
     "BatchResult",
@@ -34,14 +32,12 @@ __all__ = [
     "FailureModel",
     "FaultPlan",
     "GridSetup",
-    "OnlineInvariantChecker",
     "ResultCache",
     "RunOptions",
     "RunResult",
     "RunSummary",
     "apply_fault_plan",
     "build_grid",
-    "check_invariants",
     "run",
     "run_batch",
     "SCALES",

@@ -285,9 +285,6 @@ class RunResult:
     #: Transport / reliability / fault counters captured at the horizon
     #: (see ``Transport.network_counters``).  All-zero in nominal runs.
     network: Dict[str, int] = dataclass_field(default_factory=dict)
-    #: Invariant-checker findings (fault experiments); folded into
-    #: ``RunSummary.violations`` next to the ``validate_run`` verdict.
-    extra_violations: List[str] = dataclass_field(default_factory=list)
     #: Metrics-registry snapshot (only when the run carried a
     #: ``TraceConfig`` with ``telemetry=True``; empty otherwise).
     telemetry: Dict[str, float] = dataclass_field(default_factory=dict)
@@ -312,19 +309,14 @@ class RunResult:
         This is the documented hand-off point between a live run (agents,
         simulator, per-job records) and everything downstream — figures,
         sweeps, comparisons, the batch engine and its on-disk cache all
-        consume summaries.  The
-        :func:`~repro.experiments.validation.validate_run` verdict is
-        captured in :attr:`RunSummary.violations`, followed by any
-        :attr:`extra_violations` from the invariant checker.
+        consume summaries.  The oracle's verdict
+        (``metrics.oracle.violations``) is captured in
+        :attr:`RunSummary.violations`.
 
         Nonzero network counters surface as ``net_``-prefixed
         :attr:`RunSummary.extras` entries; zero counters are omitted so
         nominal summaries stay byte-identical to earlier versions.
         """
-        from .validation import validate_run
-
-        violations = list(validate_run(self))
-        violations.extend(self.extra_violations)
         extras = {
             f"net_{key}": float(value)
             for key, value in self.network.items()
@@ -343,7 +335,6 @@ class RunResult:
             submission_window=self.submission_window,
             final_node_count=self.final_node_count,
             executed_events=self.executed_events,
-            violations=violations,
             extras=extras,
             telemetry=self.telemetry,
             fleet=self.fleet_series,
@@ -456,7 +447,7 @@ class GridSetup:
     def result(self, **fields) -> RunResult:
         """Package the run so far; ``fields`` override or add
         :class:`RunResult` fields a driver knows better (a live run's
-        invariant verdict, fleet series, interruption flag)."""
+        fleet series, interruption flag)."""
         packaged = dict(
             scenario=self.scenario,
             scale=self.scale,

@@ -15,8 +15,8 @@ This module injects exactly those faults:
   :class:`~repro.net.faults.FaultInjector` (and, with
   ``reliability=True``, a :class:`~repro.net.reliability.ReliabilityLayer`
   for at-least-once control-plane delivery) into a standard scenario grid,
-  runs it, and captures the :mod:`~repro.experiments.invariants` verdict
-  in the result.
+  runs it, and judges it with the invariant oracle
+  (:mod:`repro.metrics.oracle`).
 
 Safety bounds (argued in ``docs/FAULTS.md``): the reliability layer's
 give-up horizon (≈ 3 minutes worst case) stays far below the fail-safe

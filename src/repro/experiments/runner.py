@@ -37,7 +37,6 @@ from .assembly import (
 from .churn import ChurnPlan
 from .failures import FailureModel
 from .faults import FaultPlan, apply_fault_plan
-from .invariants import check_invariants
 from .scale import ScenarioScale
 from .scenario import Scenario
 
@@ -121,11 +120,11 @@ def run_grid(
     recovery; ``deadline_slack > 0`` arms the straggler defense;
     ``reliability`` gives the control plane at-least-once delivery.  Each
     plan that is present schedules its own events on the built grid.
-    With ``check=True`` the :mod:`~repro.experiments.invariants` sweep
-    runs post-horizon and lands in ``RunResult.extra_violations`` (and
-    from there in ``RunSummary.violations``) — crash-lost records are
-    tolerated when ``failures`` crashes nodes, but stranding, double-holds
-    and cross-incarnation double executions are not.  The grid is closed
+    With ``check=True`` the oracle also judges the rules that need the
+    horizon (:meth:`Oracle.close <repro.metrics.Oracle.close>`: stranded
+    jobs, double holds, conservation, quiescence) into the same violation
+    list — crash-lost records are tolerated when ``failures`` crashes
+    nodes.  The grid is closed
     (:meth:`GridSetup.close`) before the result is returned, so it is
     freed the moment this function returns.
     """
@@ -161,7 +160,7 @@ def run_grid(
             settle = windows * probe_interval + 600.0
         else:
             settle = 1800.0
-        result.extra_violations = check_invariants(
+        setup.metrics.oracle.close(
             setup,
             expected_jobs=setup.scale.jobs,
             allow_lost=failures is not None

@@ -34,9 +34,9 @@ class RunSummary:
     Scalar metrics mirror the aggregated views of
     :class:`~repro.metrics.collector.GridMetrics`; the traffic fields
     mirror :class:`~repro.net.traffic.TrafficReport`; the series are the
-    run's sampled probes.  ``violations`` is the
-    :func:`~repro.experiments.validation.validate_run` verdict captured
-    when the summary was built (empty = clean).
+    run's sampled probes.  ``violations`` is the run's invariant verdict
+    (:mod:`repro.metrics.oracle`) captured when the summary was built
+    (empty = clean).
     """
 
     #: ``"scenario"`` | ``"baseline"`` — what kind of run produced this.
@@ -74,7 +74,7 @@ class RunSummary:
     submission_window: Tuple[float, float] = (0.0, 0.0)
     final_node_count: int = 0
     executed_events: int = 0
-    #: :func:`validate_run` verdict captured at summary time.
+    #: The oracle's violation list captured at summary time.
     violations: List[str] = field(default_factory=list)
     #: Run-kind-specific scalars (e.g. ``revoked_copies`` for the
     #: multirequest baseline).
@@ -109,7 +109,6 @@ class RunSummary:
         submission_window: Tuple[float, float] = (0.0, 0.0),
         final_node_count: int = 0,
         executed_events: int = 0,
-        violations=(),
         extras: Optional[Dict[str, float]] = None,
         telemetry: Optional[Dict[str, float]] = None,
         fleet: Optional[Dict[str, TimeSeries]] = None,
@@ -150,7 +149,7 @@ class RunSummary:
             submission_window=tuple(submission_window),
             final_node_count=final_node_count,
             executed_events=executed_events,
-            violations=list(violations),
+            violations=list(metrics.oracle.violations),
             extras=dict(extras or {}),
             telemetry=dict(telemetry or {}),
             fleet={

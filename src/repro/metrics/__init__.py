@@ -4,5 +4,6 @@ from .._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".collector": ("GridMetrics",),
+    ".oracle": ("Oracle", "validate_run"),
     ".records": ("JobRecord",),
 })

@@ -20,6 +20,7 @@ from ..errors import ReproError
 from ..obs.metrics import MetricsRegistry
 from ..types import JobId, NodeId
 from ..workload.jobs import Job
+from .oracle import Oracle
 from .records import JobRecord
 
 __all__ = ["GridMetrics"]
@@ -51,6 +52,10 @@ class GridMetrics:
         self.completion_series = self.registry.series(
             "job.completion_time.series"
         )
+        #: Judges each transition below before it is booked
+        #: (:mod:`repro.metrics.oracle`); its violation list is the run's
+        #: verdict.
+        self.oracle = Oracle()
 
     @property
     def completed_jobs(self) -> int:
@@ -135,6 +140,7 @@ class GridMetrics:
     ) -> None:
         """Record an ASSIGN: initial delegation or dynamic reschedule."""
         record = self._record(job_id)
+        self.oracle.assigned(record, node, time)
         record.assignments.append((time, node))
         if reschedule:
             self._reschedules.inc()
@@ -142,12 +148,14 @@ class GridMetrics:
     def job_started(self, job_id: JobId, node: NodeId, time: float) -> None:
         """Record the start of execution on ``node``."""
         record = self._record(job_id)
+        self.oracle.started(record, node, time)
         record.start_time = time
         record.start_node = node
 
     def job_finished(self, job_id: JobId, node: NodeId, time: float) -> None:
         """Record a completion (duplicates are counted, not double-booked)."""
         record = self._record(job_id)
+        self.oracle.finished(record, node, time)
         if record.finish_time is not None:
             # A fail-safe resubmission can race recovery and execute a job
             # twice (at-least-once semantics).  Keep the first completion
@@ -155,13 +163,16 @@ class GridMetrics:
             self._duplicate_executions.inc()
             return
         record.finish_time = time
+        record.finish_node = node
         self._completed_jobs.inc()
         self._completion_time.observe(record.completion_time)
         self.completion_series.record(time, record.completion_time)
 
     def job_unschedulable(self, job_id: JobId, time: float) -> None:
         """Record that discovery gave up on the job (REQUEST retries spent)."""
-        self._record(job_id).unschedulable = True
+        record = self._record(job_id)
+        self.oracle.unschedulable(record)
+        record.unschedulable = True
 
     def job_resubmitted(self, job_id: JobId, time: float) -> None:
         """Fail-safe resubmission after a suspected assignee crash."""
@@ -175,6 +186,7 @@ class GridMetrics:
         again later.
         """
         record = self._record(job_id)
+        self.oracle.lost(record)
         record.lost_count += 1
         if not record.completed:
             record.start_time = None

@@ -31,6 +31,8 @@ class JobRecord:
     start_time: Optional[float] = None
     start_node: Optional[NodeId] = None
     finish_time: Optional[float] = None
+    #: The node whose completion counted (the first one).
+    finish_node: Optional[NodeId] = None
     #: Set when the initiator exhausted its REQUEST retries.
     unschedulable: bool = False
     #: Fail-safe resubmissions after a suspected assignee crash.

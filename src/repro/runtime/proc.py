@@ -39,10 +39,10 @@ Chaos at this level is process chaos: :class:`ProcessFailureSchedule`
 SIGKILLs workers (crash-stop — no goodbye, no flush) and SIGSTOPs them
 (fail-slow — the process is alive but frozen, the classic gray failure).
 Evidence is assembled post-run: every worker's per-boot rotated JSONL
-trace segments are merged on ``(wall, t)`` and streamed through an
-:class:`~repro.experiments.OnlineInvariantChecker`, and the journals on
-disk are the ground truth for completions the killed processes never got
-to announce.
+trace segments are merged on ``(wall, t)`` and streamed through the
+trace feed of the invariant :class:`~repro.metrics.Oracle`, and the
+journals on disk are the ground truth for completions the killed
+processes never got to announce.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.journal import DurableJournal
 from ..errors import ConfigurationError, ProtocolError
+from ..metrics.oracle import Oracle
 from ..net.reliability import ReliabilityLayer
 from ..obs.exposition import render_prometheus
 from ..obs.metrics import MetricsRegistry
@@ -73,7 +74,6 @@ from ..experiments.assembly import (
     workload_generator,
 )
 from ..experiments.catalog import get_scenario
-from ..experiments.invariants_online import OnlineInvariantChecker
 from .clock import WallClock
 from .codec import encode_job
 from .driver import (
@@ -418,7 +418,7 @@ async def _worker(spec: WorkerSpec) -> None:
     refresh_task = loop.create_task(_refresh_directory())
 
     tasks: List[asyncio.Task] = [refresh_task]
-    # The cross-process checker self-test: two workers forging the same
+    # The cross-process oracle self-test: two workers forging the same
     # completion is a double execution spanning process boundaries.
     if config.seed_violation and spec.index < 2 and tracer is not None:
 
@@ -743,7 +743,7 @@ class ProcRunConfig(WireRunConfig):
     rotate_bytes: int = 64 * 1024 * 1024
     max_restarts: int = 5
     backoff_base: float = 0.5
-    #: Forge a cross-process duplicate completion (checker self-test).
+    #: Forge a cross-process duplicate completion (oracle self-test).
     seed_violation: bool = False
     #: Where the merged fleet trace lands (default: ``run_dir``).
     merged_trace_path: Optional[str] = None
@@ -825,23 +825,23 @@ def _read_journal_state(
 
 def run_procs(
     config: Optional[ProcRunConfig] = None,
-    online_checker: Optional[OnlineInvariantChecker] = None,
+    oracle: Optional[Oracle] = None,
 ) -> ProcRunResult:
     """Run one process-isolated scenario and assemble the evidence.
 
     Synchronous entry point (owns the coordinator's event loop).  The
-    merged per-process traces are streamed through ``online_checker``
-    (or a fresh :class:`~repro.experiments.OnlineInvariantChecker`)
-    post-run — the checker's streaming contract makes the merge order
-    the only thing the coordinator has to get right.
+    merged per-process traces are streamed through ``oracle`` (or a
+    fresh :class:`~repro.metrics.Oracle`) post-run — its trace feed's
+    streaming contract makes the merge order the only thing the
+    coordinator has to get right.
     """
     config = config if config is not None else ProcRunConfig()
-    return asyncio.run(_run_procs(config, online_checker))
+    return asyncio.run(_run_procs(config, oracle))
 
 
 async def _run_procs(
     config: ProcRunConfig,
-    online_checker: Optional[OnlineInvariantChecker],
+    oracle: Optional[Oracle],
 ) -> ProcRunResult:
     loop = asyncio.get_running_loop()
     run_dir = config.run_dir or tempfile.mkdtemp(prefix="aria-procs-")
@@ -1032,7 +1032,7 @@ async def _run_procs(
 
     # ------------------------------------------------------------------
     # Evidence assembly: merge every boot's trace segments on the shared
-    # timeline and stream them through the invariant checker.
+    # timeline and stream them through the oracle's trace feed.
     # ------------------------------------------------------------------
     events: List[Dict[str, Any]] = []
     torn_lines = 0
@@ -1042,22 +1042,19 @@ async def _run_procs(
         torn_lines += torn
     events.sort(key=lambda e: (e.get("wall", 0.0), e.get("t", 0.0)))
 
-    checker = (
-        online_checker
-        if online_checker is not None
-        else OnlineInvariantChecker()
-    )
+    if oracle is None:
+        oracle = Oracle()
     merged_trace_path = config.merged_trace_path or os.path.join(
         run_dir, "merged-trace.jsonl"
     )
     merged = JsonlSink(merged_trace_path)
     try:
         for event in events:
-            checker.append(event)
+            oracle.append(event)
             merged.append(event)
     finally:
         merged.close()
-    checker.close()
+    oracle.close()
 
     journal_incarnations, journal_completions = _read_journal_state(run_dir)
     completed_ids = set()
@@ -1071,7 +1068,7 @@ async def _run_procs(
         event for event in events if event.get("ev") == "journal.recovered"
     ]
 
-    violations = list(checker.violations)
+    violations = list(oracle.violations)
     if submit_failures and not interrupted:
         violations.append(
             f"submission: {submit_failures} job(s) found no live entry "
@@ -1085,7 +1082,7 @@ async def _run_procs(
         submitted=submitted,
         completed=len(completed_ids),
         violations=violations,
-        checked_events=checker.checked,
+        checked_events=oracle.checked,
         torn_lines=torn_lines,
         supervisor=supervisor.stats(),
         recovered=recovered,

@@ -8,8 +8,7 @@ and tracer — on the two live seams (a :class:`~repro.runtime.WallClock`
 instead of the simulator, a :class:`~repro.runtime.LiveTransport`
 instead of the simulated one).  It lets real wall time pass and returns
 the same :class:`~repro.experiments.runner.RunResult`, so ``.summary()``,
-validation, the invariant checker and every downstream consumer work
-unchanged.
+the invariant oracle and every downstream consumer work unchanged.
 
 Chaos rides the same seams.  A :class:`~repro.experiments.faults.FaultPlan`
 on the config attaches a :class:`~repro.net.faults.FaultInjector` to the
@@ -20,10 +19,10 @@ lifecycle over real sockets: crash-restart tears an endpoint down and
 brings the node back after downtime under a fresh incarnation
 (re-discovered from its new agent card), joins start brand-new endpoints
 mid-run, and leaves walk the graceful-departure path before the endpoint
-is retired.  An :class:`~repro.experiments.OnlineInvariantChecker` can be
-teed into the trace stream to check invariants *while* the run is live —
-the run stops early on the first confirmed violation, which is what the
-``repro soak`` CLI mode builds on.
+is retired.  The grid's invariant oracle (:mod:`repro.metrics.oracle`)
+judges every job transition as it happens, and the run stops early on
+the first violation — which is what the ``repro soak`` CLI mode builds
+on.
 
 Timing: everything protocol-side stays in protocol seconds; the
 ``time_scale`` compression maps them onto wall time (see
@@ -49,14 +48,15 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..errors import ConfigurationError
+from ..grid.profiles import Architecture, JobRequirements, OperatingSystem
+from ..metrics.records import JobRecord
 from ..net.reliability import ReliabilityLayer
 from ..obs.trace import MemorySink, TraceConfig, Tracer
 from ..overlay.blatant import BlatantMaintainer
 from ..types import NodeId
+from ..workload.jobs import Job
 from ..experiments.assembly import RunResult, assemble, build_overlay
 from ..experiments.catalog import get_scenario
-from ..experiments.invariants import check_invariants
-from ..experiments.invariants_online import OnlineInvariantChecker
 from .clock import WallClock
 from .driver import (
     FORGE_JOB_ID,
@@ -162,32 +162,24 @@ class LiveRunConfig(WireRunConfig):
 def run_live(
     config: Optional[LiveRunConfig] = None,
     obs: Optional[TraceConfig] = None,
-    online_checker: Optional[OnlineInvariantChecker] = None,
     seed_violation: bool = False,
 ) -> RunResult:
     """Run one live scenario to completion and collect the results.
 
-    Synchronous entry point (owns the event loop); the run's invariant
-    verdict lands in ``RunResult.extra_violations`` so ``.summary()``
-    folds it into ``RunSummary.violations`` like any simulated run.
-
-    ``online_checker`` tees the trace stream through an
-    :class:`~repro.experiments.OnlineInvariantChecker`; the run stops at
-    the first violation it confirms, and its findings are prepended to
-    the post-run verdict.  ``seed_violation`` deliberately forges a
-    duplicate ``job.finished`` mid-run — the soak harness's self-test
-    that the online checker actually fires.
+    Synchronous entry point (owns the event loop).  The grid's oracle
+    judges each transition as it happens and the run stops at its first
+    violation; the verdict is ``metrics.oracle.violations``, which
+    ``.summary()`` captures like any simulated run's.
+    ``seed_violation`` forges a second completion of a finished job
+    mid-run — the soak harness's self-test that the oracle fires.
     """
     config = config if config is not None else LiveRunConfig()
-    return asyncio.run(
-        _run_live(config, obs, online_checker, seed_violation)
-    )
+    return asyncio.run(_run_live(config, obs, seed_violation))
 
 
 async def _run_live(
     config: LiveRunConfig,
     obs: Optional[TraceConfig],
-    online_checker: Optional[OnlineInvariantChecker] = None,
     seed_violation: bool = False,
 ) -> RunResult:
     loop = asyncio.get_running_loop()
@@ -204,22 +196,12 @@ async def _run_live(
     tracer: Optional[Tracer] = None
     recorder = None
     if obs is not None and obs.level != "off":
-        sink = recorder = obs.make_sink()
-        if online_checker is not None:
-            online_checker.sink = sink
-            sink = online_checker
-        tracer = Tracer(obs, sink=sink)
+        recorder = obs.make_sink()
+        tracer = Tracer(obs, sink=recorder)
         # Live events additionally carry the real wall clock, so
         # ``repro explain-job`` can narrate operator time next to
         # protocol time.
         tracer.wall_source = time.time
-    elif online_checker is not None:
-        # No recording requested: trace purely to feed the checker (its
-        # downstream sink stays None, so events are checked and dropped).
-        tracer = Tracer(
-            TraceConfig(level="transport", sink="memory"),
-            sink=online_checker,
-        )
 
     # One HTTP endpoint per node, then card-driven discovery builds the
     # address directory over the wire before any agent exists.
@@ -240,6 +222,7 @@ async def _run_live(
         tracer,
     )
     metrics, agents = setup.metrics, setup.agents
+    oracle = metrics.oracle
     if config.reliability:
         ReliabilityLayer(transport, config.reliability_config())
     transport.set_metrics_provider(
@@ -324,14 +307,21 @@ async def _run_live(
         for at, victim in schedule_plan.leaves:
             chaos_tasks.append(loop.create_task(_leave(at, victim)))
 
-    if seed_violation and tracer is not None:
+    if seed_violation:
 
         async def _forge_duplicate() -> None:
             await asyncio.sleep(0.3 * config.wall_duration())
-            # Two completions of one (bogus) job id: the exact signature
-            # the double-execution check must fire on.
-            tracer.emit("job.finished", clock.now, job=FORGE_JOB_ID, node=0)
-            tracer.emit("job.finished", clock.now, job=FORGE_JOB_ID, node=1)
+            # A (bogus) job node 0 finished, finishing again on node 1:
+            # the exact transition the double-finish rule must fire on.
+            now = clock.now
+            requirements = JobRequirements(
+                Architecture.AMD64, 1, 1, OperatingSystem.LINUX
+            )
+            finished = JobRecord(
+                Job(FORGE_JOB_ID, requirements, ert=1.0), 0, now,
+                start_time=now, start_node=0, finish_time=now, finish_node=0,
+            )
+            oracle.finished(finished, 1, now)
 
         chaos_tasks.append(loop.create_task(_forge_duplicate()))
 
@@ -345,10 +335,8 @@ async def _run_live(
                     and not transport._in_flight
                     and all(task.done() for task in chaos_tasks)
                 ),
-                # Stop on the first confirmed violation.
-                abort=lambda: bool(
-                    online_checker is not None and online_checker.violations
-                ),
+                # Stop on the first violation.
+                abort=lambda: bool(oracle.violations),
             )
             clock.stop()
             await transport.drain()
@@ -367,16 +355,13 @@ async def _run_live(
     interrupted = stop_event.is_set()
 
     allow_lost = bool(schedule_plan is not None and schedule_plan.crash_restarts)
-    violations = check_invariants(
+    oracle.close(
         setup,
         expected_jobs=None if interrupted else config.jobs,
         allow_lost=allow_lost or interrupted,
     )
-    if online_checker is not None:
-        violations = list(online_checker.violations) + violations
     return setup.result(
         final_node_count=setup.grid_state.live_count,
-        extra_violations=violations,
         trace_events=(
             recorder.events if isinstance(recorder, MemorySink) else []
         ),

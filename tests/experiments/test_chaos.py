@@ -11,7 +11,13 @@ import random
 
 import pytest
 
-from repro.experiments import FaultPlan, RunOptions, ScenarioScale, run
+from repro.experiments import (
+    FaultPlan,
+    RunOptions,
+    ScenarioScale,
+    run,
+    validate_run,
+)
 
 TINY = ScenarioScale.tiny()
 
@@ -45,7 +51,7 @@ def test_invariants_hold_under_randomized_faults(seed):
         seed=seed,
         options=RunOptions(reliability=True, failsafe=True),
     )
-    assert result.extra_violations == []
+    assert validate_run(result) == []
     summary = result.summary()
     assert summary.violations == []
     # The run was genuinely hostile: faults actually fired.
@@ -54,7 +60,7 @@ def test_invariants_hold_under_randomized_faults(seed):
 
 
 def test_violations_detected_without_reliability():
-    """The checker must have teeth: with the recovery machinery off, the
+    """The oracle must have teeth: with the recovery machinery off, the
     same fault schedules break at least one invariant on some seed."""
     detected = 0
     for seed in range(6):
@@ -65,19 +71,17 @@ def test_violations_detected_without_reliability():
             seed=seed,
             options=RunOptions(reliability=False, failsafe=False),
         )
-        if result.extra_violations:
+        violations = validate_run(result)
+        if violations:
             detected += 1
             # The findings also reach the summary consumers.
-            assert any(
-                v in result.summary().violations
-                for v in result.extra_violations
-            )
+            assert result.summary().violations == violations
     assert detected >= 1
 
 
 def test_chaos_plan_round_trips_through_the_engine():
     plan = FaultPlan.chaos(TINY.duration)
     result = run(plan, TINY, seed=0)
-    assert result.extra_violations == []
+    assert validate_run(result) == []
     assert result.network["fault_partition_dropped"] >= 0
     assert result.metrics.completed_jobs > 0

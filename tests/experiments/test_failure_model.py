@@ -24,6 +24,7 @@ from repro.experiments import (
 )
 from repro.experiments.failures import CrashPlan
 from repro.experiments.runner import run_grid
+from repro.metrics import validate_run
 
 TINY = ScenarioScale.tiny()
 CHAOS_SEEDS = list(range(10))
@@ -123,8 +124,8 @@ def test_chaos_suite_holds_invariants_on_every_seed():
     plan = FaultPlan.chaos(TINY.duration)
     for seed in CHAOS_SEEDS:
         result = run(model, TINY, seed=seed, options=RunOptions(fault_plan=plan))
-        assert result.extra_violations == [], (
-            f"seed {seed}: {result.extra_violations}"
+        assert validate_run(result) == [], (
+            f"seed {seed}: {validate_run(result)}"
         )
         assert result.metrics.duplicate_executions == 0, f"seed {seed}"
 

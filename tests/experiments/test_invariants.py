@@ -1,11 +1,9 @@
-"""Unit tests for the post-run protocol invariant checker."""
+"""The oracle's end-of-run pass (``Oracle.close`` with a grid) and the
+double finish it no longer needs to repeat."""
 
-from repro.experiments import (
-    ScenarioScale,
-    build_grid,
-    check_invariants,
-    get_scenario,
-)
+from repro.experiments import ScenarioScale, build_grid, get_scenario
+from repro.experiments.assembly import GridSetup
+from repro.experiments.runner import run_grid
 from repro.metrics import GridMetrics
 
 from ..helpers import make_job
@@ -14,7 +12,7 @@ TINY = ScenarioScale.tiny()
 
 
 # ----------------------------------------------------------------------
-# Fakes: the checker only touches metrics, scale, and the agent surface.
+# Fakes: the pass only touches metrics, the clock and the agent surface.
 # ----------------------------------------------------------------------
 class FakeScheduler:
     def __init__(self, entries=()):
@@ -46,17 +44,25 @@ class FakeAgent:
         self.departed = departed
 
 
-class FakeScale:
-    def __init__(self, duration=10_000.0, jobs=1):
-        self.duration = duration
-        self.jobs = jobs
+class FakeClock:
+    def __init__(self, now):
+        self.now = now
 
 
 class FakeSetup:
-    def __init__(self, agents=(), duration=10_000.0, jobs=1):
+    """A grid whose clock stopped at ``now`` (a simulated run stops at
+    its horizon, a live one may stop early)."""
+
+    def __init__(self, agents=(), now=10_000.0):
         self.metrics = GridMetrics()
         self.agents = list(agents)
-        self.scale = FakeScale(duration, jobs)
+        self.sim = FakeClock(now)
+
+
+def verdict_at_close(setup, **options):
+    """The end-of-run pass over ``setup``; returns the whole verdict."""
+    setup.metrics.oracle.close(setup, **options)
+    return setup.metrics.oracle.violations
 
 
 def submit_and_finish(setup, job, node=0, at=100.0):
@@ -72,52 +78,51 @@ def submit_and_finish(setup, job, node=0, at=100.0):
 def test_completed_job_is_clean():
     setup = FakeSetup([FakeAgent(0)])
     submit_and_finish(setup, make_job(1))
-    assert check_invariants(setup, expected_jobs=1) == []
+    assert verdict_at_close(setup, expected_jobs=1) == []
 
 
 def test_job_conservation_flags_missing_records():
     setup = FakeSetup([FakeAgent(0)])
     submit_and_finish(setup, make_job(1))
-    violations = check_invariants(setup, expected_jobs=2)
+    violations = verdict_at_close(setup, expected_jobs=2)
     assert any("job conservation" in v for v in violations)
 
 
 def test_stranded_job_is_flagged_after_settling():
-    setup = FakeSetup([FakeAgent(0)], duration=10_000.0)
+    setup = FakeSetup([FakeAgent(0)])
     setup.metrics.job_submitted(make_job(1), initiator=0, time=100.0)
-    violations = check_invariants(setup, expected_jobs=1, settle=1800.0)
+    violations = verdict_at_close(setup, expected_jobs=1, settle=1800.0)
     assert any("stranded" in v for v in violations)
 
 
 def test_recent_activity_is_not_stranded():
-    setup = FakeSetup([FakeAgent(0)], duration=10_000.0)
+    setup = FakeSetup([FakeAgent(0)])
     setup.metrics.job_submitted(make_job(1), initiator=0, time=9500.0)
-    assert check_invariants(setup, expected_jobs=1, settle=1800.0) == []
+    assert verdict_at_close(setup, expected_jobs=1, settle=1800.0) == []
 
 
 def test_held_job_is_in_flight_not_stranded():
     job = make_job(1)
-    setup = FakeSetup([FakeAgent(0, running=job)], duration=10_000.0)
+    setup = FakeSetup([FakeAgent(0, running=job)])
     setup.metrics.job_submitted(job, initiator=0, time=100.0)
-    assert check_invariants(setup, expected_jobs=1) == []
+    assert verdict_at_close(setup, expected_jobs=1) == []
 
 
 def test_pending_discovery_is_in_flight_not_stranded():
     job = make_job(1)
-    setup = FakeSetup([FakeAgent(0, pending=(1,))], duration=10_000.0)
+    setup = FakeSetup([FakeAgent(0, pending=(1,))])
     setup.metrics.job_submitted(job, initiator=0, time=100.0)
-    assert check_invariants(setup, expected_jobs=1) == []
+    assert verdict_at_close(setup, expected_jobs=1) == []
 
 
 def test_double_holding_is_flagged():
     job = make_job(1)
     setup = FakeSetup(
-        [FakeAgent(0, running=job), FakeAgent(1, queued=(job,))],
-        duration=10_000.0,
+        [FakeAgent(0, running=job), FakeAgent(1, queued=(job,))]
     )
     submit_and_finish(setup, make_job(2))
     setup.metrics.job_submitted(job, initiator=0, time=9900.0)
-    violations = check_invariants(setup, expected_jobs=2)
+    violations = verdict_at_close(setup, expected_jobs=2)
     assert any("held by 2 live nodes" in v for v in violations)
 
 
@@ -128,66 +133,82 @@ def test_dead_nodes_do_not_count_as_holders():
             FakeAgent(0, running=job),
             FakeAgent(1, queued=(job,), failed=True),
             FakeAgent(2, queued=(job,), departed=True),
-        ],
-        duration=10_000.0,
+        ]
     )
     setup.metrics.job_submitted(job, initiator=0, time=100.0)
-    assert check_invariants(setup, expected_jobs=1) == []
+    assert verdict_at_close(setup, expected_jobs=1) == []
 
 
 def test_duplicate_execution_is_flagged(monkeypatch):
-    """A job finished twice is one defect and one violation string in the
-    run's summary: the ``validate_run`` count, not repeated by the
-    invariant sweep that ``check=True`` folds in beside it — whether it
-    finished again on its own node, or on a second node and then once
-    more on the first."""
-    from repro.experiments import runner
-
+    """An untraced run learns of a job finished twice at the hook that
+    booked the second completion, with the job and both executions named
+    — whether it finished again on its own node, or on a second node and
+    then once more on the first (one defect, one violation)."""
+    original_run = GridSetup.run
     for offsets in ((0,), (1, 0)):
+        seen = {}
 
-        def finish_one_job_again(setup, **kwargs):
+        def run_then_finish_again(setup):
+            result = original_run(setup)
             record = next(
                 r for r in setup.metrics.records.values() if r.completed
             )
-            for offset in offsets:
+            nodes = [
+                (record.start_node + offset) % len(setup.agents)
+                for offset in offsets
+            ]
+            for node in nodes:
                 setup.metrics.job_finished(
-                    record.job.job_id,
-                    (record.start_node + offset) % len(setup.agents),
-                    setup.scale.duration,
+                    record.job.job_id, node, setup.scale.duration
                 )
-            return check_invariants(setup, **kwargs)
+            seen["at hook"] = list(setup.metrics.oracle.violations)
+            seen["expected"] = [
+                f"job {record.job.job_id} finished twice: node "
+                f"{record.finish_node} at t={record.finish_time:.0f}, then "
+                f"node {nodes[0]} at t={setup.scale.duration:.0f} — double "
+                f"execution"
+            ]
+            return result
 
-        monkeypatch.setattr(runner, "check_invariants", finish_one_job_again)
-        result = runner.run_grid(get_scenario("iMixed"), TINY, 0, check=True)
+        monkeypatch.setattr(GridSetup, "run", run_then_finish_again)
+        result = run_grid(get_scenario("iMixed"), TINY, 0, check=True)
         assert result.metrics.duplicate_executions == len(offsets)
-        assert result.summary().violations == [
-            f"{len(offsets)} duplicate executions"
-        ]
+        assert seen["at hook"] == seen["expected"]
+        assert result.summary().violations == seen["expected"]
 
 
 def test_crash_loss_flagged_only_in_crash_free_mode():
     setup = FakeSetup([FakeAgent(0)])
     job = make_job(1)
     submit_and_finish(setup, job)
-    setup.metrics.records[job.job_id].lost_count = 1
+    setup.metrics.job_lost(job.job_id, 200.0)
+    assert verdict_at_close(setup, expected_jobs=1, allow_lost=True) == []
     assert any(
         "crash-lost" in v
-        for v in check_invariants(setup, expected_jobs=1)
+        for v in verdict_at_close(setup, expected_jobs=1)
     )
-    assert check_invariants(setup, expected_jobs=1, allow_lost=True) == []
 
 
 def test_stale_tracking_is_flagged():
-    setup = FakeSetup([FakeAgent(0, tracked=(1,))], duration=10_000.0)
+    setup = FakeSetup([FakeAgent(0, tracked=(1,))])
     submit_and_finish(setup, make_job(1), at=100.0)
-    violations = check_invariants(setup, expected_jobs=1, settle=1800.0)
+    violations = verdict_at_close(setup, expected_jobs=1, settle=1800.0)
     assert any("still tracked" in v for v in violations)
 
 
 def test_fresh_tracking_of_finished_job_is_tolerated():
-    setup = FakeSetup([FakeAgent(0, tracked=(1,))], duration=10_000.0)
+    setup = FakeSetup([FakeAgent(0, tracked=(1,))])
     submit_and_finish(setup, make_job(1), at=9500.0)
-    assert check_invariants(setup, expected_jobs=1, settle=1800.0) == []
+    assert verdict_at_close(setup, expected_jobs=1, settle=1800.0) == []
+
+
+def test_horizon_rules_measure_against_the_stopped_clock():
+    """A live run that stopped at t=3000 of a 10 000 s horizon: a job
+    finished at t=2500 and still tracked is 500 s old, not 7500 s."""
+    setup = FakeSetup([FakeAgent(0, tracked=(1,))], now=3000.0)
+    submit_and_finish(setup, make_job(1), at=2498.0)
+    assert setup.metrics.records[1].finish_time == 2500.0
+    assert verdict_at_close(setup, expected_jobs=1, settle=1800.0) == []
 
 
 # ----------------------------------------------------------------------
@@ -196,4 +217,4 @@ def test_fresh_tracking_of_finished_job_is_tolerated():
 def test_clean_scenario_run_satisfies_all_invariants():
     setup = build_grid(get_scenario("Mixed"), TINY, seed=0)
     setup.run()
-    assert check_invariants(setup, expected_jobs=TINY.jobs) == []
+    assert verdict_at_close(setup, expected_jobs=TINY.jobs) == []

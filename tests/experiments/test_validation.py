@@ -1,4 +1,5 @@
-"""Tests for the run-validation audit — and audits of real runs."""
+"""The oracle's in-process feed: real runs are clean, and a bad
+transition driven through a ``GridMetrics`` hook is reported."""
 
 import pytest
 
@@ -10,7 +11,9 @@ from repro.experiments import (
 )
 from repro.experiments.churn import ChurnPlan
 from repro.experiments.failures import CrashPlan
-from repro.experiments.validation import validate_run
+from repro.metrics import validate_run
+
+from ..helpers import make_job
 
 TINY = ScenarioScale.tiny()
 
@@ -40,8 +43,10 @@ def test_churn_runs_validate_clean():
 def test_validation_detects_corruption():
     result = run(get_scenario("Mixed"), TINY, seed=4)
     record = next(r for r in result.metrics.records.values() if r.completed)
-    # Corrupt the record: execution "started" before submission.
-    record.start_time = record.submit_time - 100.0
+    # Execution "starts" before submission, judged at the hook.
+    result.metrics.job_started(
+        record.job.job_id, record.start_node, record.submit_time - 100.0
+    )
     violations = validate_run(result)
     assert any("started before submission" in v for v in violations)
 
@@ -50,18 +55,22 @@ def test_validation_detects_overlap():
     result = run(get_scenario("Mixed"), TINY, seed=4)
     completed = [r for r in result.metrics.records.values() if r.completed]
     a, b = completed[0], completed[1]
-    # Force both executions onto one node at overlapping times.
-    b.start_node = a.start_node
-    b.start_time = a.start_time
-    b.finish_time = a.finish_time
-    b.assignments[-1] = (b.assignments[-1][0], a.start_node)
+    # Start both executions on one node, the second while the first runs.
+    node, t = a.start_node, result.scale.duration
+    result.metrics.job_started(a.job.job_id, node, t)
+    result.metrics.job_started(b.job.job_id, node, t)
     violations = validate_run(result)
     assert any("overlapping executions" in v for v in violations)
 
 
 def test_validation_detects_placement_mismatch():
     result = run(get_scenario("Mixed"), TINY, seed=4)
-    record = next(r for r in result.metrics.records.values() if r.completed)
-    record.start_node = 9999
+    metrics, t = result.metrics, result.scale.duration
+    # A job assigned to node 0 runs on node 9999.
+    job = make_job(10_000, submit_time=t)
+    metrics.job_submitted(job, initiator=0, time=t)
+    metrics.job_assigned(job.job_id, 0, t, reschedule=False)
+    metrics.job_started(job.job_id, 9999, t)
+    metrics.job_finished(job.job_id, 9999, t + 1.0)
     violations = validate_run(result)
     assert any("ran on 9999" in v for v in violations)

@@ -1,9 +1,9 @@
-"""Randomized volatility runs audited by the invariant validator.
+"""Randomized volatility runs judged by the invariant oracle.
 
 Hypothesis draws churn shapes (graceful leaves, crashes, joins, fail-safe
-on/off) and the full run must pass every invariant in
-:func:`repro.experiments.validation.validate_run` — conservation, timeline
-coherence, placement, mutual exclusion, reservations.
+on/off) and the full run must break no rule the oracle judges at its
+hooks (:mod:`repro.metrics.oracle`, read by ``validate_run``) — timeline
+coherence, placement, mutual exclusion, reservations, double finish.
 """
 
 from hypothesis import given, settings

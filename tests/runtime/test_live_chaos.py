@@ -4,10 +4,10 @@ Every run combines wire-level fault injection (i.i.d. loss, loss
 bursts, duplication, one partition window, delay spikes) with real
 node-lifecycle chaos over sockets — one crash-restart (endpoint torn
 down, fresh incarnation on a new port, card re-discovery), one
-brand-new mid-run join and one graceful leave — while an
-:class:`~repro.experiments.OnlineInvariantChecker` rides the trace
-stream.  The bar is the paper's safety story: no invariant may break
-under any of it, on any seed.
+brand-new mid-run join and one graceful leave — while the grid's
+invariant oracle judges every job transition as it happens.  The bar is
+the paper's safety story: no invariant may break under any of it, on
+any seed.
 
 The module fixture runs all ten seeds once (each a few wall seconds);
 the tests then slice the collected results.
@@ -15,7 +15,7 @@ the tests then slice the collected results.
 
 import pytest
 
-from repro.experiments import FaultPlan, OnlineInvariantChecker
+from repro.experiments import FaultPlan
 from repro.runtime import LiveFailureSchedule, LiveRunConfig, run_live
 
 SEEDS = tuple(range(10))
@@ -46,27 +46,25 @@ def chaos_config(seed):
 
 @pytest.fixture(scope="module")
 def chaos_runs():
-    """(seed, RunResult, checker) for every seed, run back to back."""
+    """(seed, RunResult, oracle) for every seed, run back to back."""
     runs = []
     for seed in SEEDS:
-        checker = OnlineInvariantChecker()
-        result = run_live(chaos_config(seed), online_checker=checker)
-        runs.append((seed, result, checker))
+        result = run_live(chaos_config(seed))
+        runs.append((seed, result, result.metrics.oracle))
     return runs
 
 
 def test_no_seed_violates_any_invariant(chaos_runs):
-    for seed, result, checker in chaos_runs:
-        assert checker.violations == [], f"seed {seed}: {checker.violations}"
-        assert result.extra_violations == [], (
-            f"seed {seed}: {result.extra_violations}"
-        )
+    for seed, result, oracle in chaos_runs:
+        assert oracle.violations == [], f"seed {seed}: {oracle.violations}"
         assert result.summary().violations == [], f"seed {seed}"
 
 
 def test_online_checker_really_watched_every_run(chaos_runs):
-    for seed, _result, checker in chaos_runs:
-        assert checker.checked > 0, f"seed {seed}: checker saw no events"
+    # Every booked transition passed the oracle's hook first.
+    for seed, result, _oracle in chaos_runs:
+        records = result.metrics.records.values()
+        assert any(r.assignments for r in records), f"seed {seed}: no jobs"
 
 
 def test_faults_really_shaped_the_wire(chaos_runs):
@@ -76,20 +74,20 @@ def test_faults_really_shaped_the_wire(chaos_runs):
         "fault_partition_dropped",
         "fault_duplicated",
     )
-    for seed, result, _checker in chaos_runs:
+    for seed, result, _oracle in chaos_runs:
         for key in fault_keys:
             assert key in result.network, f"seed {seed}: missing {key}"
     # Across ten seeds the injector must have actually bitten.
     total = sum(
         result.network[key]
-        for _seed, result, _checker in chaos_runs
+        for _seed, result, _oracle in chaos_runs
         for key in fault_keys
     )
     assert total > 0
 
 
 def test_lifecycle_chaos_really_happened(chaos_runs):
-    for seed, result, _checker in chaos_runs:
+    for seed, result, _oracle in chaos_runs:
         counts = [count for _t, count in result.node_count_series]
         assert counts, f"seed {seed}: no node-count samples"
         # The crash-restart's downtime dips the live-node count below
@@ -102,14 +100,13 @@ def test_lifecycle_chaos_really_happened(chaos_runs):
 def test_no_inbound_message_was_rejected(chaos_runs):
     # Chaos mangles delivery, never the wire format: every POST that
     # arrives still parses.
-    for seed, result, _checker in chaos_runs:
+    for seed, result, _oracle in chaos_runs:
         assert result.network["rejected"] == 0, f"seed {seed}"
 
 
 def test_online_checker_flags_a_seeded_violation_in_run():
     """The soak harness's self-test: a forged duplicate completion must
     be caught *during* the run, not at teardown."""
-    checker = OnlineInvariantChecker()
     config = LiveRunConfig(
         nodes=4,
         jobs=2,
@@ -118,8 +115,8 @@ def test_online_checker_flags_a_seeded_violation_in_run():
         duration=DURATION,
         ert_mean=600.0,
     )
-    result = run_live(config, online_checker=checker, seed_violation=True)
-    assert any("double execution" in v for v in checker.violations)
-    # The online finding is folded into the standard verdict too.
-    assert any("double execution" in v for v in result.extra_violations)
-    assert any("double execution" in v for v in result.summary().violations)
+    result = run_live(config, seed_violation=True)
+    # Caught at the hook (which stops the run), and only that.
+    (violation,) = result.metrics.oracle.violations
+    assert "double execution" in violation
+    assert result.summary().violations == [violation]

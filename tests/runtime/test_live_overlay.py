@@ -39,7 +39,7 @@ def test_live_overlay_completes_the_workload(live_run):
 
 
 def test_live_overlay_violates_no_invariants(live_run):
-    assert live_run.extra_violations == []
+    assert live_run.metrics.oracle.violations == []
     assert live_run.summary().violations == []
 
 

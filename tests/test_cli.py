@@ -229,9 +229,8 @@ def test_soak_runs_clean_and_streams_a_trace(tmp_path, capsys):
         ]
     ) == 0
     captured = capsys.readouterr()
-    assert "online invariant checker armed" in captured.err
-    assert "events checked online" in captured.out
-    assert "invariants: OK (online + post-run)" in captured.out
+    assert "invariant oracle armed" in captured.err
+    assert "invariants: OK (every transition + end of run)" in captured.out
     from repro.obs import load_trace, validate_event
 
     events = load_trace(trace_path)
@@ -249,7 +248,7 @@ def test_soak_seeded_violation_exits_nonzero(tmp_path, capsys):
         ]
     ) == 1
     captured = capsys.readouterr()
-    assert "VIOLATION (online):" in captured.err
+    assert "VIOLATION: job 999999999 finished twice" in captured.out
     assert "double execution" in captured.out
 
 

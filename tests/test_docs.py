@@ -197,6 +197,32 @@ def test_the_hot_path_is_written_once():
     )
 
 
+def test_the_invariants_are_written_once():
+    """Every rule's wording is built in one place under ``src/`` — the
+    oracle's ``RULES`` (``docs/FAULTS.md``, "Protocol invariants") — and
+    the wordings of the three checkers it replaced are gone."""
+    from repro.metrics.oracle import RULES
+
+    package = ROOT / "src" / "repro"
+    strings = []
+    for path in package.rglob("*.py"):
+        name = path.relative_to(package).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.append((name, node.value))
+    for rule, wording in RULES.items():
+        fragment = max(re.split(r"\{[^}]*\}", wording), key=len)
+        sites = [name for name, text in strings if fragment in text]
+        assert sites == ["metrics/oracle.py"], (rule, fragment, sites)
+    for gone in (
+        "duplicate executions",
+        "tracking state leaked",
+        "missed_deadline flag",
+        "completed records",
+    ):
+        assert not [name for name, text in strings if gone in text], gone
+
+
 def test_the_overlay_is_held_once():
     """One neighbour list per node is the only adjacency — no view cache,
     no versioned CSR copy — and an ordered window is a plain dict unless

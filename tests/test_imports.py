@@ -132,3 +132,32 @@ def test_every_export_resolves(package):
     namespace = {}
     exec(f"from repro.{package} import *", namespace)
     assert set(module.__all__) <= set(namespace), package
+
+
+def imported_names(path, package):
+    """Every module name ``path`` (a module of ``package``) imports,
+    relative imports resolved, function-level imports included."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            parts = package.split(".")
+            base = ".".join(parts[: len(parts) - node.level + 1])
+            if node.level == 0:
+                base = node.module
+            elif node.module:
+                base = f"{base}.{node.module}"
+            names += [base] + [f"{base}.{alias.name}" for alias in node.names]
+    return names
+
+
+def test_metrics_sit_below_the_drivers():
+    """The invariant oracle lives in ``repro.metrics``, which every driver
+    may import: nothing there imports ``repro.experiments`` or
+    ``repro.runtime``."""
+    for path in sorted((PACKAGE / "metrics").glob("*.py")):
+        for name in imported_names(path, "repro.metrics"):
+            assert not name.startswith(
+                ("repro.experiments", "repro.runtime")
+            ), (path.name, name)
