@@ -549,6 +549,7 @@ def _cmd_soak(args) -> int:
         ["reschedules", str(metrics.reschedules)],
         ["final node count", str(result.final_node_count)],
         ["timer events", str(result.executed_events)],
+        ["events checked online", str(metrics.oracle.checked)],
     ]
     for key, value in sorted(result.network.items()):
         rows.append([f"net {key}", str(value)])
@@ -563,7 +564,7 @@ def _cmd_soak(args) -> int:
         for violation in summary.violations:
             print(f"VIOLATION: {violation}")
         return 1
-    print("invariants: OK (every transition + end of run)")
+    print("invariants: OK (every transition and trace event + end of run)")
     return 0
 
 
@@ -871,8 +872,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         trace_level=(
             "transport",
-            "trace detail level (default transport; with --procs the "
-            "merged trace's stale-delivery check needs it)",
+            "trace detail level (default transport, which the oracle's "
+            "stale-delivery check needs)",
         ),
     )
     soak_parser.add_argument(

@@ -318,7 +318,9 @@ class AriaAgent:
         for pending in self._pending.values():
             if pending.timer is not None:
                 self.sim.cancel(pending.timer)
-            self.metrics.job_lost(pending.job.job_id, self.sim.now)
+            self.metrics.job_lost(
+                pending.job.job_id, self.node_id, self.sim.now
+            )
             if self._trace is not None:
                 self._emit("job.lost", job=pending.job.job_id)
         self._pending.clear()
@@ -335,7 +337,7 @@ class AriaAgent:
             self.grid_state.set_live(int(self.node_id), False)
         lost = self.node.crash()
         for job in lost:
-            self.metrics.job_lost(job.job_id, self.sim.now)
+            self.metrics.job_lost(job.job_id, self.node_id, self.sim.now)
             if self._trace is not None:
                 self._emit("job.lost", job=job.job_id)
         return lost

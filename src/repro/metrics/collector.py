@@ -178,15 +178,15 @@ class GridMetrics:
         """Fail-safe resubmission after a suspected assignee crash."""
         self._record(job_id).resubmissions += 1
 
-    def job_lost(self, job_id: JobId, time: float) -> None:
-        """Record that a crashing node took the job down with it.
+    def job_lost(self, job_id: JobId, node: NodeId, time: float) -> None:
+        """Record that ``node`` crashed and took the job down with it.
 
         Any in-progress execution is void (the machine is gone), so the
         start bookkeeping is cleared; a fail-safe resubmission may set it
         again later.
         """
         record = self._record(job_id)
-        self.oracle.lost(record)
+        self.oracle.lost(record, node)
         record.lost_count += 1
         if not record.completed:
             record.start_time = None

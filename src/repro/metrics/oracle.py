@@ -1,17 +1,19 @@
 """The run's invariant oracle: every protocol rule, written once.
 
 An :class:`Oracle` keeps one violation list (empty = clean), worded by
-:data:`RULES`.  A run feeds it one way, so no transition is judged twice:
+:data:`RULES`.  It has two feeds, and no transition is judged by both:
 
 * **In-process** (simulator, baselines, ``serve``): the owning
   :class:`~repro.metrics.collector.GridMetrics` calls ``assigned`` /
   ``started`` / ``finished`` / ``unschedulable`` / ``lost`` before
   booking each transition, which is judged from the job's record as it
   happens.  Its only state is one running-job slot per node.
-* **Trace** (the merged ``--procs`` trace; metrics are per process): a
-  sink (``append`` / ``close``) mapping events onto the same rules.  Only
-  it judges stale-incarnation delivery and orphan convergence, which no
-  record holds.  Memory is bounded by ``max_tracked_jobs``.
+* **Trace** (``append``): trace events mapped onto the rules no hook
+  sees — stale-incarnation delivery, orphan convergence and probes long
+  after a finish.  The merged ``--procs`` trace (metrics are per
+  process) also has its double finishes judged here; a live run that
+  records a trace tees it into its grid's oracle, whose ``finished`` hook
+  already judges those.  Memory is bounded by :data:`MAX_TRACKED_JOBS`.
 
 ``close`` given the grid judges what needs the end of the run against
 the clock's ``now`` (a live run may stop before its horizon).
@@ -26,6 +28,12 @@ from ..types import JobId, NodeId
 __all__ = ["Oracle", "RULES", "validate_run"]
 
 _EPSILON = 1e-6
+#: Protocol seconds a finished job may stay tracked before that is a fault.
+SETTLE = 1800.0
+#: Protocol seconds an orphaned job may wait for adoption.
+ORPHAN_GRACE = 2400.0
+#: Finished jobs the trace feed remembers (the oldest is forgotten).
+MAX_TRACKED_JOBS = 4096
 
 #: The wording of every rule, keyed by rule name.
 RULES = {
@@ -70,29 +78,20 @@ def validate_run(result) -> List[str]:
 
 
 class Oracle:
-    """One run's invariant verdict (see the module docstring).  ``sink``
-    takes the events the trace feed forwards; ``settle`` / ``orphan_grace``
-    are its grace windows in protocol seconds."""
+    """One run's invariant verdict (see the module docstring).  Each new
+    violation also goes to ``on_violation``."""
 
     def __init__(
-        self,
-        sink=None,
-        *,
-        settle: float = 1800.0,
-        orphan_grace: float = 2400.0,
-        max_tracked_jobs: int = 4096,
-        on_violation: Optional[Callable[[str], None]] = None,
+        self, on_violation: Optional[Callable[[str], None]] = None
     ) -> None:
-        self.sink = sink
-        self.settle = settle
-        self.orphan_grace = orphan_grace
-        self.max_tracked_jobs = max_tracked_jobs
         self.on_violation = on_violation
         #: Violation strings, in discovery order.
         self.violations: List[str] = []
         self._flagged: Set[Tuple[str, object]] = set()
-        #: In-process: the record each node is executing.
+        #: In-process: the record each node runs; set once the ``finished``
+        #: hook judges completions (the trace feed then leaves them to it).
         self._running: Dict[NodeId, Any] = {}
+        self._hooked = False
         #: Trace: events inspected, the event-time watermark, finished
         #: jobs (oldest first: job -> (node, time)), unresolved orphans
         #: (job -> orphaning time) and crashed nodes.
@@ -103,8 +102,7 @@ class Oracle:
 
     def _violate(self, rule: str, key: object, **fields) -> None:
         """Report ``rule`` broken for ``key`` (a job id unless the rule
-        is about something else) once; ``fields`` fill its wording; each
-        new violation also goes to ``on_violation``."""
+        is about something else) once; ``fields`` fill its wording."""
         if (rule, key) in self._flagged:
             return
         self._flagged.add((rule, key))
@@ -122,8 +120,6 @@ class Oracle:
                 self._violate("assigned early", job)
         elif t < record.assignments[-1][0]:
             self._violate("assignments unsorted", job)
-        if record.start_time is not None and record.start_time + _EPSILON < t:
-            self._violate("moved while running", job)
 
     def started(self, record, node: NodeId, t: float) -> None:
         """Judge the job's execution start on ``node`` at ``t``."""
@@ -143,6 +139,7 @@ class Oracle:
     def finished(self, record, node: NodeId, t: float) -> None:
         """Judge a completion of the job on ``node`` at ``t``."""
         job = record.job.job_id
+        self._hooked = True
         if self._running.get(node) is record:
             del self._running[node]
         if record.finish_time is not None:
@@ -155,6 +152,8 @@ class Oracle:
             self._violate("finished unstarted", job)
         elif t < record.start_time:
             self._violate("finished early", job)
+        if _moved(record):
+            self._violate("moved while running", job)
         if record.unschedulable:
             self._violate("completed unschedulable", job)
         assignee = record.assignments[-1][1] if record.assignments else None
@@ -168,28 +167,28 @@ class Oracle:
         if record.finish_time is not None:
             self._violate("completed unschedulable", record.job.job_id)
 
-    def lost(self, record) -> None:
-        """Free the running slot of a job lost with a crashing node."""
-        if self._running.get(record.start_node) is record:
-            del self._running[record.start_node]
+    def lost(self, record, node: NodeId) -> None:
+        """Free ``node``'s running slot of a job lost as ``node`` crashed."""
+        if self._running.get(node) is record:
+            del self._running[node]
 
-    # -- trace feed: the sink protocol ----------------------------------
+    # -- trace feed -----------------------------------------------------
     def append(self, event: Dict[str, Any]) -> None:
-        """Judge one trace event, then forward it downstream."""
+        """Judge one trace event."""
         self.checked += 1
         name, job = event["ev"], event.get("job")
         t = event.get("t", self._now)
         self._now = max(self._now, t)
         if name == "job.finished":
             prior = self._finished.get(job)
-            if prior is not None:
+            if prior is not None and not self._hooked:
                 self._violate(
                     "finished twice", job, first=prior[0], first_t=prior[1],
                     node=event["node"], t=t,
                 )
-            else:
+            elif prior is None:
                 self._finished[job] = (event["node"], t)
-                if len(self._finished) > self.max_tracked_jobs:
+                if len(self._finished) > MAX_TRACKED_JOBS:
                     del self._finished[next(iter(self._finished))]
             self._orphans.pop(job, None)
         elif name in (
@@ -209,19 +208,17 @@ class Oracle:
             )
         elif name == "probe.sent" and job in self._finished:
             age = t - self._finished[job][1]
-            if age > self.settle:
+            if age > SETTLE:
                 node = event["node"]
                 self._violate("still tracked", (job, node), job=job,
                               node=node, age=age)
         # Swept against the watermark, so free while no orphan exists.
         if self._orphans:
             self._sweep_orphans()
-        if self.sink is not None:
-            self.sink.append(event)
 
     def _sweep_orphans(self) -> None:
         for job, since in list(self._orphans.items()):
-            if self._now - since > self.orphan_grace:
+            if self._now - since > ORPHAN_GRACE:
                 del self._orphans[job]
                 self._violate("orphan", job, t=since, age=self._now - since)
 
@@ -232,15 +229,14 @@ class Oracle:
         *,
         expected_jobs: Optional[int] = None,
         allow_lost: bool = False,
-        settle: float = 1800.0,
+        settle: float = SETTLE,
     ) -> None:
-        """Sweep the trace feed's orphans and close its sink; given the
-        grid ``setup``, judge stranded jobs, double holds, conservation
-        against ``expected_jobs``, crash losses unless ``allow_lost``, and
-        quiescence, with ``settle`` seconds of grace."""
+        """Sweep the trace feed's orphans; given the grid ``setup``, judge
+        stranded jobs, double holds, conservation against
+        ``expected_jobs``, crash losses unless ``allow_lost``, jobs still
+        running where they were moved from, and quiescence, with
+        ``settle`` seconds of grace."""
         self._sweep_orphans()
-        if self.sink is not None:
-            self.sink.close()
         if setup is None:
             return
         records, now = setup.metrics.records, setup.sim.now
@@ -269,6 +265,8 @@ class Oracle:
                     "held twice", job, count=len(nodes), nodes=sorted(nodes)
                 )
         for job, record in sorted(records.items()):
+            if record.finish_time is None and _moved(record):
+                self._violate("moved while running", job)
             if record.lost_count and not allow_lost:
                 self._violate("phantom loss", job, count=record.lost_count)
             if record.completed or record.unschedulable:
@@ -292,3 +290,10 @@ class Oracle:
                     "still tracked", (job, node), job=job, node=node,
                     age=now - finish,
                 )
+
+
+def _moved(record) -> bool:
+    """Whether the job's live execution began before its last ASSIGN."""
+    if record.start_time is None or not record.assignments:
+        return False
+    return record.start_time + _EPSILON < record.assignments[-1][0]

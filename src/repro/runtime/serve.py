@@ -20,8 +20,10 @@ brings the node back after downtime under a fresh incarnation
 (re-discovered from its new agent card), joins start brand-new endpoints
 mid-run, and leaves walk the graceful-departure path before the endpoint
 is retired.  The grid's invariant oracle (:mod:`repro.metrics.oracle`)
-judges every job transition as it happens, and the run stops early on
-the first violation — which is what the ``repro soak`` CLI mode builds
+judges every job transition as it happens — and, when the run records a
+trace, every traced event too (stale-incarnation delivery, orphan
+convergence, probes long after a finish) — and the run stops early on
+the first violation, which is what the ``repro soak`` CLI mode builds
 on.
 
 Timing: everything protocol-side stays in protocol seconds; the
@@ -44,17 +46,14 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..grid.profiles import Architecture, JobRequirements, OperatingSystem
-from ..metrics.records import JobRecord
 from ..net.reliability import ReliabilityLayer
 from ..obs.trace import MemorySink, TraceConfig, Tracer
 from ..overlay.blatant import BlatantMaintainer
 from ..types import NodeId
-from ..workload.jobs import Job
 from ..experiments.assembly import RunResult, assemble, build_overlay
 from ..experiments.catalog import get_scenario
 from .clock import WallClock
@@ -159,6 +158,21 @@ class LiveRunConfig(WireRunConfig):
     _schedule_type = LiveFailureSchedule
 
 
+class _TraceTee:
+    """A live run's trace sink: each event goes to the grid's oracle
+    (its trace feed), then to the recorder."""
+
+    def __init__(self, oracle, recorder) -> None:
+        self.oracle, self.recorder = oracle, recorder
+
+    def append(self, event) -> None:
+        self.oracle.append(event)
+        self.recorder.append(event)
+
+    def close(self) -> None:
+        self.recorder.close()
+
+
 def run_live(
     config: Optional[LiveRunConfig] = None,
     obs: Optional[TraceConfig] = None,
@@ -167,9 +181,10 @@ def run_live(
     """Run one live scenario to completion and collect the results.
 
     Synchronous entry point (owns the event loop).  The grid's oracle
-    judges each transition as it happens and the run stops at its first
-    violation; the verdict is ``metrics.oracle.violations``, which
-    ``.summary()`` captures like any simulated run's.
+    judges each transition as it happens, and each event of the trace
+    ``obs`` records, and the run stops at its first violation; the
+    verdict is ``metrics.oracle.violations``, which ``.summary()``
+    captures like any simulated run's.
     ``seed_violation`` forges a second completion of a finished job
     mid-run — the soak harness's self-test that the oracle fires.
     """
@@ -223,6 +238,9 @@ async def _run_live(
     )
     metrics, agents = setup.metrics, setup.agents
     oracle = metrics.oracle
+    if tracer is not None:
+        # The oracle exists only now; assembly itself emits nothing to judge.
+        tracer.sink = _TraceTee(oracle, recorder)
     if config.reliability:
         ReliabilityLayer(transport, config.reliability_config())
     transport.set_metrics_provider(
@@ -311,17 +329,18 @@ async def _run_live(
 
         async def _forge_duplicate() -> None:
             await asyncio.sleep(0.3 * config.wall_duration())
-            # A (bogus) job node 0 finished, finishing again on node 1:
-            # the exact transition the double-finish rule must fire on.
+            while not metrics.records:  # the first submission is due
+                await asyncio.sleep(0.05)
+            # A copy of a real job, booked under the forged id, runs on a
+            # node no grid has and finishes there and on a second one:
+            # the transition the double-finish rule must fire on.
+            real = next(iter(metrics.records.values())).job
+            job = replace(real, job_id=FORGE_JOB_ID, not_before=None)
             now = clock.now
-            requirements = JobRequirements(
-                Architecture.AMD64, 1, 1, OperatingSystem.LINUX
-            )
-            finished = JobRecord(
-                Job(FORGE_JOB_ID, requirements, ert=1.0), 0, now,
-                start_time=now, start_node=0, finish_time=now, finish_node=0,
-            )
-            oracle.finished(finished, 1, now)
+            metrics.ensure_job(job, 0, now)
+            metrics.job_started(FORGE_JOB_ID, NodeId(-1), now)
+            metrics.job_finished(FORGE_JOB_ID, NodeId(-1), now)
+            metrics.job_finished(FORGE_JOB_ID, NodeId(-2), now)
 
         chaos_tasks.append(loop.create_task(_forge_duplicate()))
 
@@ -351,13 +370,15 @@ async def _run_live(
         if tracer is not None:
             tracer.close()
     # Job-conservation checks are relaxed for interrupted runs (in-flight
-    # jobs never got their chance to finish).
+    # jobs never got their chance to finish); a run stopped at its first
+    # violation may not have submitted them all either.
     interrupted = stop_event.is_set()
+    cut_short = interrupted or bool(oracle.violations)
 
     allow_lost = bool(schedule_plan is not None and schedule_plan.crash_restarts)
     oracle.close(
         setup,
-        expected_jobs=None if interrupted else config.jobs,
+        expected_jobs=None if cut_short else config.jobs,
         allow_lost=allow_lost or interrupted,
     )
     return setup.result(

@@ -181,7 +181,7 @@ def test_crash_loss_flagged_only_in_crash_free_mode():
     setup = FakeSetup([FakeAgent(0)])
     job = make_job(1)
     submit_and_finish(setup, job)
-    setup.metrics.job_lost(job.job_id, 200.0)
+    setup.metrics.job_lost(job.job_id, 0, 200.0)
     assert verdict_at_close(setup, expected_jobs=1, allow_lost=True) == []
     assert any(
         "crash-lost" in v
@@ -218,3 +218,17 @@ def test_clean_scenario_run_satisfies_all_invariants():
     setup = build_grid(get_scenario("Mixed"), TINY, seed=0)
     setup.run()
     assert verdict_at_close(setup, expected_jobs=TINY.jobs) == []
+
+
+def test_job_still_running_where_it_was_moved_from_is_flagged():
+    job = make_job(1)
+    setup = FakeSetup([FakeAgent(0, running=job), FakeAgent(1)])
+    metrics = setup.metrics
+    metrics.job_submitted(job, initiator=0, time=100.0)
+    metrics.job_assigned(job.job_id, 0, 100.0, reschedule=False)
+    metrics.job_started(job.job_id, 0, 101.0)
+    metrics.job_assigned(job.job_id, 1, 200.0, reschedule=False)
+    assert metrics.oracle.violations == []
+    assert verdict_at_close(setup) == [
+        "job 1: reassigned after execution started"
+    ]

@@ -1,10 +1,11 @@
-"""The oracle's trace feed (the merged ``--procs`` trace).
+"""The oracle's trace feed (the merged ``--procs`` trace, and a live
+run's recorded trace).
 
 Each test feeds a small synthetic event stream straight into an
-:class:`~repro.metrics.Oracle` used as a sink — no grid, no transport —
-and asserts its verdict, its tee-through to the downstream sink, and
-that its state stays bounded.  The last section replays real chaos runs
-instead and pins the trace feed's agreement with the in-process one.
+:class:`~repro.metrics.Oracle` — no grid, no transport — and asserts
+its verdict, the live run's tee to its recorder, and that its state
+stays bounded.  The last section replays real chaos runs instead and
+pins the trace feed's agreement with the in-process one.
 """
 
 import pytest
@@ -19,8 +20,12 @@ from repro.experiments import (
     TraceConfig,
     run,
 )
-from repro.metrics import Oracle
+from repro.metrics import GridMetrics, Oracle
+from repro.metrics.oracle import MAX_TRACKED_JOBS, ORPHAN_GRACE, SETTLE
 from repro.obs import MemorySink
+from repro.runtime.serve import _TraceTee
+
+from ..helpers import make_job
 
 
 def ev(name, t, **fields):
@@ -40,26 +45,45 @@ def feed(oracle, *events):
 # Tee behaviour
 # ----------------------------------------------------------------------
 def test_clean_stream_forwards_everything_and_stays_silent():
-    sink = MemorySink()
-    oracle = Oracle(sink)
+    # A live run's trace: each event is judged, then recorded.
+    sink, oracle = MemorySink(), Oracle()
+    tee = _TraceTee(oracle, sink)
     events = [
         ev("job.submitted", 10.0, job=1, node=0),
         ev("job.assigned", 20.0, job=1, node=2, cost=5.0),
         ev("job.finished", 900.0, job=1, node=2),
     ]
-    feed(oracle, *events)
+    feed(tee, *events)
     assert oracle.violations == []
     assert oracle.checked == 3
     assert sink.events == events
-    oracle.close()  # closes the downstream sink without raising
+    tee.close()  # closes the recorder without raising
 
 
 def test_checker_without_sink_checks_and_drops():
     oracle = Oracle()
     feed(oracle, ev("job.finished", 1.0, job=1, node=0))
-    assert oracle.sink is None
     assert oracle.checked == 1
+    assert oracle.violations == []
     oracle.close()
+
+
+def test_live_trace_leaves_double_finishes_to_the_hook():
+    # A live run's oracle judges each completion at its hook; the trace
+    # events it also gets are not judged again.
+    metrics = GridMetrics()
+    metrics.job_submitted(make_job(1), initiator=0, time=0.0)
+    metrics.job_assigned(1, 0, 0.0, reschedule=False)
+    metrics.job_started(1, 0, 1.0)
+    metrics.job_finished(1, 0, 100.0)
+    finished = ev("job.finished", 100.0, job=1, node=0)
+    feed(metrics.oracle, finished, dict(finished))  # a repeated event
+    assert metrics.oracle.violations == []
+    metrics.job_finished(1, 4, 250.0)
+    assert metrics.oracle.violations == [
+        "job 1 finished twice: node 0 at t=100, then node 4 at t=250 — "
+        "double execution"
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -96,13 +120,15 @@ def test_on_violation_fires_once_per_new_violation():
 
 
 def test_finished_job_memory_is_lru_bounded():
-    oracle = Oracle(max_tracked_jobs=4)
-    for job in range(10):
+    oracle = Oracle()
+    for job in range(MAX_TRACKED_JOBS + 6):
         oracle.append(ev("job.finished", float(job), job=job, node=0))
-    assert len(oracle._finished) == 4
+    assert len(oracle._finished) == MAX_TRACKED_JOBS
     # An evicted job finishing "again" can no longer be flagged — the
     # price of bounded memory — but recent jobs still are.
-    feed(oracle, ev("job.finished", 50.0, job=9, node=3))
+    feed(oracle, ev("job.finished", 9e4, job=0, node=3))
+    assert oracle.violations == []
+    feed(oracle, ev("job.finished", 9e4, job=MAX_TRACKED_JOBS, node=3))
     assert len(oracle.violations) == 1
 
 
@@ -135,36 +161,37 @@ def test_delivery_after_restart_is_clean():
 # Orphan-adoption convergence
 # ----------------------------------------------------------------------
 def test_orphan_adopted_within_grace_is_clean():
-    oracle = Oracle(orphan_grace=1000.0)
+    oracle = Oracle()
     feed(
         oracle,
         ev("job.orphaned", 100.0, job=5, node=2),
-        ev("job.adopted", 600.0, job=5, node=4),
-        ev("job.submitted", 5000.0, job=6, node=0),  # time passes
+        ev("job.adopted", 100.0 + ORPHAN_GRACE - 1, job=5, node=4),
+        ev("job.submitted", 5 * ORPHAN_GRACE, job=6, node=0),  # time passes
     )
     assert oracle.violations == []
 
 
 def test_orphan_outliving_the_grace_fails_convergence():
-    oracle = Oracle(orphan_grace=1000.0)
+    oracle = Oracle()
     feed(
         oracle,
         ev("job.orphaned", 100.0, job=5, node=2),
-        ev("job.submitted", 2000.0, job=6, node=0),  # watermark advances
+        # The watermark advances past the grace.
+        ev("job.submitted", 101.0 + ORPHAN_GRACE, job=6, node=0),
     )
     assert len(oracle.violations) == 1
     assert "orphan adoption failed to converge" in oracle.violations[0]
 
 
 def test_close_sweeps_orphans_still_pending():
-    oracle = Oracle(orphan_grace=1000.0)
+    oracle = Oracle()
     feed(
         oracle,
         ev("job.orphaned", 100.0, job=5, node=2),
-        ev("job.submitted", 900.0, job=6, node=0),  # inside grace
+        ev("job.submitted", 99.0 + ORPHAN_GRACE, job=6, node=0),  # inside
     )
     assert oracle.violations == []
-    oracle._now = 5000.0  # the run ended much later
+    oracle._now = 5 * ORPHAN_GRACE  # the run ended much later
     oracle.close()
     assert len(oracle.violations) == 1
 
@@ -173,17 +200,18 @@ def test_close_sweeps_orphans_still_pending():
 # Tracking quiescence
 # ----------------------------------------------------------------------
 def test_probe_soon_after_finish_is_clean():
-    oracle = Oracle(settle=1800.0)
+    oracle = Oracle()
     feed(
         oracle,
         ev("job.finished", 100.0, job=1, node=2),
-        ev("probe.sent", 500.0, job=1, node=0, target=2),
+        ev("probe.sent", 100.0 + SETTLE, job=1, node=0, target=2),
     )
     assert oracle.violations == []
 
 
 def test_probe_long_after_finish_is_leaked_tracking_state():
-    oracle = Oracle(settle=1800.0)
+    assert SETTLE == 1800.0
+    oracle = Oracle()
     feed(
         oracle,
         ev("job.finished", 100.0, job=1, node=2),

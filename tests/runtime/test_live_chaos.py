@@ -5,7 +5,8 @@ bursts, duplication, one partition window, delay spikes) with real
 node-lifecycle chaos over sockets — one crash-restart (endpoint torn
 down, fresh incarnation on a new port, card re-discovery), one
 brand-new mid-run join and one graceful leave — while the grid's
-invariant oracle judges every job transition as it happens.  The bar is
+invariant oracle judges every job transition as it happens and every
+event of the run's transport-level trace.  The bar is
 the paper's safety story: no invariant may break under any of it, on
 any seed.
 
@@ -16,6 +17,7 @@ the tests then slice the collected results.
 import pytest
 
 from repro.experiments import FaultPlan
+from repro.obs import TraceConfig
 from repro.runtime import LiveFailureSchedule, LiveRunConfig, run_live
 
 SEEDS = tuple(range(10))
@@ -45,11 +47,14 @@ def chaos_config(seed):
 
 
 @pytest.fixture(scope="module")
-def chaos_runs():
-    """(seed, RunResult, oracle) for every seed, run back to back."""
+def chaos_runs(tmp_path_factory):
+    """(seed, RunResult, oracle) for every seed, run back to back, each
+    recording a transport-level trace (which the oracle judges too)."""
     runs = []
     for seed in SEEDS:
-        result = run_live(chaos_config(seed))
+        path = tmp_path_factory.mktemp("trace") / f"seed{seed}.jsonl"
+        trace = TraceConfig(level="transport", sink="jsonl", path=str(path))
+        result = run_live(chaos_config(seed), obs=trace)
         runs.append((seed, result, result.metrics.oracle))
     return runs
 
@@ -61,10 +66,12 @@ def test_no_seed_violates_any_invariant(chaos_runs):
 
 
 def test_online_checker_really_watched_every_run(chaos_runs):
-    # Every booked transition passed the oracle's hook first.
-    for seed, result, _oracle in chaos_runs:
+    for seed, result, oracle in chaos_runs:
+        # Every booked transition passed the oracle's hook first ...
         records = result.metrics.records.values()
         assert any(r.assignments for r in records), f"seed {seed}: no jobs"
+        # ... and every traced event its trace feed.
+        assert oracle.checked > 0, f"seed {seed}: trace feed saw no events"
 
 
 def test_faults_really_shaped_the_wire(chaos_runs):

@@ -230,7 +230,11 @@ def test_soak_runs_clean_and_streams_a_trace(tmp_path, capsys):
     ) == 0
     captured = capsys.readouterr()
     assert "invariant oracle armed" in captured.err
-    assert "invariants: OK (every transition + end of run)" in captured.out
+    assert "events checked online" in captured.out
+    assert (
+        "invariants: OK (every transition and trace event + end of run)"
+        in captured.out
+    )
     from repro.obs import load_trace, validate_event
 
     events = load_trace(trace_path)
